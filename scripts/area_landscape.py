@@ -19,13 +19,7 @@ import sys
 
 import numpy as np
 
-from apcap.bounds import (
-    SpectrumCache,
-    beta_at_area,
-    default_area_grid,
-    optimize_disc_area,
-    upper_bound,
-)
+from apcap.bounds import beta_at_area, default_area_grid, optimize_disc_area, upper_bound
 from apcap.numerics import solve_eps0
 from apcap.verification import STUDY_RANGE, STUDY_WAVELENGTH, study_link
 
@@ -40,12 +34,11 @@ def main():
     link = study_link(args.gamma_g)
     eps0 = solve_eps0()
     upper = upper_bound(args.gamma_g, eps0)
-    cache = SpectrumCache()
     lambda_d = STUDY_WAVELENGTH * STUDY_RANGE
 
     grid = default_area_grid(link, points=args.points)
-    betas = np.array([beta_at_area(a, link, cache=cache)[0] for a in grid])
-    best_area, best_beta = optimize_disc_area(link, grid, cache=cache)
+    betas = np.array([beta_at_area(a, link)[0] for a in grid])
+    best_area, best_beta = optimize_disc_area(link, grid)
     best_ratio = (best_area / lambda_d) ** 2
 
     print(f"gamma_g = {args.gamma_g:g}, upper bound {upper:.4f} b/s/Hz")

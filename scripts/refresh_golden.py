@@ -24,7 +24,7 @@ from apcap import (
     synthesize_array,
     waterfill,
 )
-from apcap.bounds import SpectrumCache, default_area_grid
+from apcap.bounds import default_area_grid
 from apcap.numerics import solve_eps0
 from apcap.oracles import dense_disc_gain_fractions
 from apcap.spectrum import disc_for_area
@@ -93,14 +93,11 @@ def main():
     golden["maximizer_beta_snr100"] = best_beta
 
     print("asymptotic ratio sequence (slow: includes gamma_g = 1e6) ...")
-    cache = SpectrumCache()
     ratios = []
     for gamma_g in GAMMA_G_GRID:
         t0 = time.time()
         row_link = study_link(gamma_g)
-        _, row_beta = optimize_disc_area(
-            row_link, default_area_grid(row_link, points=24), cache=cache
-        )
+        _, row_beta = optimize_disc_area(row_link, default_area_grid(row_link, points=24))
         strong = math.sqrt(gamma_g / (eps0 - 1.0)) * math.log2(eps0)
         ratios.append(row_beta / strong)
         print(f"  gamma_g={gamma_g:g}: ratio {ratios[-1]:.6f} in {time.time() - t0:.0f} s")

@@ -22,7 +22,6 @@ from .arrays import (
 )
 from .bounds import (
     CapacityBounds,
-    SpectrumCache,
     beta_at_area,
     bounds_report,
     bounds_to_dict,
@@ -53,7 +52,6 @@ from .spectrum import (
     default_truncation,
     disc_for_area,
     effective_rank,
-    radial_eigensolve,
     spectrum_report,
 )
 from .waterfill import (

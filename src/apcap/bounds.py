@@ -11,7 +11,6 @@ sqrt(gamma*g/(eps0-1)) * log2(eps0), about 1.1610 sqrt(gamma*g).
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,11 +19,11 @@ from .link import LinkBudget, ValidationError, derive_link, siso_efficiency
 from .numerics import solve_eps0
 from .spectrum import (
     AREA_RATIO_MAX,
-    DiscGeometry,
+    DEFAULT_TRUNCATION,
     OperatorSpectrum,
-    assemble_spectrum,
-    default_truncation,
+    Truncation,
     disc_for_area,
+    eigenvalue_spectrum,
 )
 from .waterfill import ChannelGains, allocation_efficiency, waterfill
 
@@ -122,62 +121,12 @@ def lower_bound_beta(
     return allocation_efficiency(gains, alloc), alloc.active_K
 
 
-class SpectrumCache:
-    """Eigenvalue cache keyed by (c rounded to 1e-6, truncation orders).
-
-    The radial eigenvalues depend on the geometry only through c, so a
-    single solve serves every geometry sharing it; nu_sq follows from the
-    scale-free betas as L c^2 beta^2. Reads are lock-free after insert;
-    inserts are serialized.
-    """
-
-    def __init__(self):
-        self._betas: dict[tuple[int, int, int, int], tuple[tuple[int, int, float], ...]] = {}
-        self._lock = threading.Lock()
-
-    def spectrum_for(self, geometry: DiscGeometry) -> OperatorSpectrum:
-        trunc = default_truncation(geometry.c_param)
-        key = (int(round(geometry.c_param * 1.0e6)), *trunc)
-        cached = self._betas.get(key)
-        if cached is None:
-            with self._lock:
-                cached = self._betas.get(key)
-                if cached is None:
-                    spectrum = assemble_spectrum(geometry, *trunc, keep_radial=False)
-                    cached = tuple(
-                        (e.mode.angular_N, e.mode.radial_m, e.beta) for e in spectrum.entries
-                    )
-                    self._betas[key] = cached
-                    return spectrum
-        return _respectrum(geometry, trunc, cached)
-
-
-def _respectrum(geometry, trunc, betas) -> OperatorSpectrum:
-    from .numerics import gauss_quadrature
-    from .spectrum import ModeIndex, SpectrumEntry
-
-    scale = geometry.loss_L * geometry.c_param**2
-    entries = tuple(
-        SpectrumEntry(ModeIndex(N, m), beta, scale * beta * beta) for (N, m, beta) in betas
-    )
-    return OperatorSpectrum(
-        entries=entries,
-        geometry=geometry,
-        truncation=trunc,
-        quadrature=gauss_quadrature(trunc[2]),
-        radial_samples=None,
-    )
-
-
-_shared_cache = SpectrumCache()
-
-
-def beta_at_area(area_S: float, link: LinkBudget, cache: SpectrumCache | None = None
-                 ) -> tuple[float, int]:
-    """lower_bound_beta at one area, building the spectrum through the cache."""
-    cache = cache or _shared_cache
+def beta_at_area(
+    area_S: float, link: LinkBudget, truncation: Truncation = DEFAULT_TRUNCATION
+) -> tuple[float, int]:
+    """lower_bound_beta at one area over the memoized eigenvalue spectrum."""
     geometry = disc_for_area(area_S, link.wavelength_lambda, link.range_d, link.loss_L)
-    return lower_bound_beta(area_S, link, cache.spectrum_for(geometry))
+    return lower_bound_beta(area_S, link, eigenvalue_spectrum(geometry, truncation))
 
 
 def default_area_grid(link: LinkBudget, points: int = 32) -> np.ndarray:
@@ -206,7 +155,7 @@ def default_area_grid(link: LinkBudget, points: int = 32) -> np.ndarray:
 
 
 def optimize_disc_area(
-    link: LinkBudget, area_grid: np.ndarray, cache: SpectrumCache | None = None
+    link: LinkBudget, area_grid: np.ndarray, truncation: Truncation = DEFAULT_TRUNCATION
 ) -> tuple[float, float]:
     """Best synthesis disc area and the lower bound it achieves.
 
@@ -215,7 +164,6 @@ def optimize_disc_area(
     refinement only ever improves on the best grid value since every
     evaluated point is tracked.
     """
-    cache = cache or _shared_cache
     grid = np.sort(np.asarray(area_grid, dtype=float))
     if grid.size < 2:
         raise ValidationError("area grid needs at least two points")
@@ -227,7 +175,7 @@ def optimize_disc_area(
             f"[{min_area:.6g}, {gate:.6g}]"
         )
 
-    betas = np.array([beta_at_area(a, link, cache)[0] for a in grid])
+    betas = np.array([beta_at_area(a, link, truncation)[0] for a in grid])
     best_idx = int(np.argmax(betas))
     best_area = float(grid[best_idx])
     best_beta = float(betas[best_idx])
@@ -240,18 +188,18 @@ def optimize_disc_area(
         a, b = math.log(lo), math.log(hi)
         x1 = b - phi * (b - a)
         x2 = a + phi * (b - a)
-        f1, _ = beta_at_area(math.exp(x1), link, cache)
-        f2, _ = beta_at_area(math.exp(x2), link, cache)
+        f1, _ = beta_at_area(math.exp(x1), link, truncation)
+        f2, _ = beta_at_area(math.exp(x2), link, truncation)
         for _ in range(24):
             if f1 >= f2:
                 b, x2, f2 = x2, x1, f1
                 x1 = b - phi * (b - a)
-                f1, _ = beta_at_area(math.exp(x1), link, cache)
+                f1, _ = beta_at_area(math.exp(x1), link, truncation)
                 x, fx = x1, f1
             else:
                 a, x1, f1 = x1, x2, f2
                 x2 = a + phi * (b - a)
-                f2, _ = beta_at_area(math.exp(x2), link, cache)
+                f2, _ = beta_at_area(math.exp(x2), link, truncation)
                 x, fx = x2, f2
             if fx > best_beta:
                 best_beta = fx
@@ -300,11 +248,13 @@ def stream_rates(
 def bounds_report(
     link: LinkBudget,
     area_S: float | None = None,
-    cache: SpectrumCache | None = None,
+    truncation: Truncation = DEFAULT_TRUNCATION,
     grid_points: int = 32,
 ) -> CapacityBounds:
-    """Full bounds record for a link, optimizing the disc area when none is given."""
-    cache = cache or _shared_cache
+    """Full bounds record for a link, optimizing the disc area when none is given.
+
+    The truncation applies to every area evaluated.
+    """
     derived = derive_link(link)
     eps0 = solve_eps0()
     snr = derived.received_snr
@@ -315,10 +265,10 @@ def bounds_report(
         regime = STRONG_SIGNAL
     if area_S is None:
         grid = default_area_grid(link, points=grid_points)
-        best_area, lower = optimize_disc_area(link, grid, cache)
-        _, active = beta_at_area(best_area, link, cache)
+        best_area, lower = optimize_disc_area(link, grid, truncation)
+        _, active = beta_at_area(best_area, link, truncation)
     else:
-        lower, active = beta_at_area(area_S, link, cache)
+        lower, active = beta_at_area(area_S, link, truncation)
         best_area = area_S
     return CapacityBounds(
         received_snr=snr,

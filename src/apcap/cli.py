@@ -20,20 +20,11 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .bounds import (
-    CapacityBounds,
-    STRONG_SIGNAL,
-    WEAK_SIGNAL,
-    bounds_report,
-    bounds_to_dict,
-    corollary_approx,
-    lower_bound_beta,
-    upper_bound,
-)
+from .bounds import bounds_report, bounds_to_dict, corollary_approx
 from .arrays import design_to_dict, synthesize_array
 from .link import LinkBudget, ValidationError, derive_link, siso_efficiency
 from .numerics import solve_eps0
-from .spectrum import assemble_spectrum, disc_for_area, spectrum_report
+from .spectrum import Truncation, assemble_spectrum, disc_for_area, spectrum_report
 from .verification import CHECK_NAMES, DEFAULT_SEED, run_checks
 
 EXIT_OK = 0
@@ -67,7 +58,6 @@ class RunConfig:
     command: str
     link: LinkBudget | None = None
     area: float | None = None
-    optimize_area: bool = False
     grid: GridSpec | None = None
     quadrature_order: int | None = None
     max_angular: int | None = None
@@ -223,10 +213,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     ):
         if hasattr(args, name):
             setattr(config, name, getattr(args, name))
-    if getattr(args, "optimize_area", False):
-        config.optimize_area = True
-    if config.area is None and config.command in ("link", "sweep", "bounds"):
-        config.optimize_area = True
     if hasattr(args, "grid"):
         config.grid = _parse_grid(args.grid)
     if hasattr(args, "names"):
@@ -237,46 +223,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _truncation_kwargs(config: RunConfig) -> dict:
-    return {
-        "max_angular_N": config.max_angular,
-        "max_radial_m": config.max_radial,
-        "quadrature_order": config.quadrature_order,
-    }
-
-
-def _has_truncation_override(config: RunConfig) -> bool:
-    return any(
-        v is not None
-        for v in (config.max_angular, config.max_radial, config.quadrature_order)
-    )
-
-
-def _bounds_for(config: RunConfig) -> CapacityBounds:
-    """Capacity bounds per the config's area policy."""
-    link = config.link
-    if config.area is not None and _has_truncation_override(config):
-        # explicit area with truncation overrides: assemble directly
-        derived = derive_link(link)
-        geometry = disc_for_area(
-            config.area, link.wavelength_lambda, link.range_d, link.loss_L
-        )
-        spectrum = assemble_spectrum(
-            geometry, keep_radial=False, **_truncation_kwargs(config)
-        )
-        beta, active_k = lower_bound_beta(config.area, link, spectrum)
-        eps0 = solve_eps0()
-        snr = derived.received_snr
-        return CapacityBounds(
-            received_snr=snr,
-            lower_bits=beta,
-            upper_bits=upper_bound(snr, eps0),
-            regime=STRONG_SIGNAL if snr > eps0 - 1.0 else WEAK_SIGNAL,
-            active_K=active_k,
-            best_area_S=config.area,
-            eps0=eps0,
-        )
-    return bounds_report(link, area_S=config.area)
+def _truncation(config: RunConfig) -> Truncation:
+    return (config.max_angular, config.max_radial, config.quadrature_order)
 
 
 def _emit(config: RunConfig, text: str) -> None:
@@ -303,7 +251,7 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 def run_link(config: RunConfig) -> int:
     link = config.link
     derived = derive_link(link)
-    bounds = _bounds_for(config)
+    bounds = bounds_report(link, config.area, _truncation(config))
     siso = siso_efficiency(derived.received_snr)
     if config.out_format == "json":
         payload = {
@@ -355,16 +303,7 @@ def run_sweep(config: RunConfig) -> int:
             aperture_tx_AT=base.aperture_tx_AT,
             aperture_rx_AR=base.aperture_rx_AR,
         )
-        row_config = RunConfig(
-            command="bounds",
-            link=link,
-            area=config.area,
-            optimize_area=config.optimize_area,
-            quadrature_order=config.quadrature_order,
-            max_angular=config.max_angular,
-            max_radial=config.max_radial,
-        )
-        bounds = _bounds_for(row_config)
+        bounds = bounds_report(link, config.area, _truncation(config))
         approx = corollary_approx(gamma_g) if gamma_g >= eps0 - 1.0 else None
         rows.append(
             {
@@ -387,7 +326,7 @@ def run_sweep(config: RunConfig) -> int:
 
 def run_spectrum(config: RunConfig, args: argparse.Namespace) -> int:
     geometry = disc_for_area(args.area, args.wavelength, args.range_d, args.loss)
-    spectrum = assemble_spectrum(geometry, keep_radial=False, **_truncation_kwargs(config))
+    spectrum = assemble_spectrum(geometry, *_truncation(config), keep_radial=False)
     report = spectrum_report(spectrum)
     if config.out_format == "json":
         _emit(config, _json_text(report))
@@ -399,7 +338,7 @@ def run_spectrum(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def run_bounds(config: RunConfig) -> int:
-    bounds = _bounds_for(config)
+    bounds = bounds_report(config.link, config.area, _truncation(config))
     record = bounds_to_dict(bounds)
     if config.out_format == "json":
         record = {"schema_version": SCHEMA_VERSION, **record}
@@ -417,7 +356,7 @@ def run_array(config: RunConfig) -> int:
     geometry = disc_for_area(
         config.area, link.wavelength_lambda, link.range_d, link.loss_L
     )
-    spectrum = assemble_spectrum(geometry, **_truncation_kwargs(config))
+    spectrum = assemble_spectrum(geometry, *_truncation(config))
     design = synthesize_array(spectrum, config.area, config.streams, config.cells, link)
     payload = {"schema_version": SCHEMA_VERSION, **design_to_dict(design)}
     _emit(config, _json_text(payload))

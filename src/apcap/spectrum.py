@@ -16,6 +16,7 @@ and modes with N != 0 are doubly degenerate (+-N pairs).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -30,6 +31,14 @@ AREA_RATIO_MAX = 1.0e-4
 
 C_PARAM_MAX = 1.0e3
 QUADRATURE_MIN = 16
+
+# Spectra memoized by eigenvalue_spectrum: one area optimization evaluates
+# 32 grid points plus at most 26 golden-section points.
+SPECTRUM_MEMO_SIZE = 64
+
+# (max_angular_N, max_radial_m, quadrature_order); None takes the default
+Truncation = tuple[int | None, int | None, int | None]
+DEFAULT_TRUNCATION: Truncation = (None, None, None)
 
 # Fraction of the theoretical spectral mass the retained modes must reach
 # before the truncation is considered adequate.
@@ -165,62 +174,50 @@ def default_truncation(c_param: float) -> tuple[int, int, int]:
     return 2 * c_ceil + 10, c_ceil + 10, max(64, 4 * c_ceil)
 
 
-def radial_eigensolve(
-    angular_N: int, c_param: float, quadrature_order: int
-) -> list[tuple[float, np.ndarray]]:
-    """All eigenpairs of the radial kernel J_|N|(c r r') r' on [0, 1].
+def _radial_eigensolve(
+    bessel_row: np.ndarray,
+    rule: QuadratureRule,
+    angular_N: int,
+    c_param: float,
+    keep_radial: bool,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigenpairs of the radial kernel J_|N|(c r r') r' on [0, 1].
 
     The kernel depends on the angular index only through |N|, so +-N give
     identical eigenvalues. The substitution phi = sqrt(r) R(r) symmetrizes
     the kernel to J_|N|(c r r') sqrt(r r'), so the Nystrom matrix
     D^{1/2} K D^{1/2} is real symmetric and the eigenvalues come out real.
-    Returns (beta, radial samples at the quadrature nodes) sorted by
-    |beta| descending. Eigenvector signs are fixed so the largest-magnitude
-    sample is positive, keeping golden files stable across library
-    versions.
+    Returns the betas sorted by |beta| descending and, when keep_radial,
+    the matching R(r) samples at the quadrature nodes as columns (else
+    None). Eigenvector signs are fixed so the largest-magnitude sample is
+    positive, keeping golden files stable across library versions.
+    eigvalsh serves the eigenvalue-only case; it rounds differently from
+    eigh, so each case keeps its own LAPACK driver.
     """
-    order = abs(angular_N)
-    if not (0.0 < c_param <= C_PARAM_MAX):
-        raise ValidationError(f"c_param {c_param!r} outside supported range (0, {C_PARAM_MAX:g}]")
-    if quadrature_order < QUADRATURE_MIN:
-        raise ValidationError(
-            f"quadrature order {quadrature_order} below minimum {QUADRATURE_MIN}"
-        )
-    rule = gauss_quadrature(quadrature_order)
-    args = c_param * np.outer(rule.nodes, rule.nodes)
-    bessel_row = bessel_j_table(order, args.ravel())[order].reshape(args.shape)
-    return _eigensolve_from_kernel(bessel_row, rule, order, c_param)
-
-
-def _eigensolve_from_kernel(
-    bessel_row: np.ndarray, rule: QuadratureRule, angular_N: int, c_param: float
-) -> list[tuple[float, np.ndarray]]:
-    x = rule.nodes
-    w = rule.weights
-    sqrt_x = np.sqrt(x)
+    sqrt_x = np.sqrt(rule.nodes)
+    sqrt_w = np.sqrt(rule.weights)
     kernel = bessel_row * np.outer(sqrt_x, sqrt_x)
-    sqrt_w = np.sqrt(w)
     symmetric = sqrt_w[:, None] * kernel * sqrt_w[None, :]
     try:
-        values, vectors = np.linalg.eigh(symmetric)
+        if keep_radial:
+            values, vectors = np.linalg.eigh(symmetric)
+        else:
+            values, vectors = np.linalg.eigvalsh(symmetric), None
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(
             f"radial eigensolve failed to converge at angular order {angular_N}, "
             f"c = {c_param:.6g}"
         ) from exc
     order = np.argsort(-np.abs(values), kind="stable")
-    values = values[order]
+    if vectors is None:
+        return values[order], None
     vectors = vectors[:, order]
+    pivots = np.argmax(np.abs(vectors), axis=0)
+    flip = vectors[pivots, np.arange(vectors.shape[1])] < 0.0
+    vectors[:, flip] = -vectors[:, flip]
     # back-substitute to R(r) samples with unit-disc normalization
     scale = 1.0 / (sqrt_w * sqrt_x * math.sqrt(2.0 * math.pi))
-    out = []
-    for idx in range(values.size):
-        vec = vectors[:, idx]
-        pivot = int(np.argmax(np.abs(vec)))
-        if vec[pivot] < 0.0:
-            vec = -vec
-        out.append((float(values[idx]), vec * scale))
-    return out
+    return values[order], vectors * scale[:, None]
 
 
 def assemble_spectrum(
@@ -270,18 +267,14 @@ def assemble_spectrum(
         row = np.zeros_like(nodes_outer)
         row[upper] = table[N]
         row = row + row.T - np.diag(np.diag(row))
-        if keep_radial:
-            pairs = _eigensolve_from_kernel(row, rule, N, c)[: max_radial_m + 1]
-        else:
-            pairs = _eigenvalues_from_kernel(row, rule, N, c)[: max_radial_m + 1]
-        for m, item in enumerate(pairs):
-            beta = item[0] if keep_radial else item
+        betas, samples = _radial_eigensolve(row, rule, N, c, keep_radial)
+        for m, beta in enumerate(betas[: max_radial_m + 1].tolist()):
             nu_sq = scale_nu * beta * beta
-            entries.append(SpectrumEntry(ModeIndex(N, m), float(beta), float(nu_sq)))
+            entries.append(SpectrumEntry(ModeIndex(N, m), beta, nu_sq))
             if N > 0:
-                entries.append(SpectrumEntry(ModeIndex(-N, m), float(beta), float(nu_sq)))
+                entries.append(SpectrumEntry(ModeIndex(-N, m), beta, nu_sq))
             if keep_radial:
-                radial[(N, m)] = item[1]
+                radial[(N, m)] = samples[:, m].copy()
 
     entries.sort(
         key=lambda e: (
@@ -309,21 +302,15 @@ def assemble_spectrum(
     return spectrum
 
 
-def _eigenvalues_from_kernel(
-    bessel_row: np.ndarray, rule: QuadratureRule, angular_N: int, c_param: float
-) -> np.ndarray:
-    sqrt_x = np.sqrt(rule.nodes)
-    sqrt_w = np.sqrt(rule.weights)
-    kernel = bessel_row * np.outer(sqrt_x, sqrt_x)
-    symmetric = sqrt_w[:, None] * kernel * sqrt_w[None, :]
-    try:
-        values = np.linalg.eigvalsh(symmetric)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            f"radial eigensolve failed to converge at angular order {angular_N}, "
-            f"c = {c_param:.6g}"
-        ) from exc
-    return values[np.argsort(-np.abs(values), kind="stable")]
+@functools.lru_cache(maxsize=SPECTRUM_MEMO_SIZE)
+def eigenvalue_spectrum(geometry: DiscGeometry, truncation: Truncation) -> OperatorSpectrum:
+    """assemble_spectrum(geometry, *truncation, keep_radial=False), memoized.
+
+    The key is the exact geometry and truncation triple (None entries take
+    the defaults), so a hit returns the spectrum a fresh solve gives. The
+    result is shared between callers and must not be modified.
+    """
+    return assemble_spectrum(geometry, *truncation, keep_radial=False)
 
 
 def effective_rank(spectrum: OperatorSpectrum, fraction: float) -> int:

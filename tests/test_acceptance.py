@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from apcap.bounds import SpectrumCache, default_area_grid, optimize_disc_area
+from apcap.bounds import default_area_grid, optimize_disc_area
 from apcap.numerics import solve_eps0
 from apcap.verification import (
     CHECK_NAMES,
@@ -130,7 +130,7 @@ def test_15_sweep_determinism():
 def snr100_optimum():
     link = study_link(100.0)
     grid = default_area_grid(link, points=32)
-    return optimize_disc_area(link, grid, cache=SpectrumCache())
+    return optimize_disc_area(link, grid)
 
 
 def test_10_truth_maximizer_sits_below_window(snr100_optimum):
@@ -146,13 +146,10 @@ def test_10_truth_maximizer_sits_below_window(snr100_optimum):
 
 def test_11_truth_ratio_dips_after_threshold():
     eps0 = solve_eps0()
-    cache = SpectrumCache()
     ratios = []
     for gamma_g in GAMMA_G_GRID:
         link = study_link(gamma_g)
-        _, best_beta = optimize_disc_area(
-            link, default_area_grid(link, points=24), cache=cache
-        )
+        _, best_beta = optimize_disc_area(link, default_area_grid(link, points=24))
         ratios.append(best_beta / (math.sqrt(gamma_g / (eps0 - 1.0)) * math.log2(eps0)))
     # peaks at the threshold point gamma_g = eps0 - 1, where lower meets upper
     peak = GAMMA_G_GRID.index(3.9215)

@@ -132,6 +132,14 @@ class TestBoundsCommand:
         # a starved truncation loses spectral mass but the top modes survive
         assert payload["lower"] == pytest.approx(2.317, abs=2e-3)
 
+    def test_truncation_override_applies_when_optimizing(self):
+        default = run_cli("bounds")
+        starved = run_cli(
+            "bounds", "--max-angular", "0", "--max-radial", "0", "--quadrature-order", "16"
+        )
+        assert default.returncode == 0 and starved.returncode == 0
+        assert starved.stdout != default.stdout
+
 
 class TestArrayCommand:
     def test_json_design(self):
@@ -175,6 +183,17 @@ class TestVerifyCommand:
         bad = tmp_path / "golden.json"
         bad.write_text(json.dumps(golden))
         proc = run_cli("verify", "eps0_constant", "--golden", str(bad))
+        assert proc.returncode == 2
+        assert "FAIL" in proc.stdout
+
+    def test_small_golden_drift_fails(self, tmp_path):
+        # the smallest off-diagonal mass is below 1e-9, so only a purely
+        # relative comparison catches a 50% drift in it
+        golden = json.loads(GOLDEN.read_text())
+        golden["gram_offdiag_frobenius"][-1] *= 1.5
+        bad = tmp_path / "golden.json"
+        bad.write_text(json.dumps(golden))
+        proc = run_cli("verify", "array_gram_convergence", "--golden", str(bad))
         assert proc.returncode == 2
         assert "FAIL" in proc.stdout
 

@@ -15,7 +15,6 @@ from apcap.spectrum import (
     default_truncation,
     disc_for_area,
     effective_rank,
-    radial_eigensolve,
     spectrum_report,
 )
 from apcap.verification import STUDY_RANGE, STUDY_WAVELENGTH, area_for_m0
@@ -66,28 +65,25 @@ class TestDiscGeometry:
 
 class TestRadialEigensolve:
     def test_eigenvalue_sum_rule_across_orders(self):
-        # sum over all N of sum_m beta^2 equals 1/4, counting +-N once here
-        total = 0.0
-        for angular in range(0, 40):
-            betas = [b for b, _ in radial_eigensolve(angular, 4.0, 64)]
-            mass = sum(b * b for b in betas)
-            total += mass if angular == 0 else 2.0 * mass
+        # sum over all N (+-N both entered) and m of beta^2 equals 1/4
+        spectrum = assemble_spectrum(geometry_for_c(4.0), 39, 63, 64, keep_radial=False)
+        total = sum(e.beta**2 for e in spectrum.entries)
         assert total == pytest.approx(0.25, rel=1e-10)
 
     def test_negative_order_matches_positive(self):
-        plus = radial_eigensolve(3, 2.0, 48)
-        minus = radial_eigensolve(-3, 2.0, 48)
-        for (b1, _), (b2, _) in zip(plus, minus):
-            assert b1 == pytest.approx(b2, rel=1e-14)
+        spectrum = assemble_spectrum(geometry_for_c(2.0), quadrature_order=48)
+        betas = {(e.mode.angular_N, e.mode.radial_m): e.beta for e in spectrum.entries}
+        for (n, m), beta in betas.items():
+            assert betas[(-n, m)] == pytest.approx(beta, rel=1e-14)
 
     def test_samples_shape_and_norm(self):
-        results = radial_eigensolve(0, 4.0, 64)
-        betas = [b for b, _ in results]
+        spectrum = assemble_spectrum(geometry_for_c(4.0), quadrature_order=64)
+        betas = [e.beta for e in spectrum.entries if e.mode.angular_N == 0]
         assert abs(betas[0]) > abs(betas[-1])
-        from apcap.numerics import gauss_quadrature
-
-        rule = gauss_quadrature(64)
-        for beta, samples in results[:3]:
+        rule = spectrum.quadrature
+        for m in range(3):
+            samples = spectrum.radial_samples[(0, m)]
+            assert samples.shape == (64,)
             # unit L2 norm over the physical unit disc: integral of R^2 r dr
             # against 2*pi equals one
             norm = 2.0 * math.pi * rule.integrate(samples**2 * rule.nodes)
@@ -95,13 +91,12 @@ class TestRadialEigensolve:
 
     def test_quadrature_floor(self):
         with pytest.raises(ValidationError):
-            radial_eigensolve(0, 1.0, 8)
+            assemble_spectrum(geometry_for_c(1.0), quadrature_order=8)
 
     def test_c_bounds(self):
-        with pytest.raises(ValidationError):
-            radial_eigensolve(0, -1.0, 64)
-        with pytest.raises(ValidationError):
-            radial_eigensolve(0, 2.0e3, 64)
+        # c = 2 |S| / (lambda d) = 2000 at |S| = 1e8, lambda = 0.1, d = 1e6
+        with pytest.raises(ValidationError, match="c_param"):
+            assemble_spectrum(disc_for_area(1.0e8, 0.1, 1.0e6, 1.0), keep_radial=False)
 
 
 class TestAssembleSpectrum:
