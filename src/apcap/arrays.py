@@ -20,7 +20,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .link import LinkBudget, ValidationError
 from .numerics import bessel_j_table
-from .spectrum import DiscGeometry, OperatorSpectrum
+from .spectrum import EPS, DiscGeometry, OperatorSpectrum
 from .waterfill import ChannelGains, waterfill
 
 FAR_FIELD_RANGE_FACTOR = 1.0e3
@@ -289,7 +289,8 @@ def synthesize_array(
         )
     if stream_count_K > len(spectrum.entries):
         raise ValidationError(
-            f"stream count {stream_count_K} exceeds available modes {len(spectrum.entries)}"
+            f"stream count {stream_count_K} exceeds available modes {len(spectrum.entries)} "
+            f"(the spectrum keeps only modes at or above EPS = {EPS:g} of the top one)"
         )
     if spectrum.radial_samples is None:
         raise ValidationError("spectrum was assembled without radial samples")

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .link import LinkBudget, ValidationError, derive_link, siso_efficiency
+from .link import LinkBudget, ValidationError, derive_link
 from .numerics import solve_eps0
 from .spectrum import (
     AREA_RATIO_MAX,
+    C_PARAM_MAX,
     DEFAULT_TRUNCATION,
     OperatorSpectrum,
     Truncation,
@@ -134,14 +135,26 @@ def default_area_grid(link: LinkBudget, points: int = 32) -> np.ndarray:
 
     The upper end is the area where M0 = |S|^2/(lambda d)^2 reaches
     4*sqrt(gamma*g/(eps0-1)), past which the lower bound is already
-    falling; the small-disc gate caps it if necessary.
+    falling. A received SNR whose upper end lies past C_PARAM_MAX or past
+    the small-disc gate is rejected.
     """
     derived = derive_link(link)
     eps0 = solve_eps0()
     lam_d = link.wavelength_lambda * link.range_d
     lo = max(link.aperture_tx_AT, link.aperture_rx_AR)
-    m0_hi = 4.0 * math.sqrt(max(derived.received_snr, eps0 - 1.0) / (eps0 - 1.0))
+    end_factor = 4.0
+    m0_hi = end_factor * math.sqrt(max(derived.received_snr, eps0 - 1.0) / (eps0 - 1.0))
     hi = lam_d * math.sqrt(m0_hi)
+    c_hi = 2.0 * math.sqrt(m0_hi)
+    if c_hi > C_PARAM_MAX:
+        # the same end rule solved for gamma*g at c = C_PARAM_MAX, i.e. M0 = (c/2)^2
+        snr_max = (eps0 - 1.0) * ((C_PARAM_MAX / 2.0) ** 2 / end_factor) ** 2
+        raise ValidationError(
+            f"received SNR gamma*g = {derived.received_snr:.6g} is outside the supported "
+            f"range: area optimization covers gamma*g up to {snr_max:.6g}, "
+            f"where its area grid reaches c = 2 |S| / (lambda d) = {C_PARAM_MAX:g}; "
+            f"this grid would reach c = {c_hi:.6g}"
+        )
     gate = AREA_RATIO_MAX * math.pi * link.range_d**2
     if hi > gate:
         raise ValidationError(

@@ -104,8 +104,8 @@ def _add_area_flags(p):
 
 def _add_truncation_flags(p):
     p.add_argument("--quadrature-order", type=int, default=None, help="radial quadrature order override")
-    p.add_argument("--max-angular", type=int, default=None, help="largest |N| kept in the spectrum")
-    p.add_argument("--max-radial", type=int, default=None, help="radial modes kept per angular order")
+    p.add_argument("--max-angular", type=int, default=None, help="ceiling on the largest |N| kept in the spectrum")
+    p.add_argument("--max-radial", type=int, default=None, help="ceiling on the radial index m kept per angular order")
 
 
 def _add_output_flags(p):

@@ -6,6 +6,7 @@ outputs across runs, which the golden-file tests rely on.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -14,6 +15,8 @@ import numpy as np
 BESSEL_MAX_ORDER = 200
 BESSEL_MAX_X = 1.0e4
 QUAD_MAX_ORDER = 512
+# distinct quadrature orders kept by the gauss_quadrature memo
+QUAD_MEMO_SIZE = 64
 
 # Rescaling guard for the downward recurrence; values beyond this are scaled
 # back to keep the unnormalized iterates finite.
@@ -50,6 +53,8 @@ def _legendre_value_and_derivative(n: int, x: float) -> tuple[float, float]:
     return p, dp
 
 
+# typed: True and 1 must not share an entry, since bool orders are rejected
+@functools.lru_cache(maxsize=QUAD_MEMO_SIZE, typed=True)
 def gauss_quadrature(order: int) -> QuadratureRule:
     """Gauss-Legendre rule with `order` points, mapped to [0, 1].
 
@@ -57,6 +62,9 @@ def gauss_quadrature(order: int) -> QuadratureRule:
     fixed 1e-14 tolerance, then mirrored about the midpoint so the rule is
     exactly symmetric. A rule of order Q integrates polynomials of degree
     up to 2Q - 1 exactly.
+
+    Rules are memoized and shared between callers, so their node and
+    weight arrays are read-only.
 
     Parameters
     ----------
@@ -70,7 +78,7 @@ def gauss_quadrature(order: int) -> QuadratureRule:
             f"quadrature order {order} outside supported range [1, {QUAD_MAX_ORDER}]"
         )
     if order == 1:
-        return QuadratureRule(nodes=np.array([0.5]), weights=np.array([1.0]))
+        return _frozen_rule(np.array([0.5]), np.array([1.0]))
 
     n = order
     half = (n + 1) // 2
@@ -96,6 +104,12 @@ def gauss_quadrature(order: int) -> QuadratureRule:
         weights[n - k] = w / 2.0
     if n % 2 == 1:
         nodes[half - 1] = 0.5
+    return _frozen_rule(nodes, weights)
+
+
+def _frozen_rule(nodes: np.ndarray, weights: np.ndarray) -> QuadratureRule:
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
@@ -173,18 +187,29 @@ def bessel_j(order: int, x: float) -> float:
     return _bessel_miller(order, x)
 
 
-def bessel_j_table(max_order: int, x: np.ndarray) -> np.ndarray:
-    """J_n(x) for all orders n = 0..max_order at once, vectorized over x.
+def bessel_j_table(
+    max_order: int, x: np.ndarray, orders: range | None = None
+) -> np.ndarray:
+    """J_n(x) for orders n = 0..max_order at once, vectorized over x.
 
-    Returns an array of shape (max_order + 1, len(x)). Internal workhorse
-    for kernel assembly, where the same arguments are needed at every
-    angular order. Uses the normalized downward recurrence throughout;
-    accuracy is a few ulps over the assembly range (x up to ~1e3).
+    Returns an array of shape (len(orders), len(x)), one row per order in
+    `orders` (default: every order 0..max_order, which must contain it).
+    Internal workhorse for kernel assembly, where the same arguments are
+    needed at every angular order. Uses the normalized downward recurrence
+    throughout; accuracy is a few ulps over the assembly range (x up to
+    ~1e3). The recurrence depends on max_order and x only, so a row has the
+    same bits whichever `orders` it is returned in: a caller can fetch the
+    rows in blocks and hold one block at a time.
     """
+    if orders is None:
+        orders = range(max_order + 1)
+    if orders.step != 1 or orders.start < 0 or orders.stop > max_order + 1:
+        raise ValidationError(f"orders {orders!r} not a contiguous part of 0..{max_order}")
+    lo, hi = orders.start, orders.stop
     x = np.asarray(x, dtype=float).ravel()
-    out = np.zeros((max_order + 1, x.size))
     positive = x > 0.0
     xs = x[positive]
+    acc = np.zeros((len(orders), xs.size))
     if xs.size:
         start = max(max_order, int(math.ceil(float(xs.max())))) + 1
         start += int(20 + 10 * math.sqrt(start))
@@ -192,15 +217,14 @@ def bessel_j_table(max_order: int, x: np.ndarray) -> np.ndarray:
             start += 1
         jp = np.zeros(xs.size)
         j = np.full(xs.size, 1.0e-30)
-        acc = np.zeros((max_order + 1, xs.size))
         norm = np.zeros(xs.size)
         inv_x = 1.0 / xs
         for k in range(start, 0, -1):
             jm = (2.0 * k) * inv_x * j - jp
             jp = j
             j = jm
-            if k - 1 <= max_order:
-                acc[k - 1] = j
+            if lo <= k - 1 < hi:
+                acc[k - 1 - lo] = j
             if (k - 1) % 2 == 0 and k - 1 > 0:
                 norm += 2.0 * j
             big = np.abs(j) > _MILLER_BIG
@@ -211,8 +235,12 @@ def bessel_j_table(max_order: int, x: np.ndarray) -> np.ndarray:
                 norm[big] *= 1.0e-250
         norm += j
         acc /= norm
-        out[:, positive] = acc
-    out[0, ~positive] = 1.0
+    if positive.all():
+        return acc
+    out = np.zeros((len(orders), x.size))
+    out[:, positive] = acc
+    if lo == 0:
+        out[0, ~positive] = 1.0
     return out
 
 

@@ -24,13 +24,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .link import ValidationError
-from .numerics import QuadratureRule, bessel_j_table, gauss_quadrature
+from .numerics import QUAD_MAX_ORDER, QuadratureRule, bessel_j_table, gauss_quadrature
 
 # The kernel model treats the disc as small compared with the range.
 AREA_RATIO_MAX = 1.0e-4
 
-C_PARAM_MAX = 1.0e3
 QUADRATURE_MIN = 16
+
+# Default quadrature order max(QUADRATURE_FLOOR, ceil(c) + QUADRATURE_MARGIN);
+# scripts/truncation_study.py measures the margin against larger orders.
+QUADRATURE_FLOOR = 64
+QUADRATURE_MARGIN = 40
+
+# The largest c whose default quadrature order fits in QUAD_MAX_ORDER.
+C_PARAM_MAX = float(QUAD_MAX_ORDER - QUADRATURE_MARGIN)
+
+# Modes with nu_sq below EPS times the top one are dropped, and the angular
+# walk stops at the first order whose top mode is below it.
+EPS = 1.0e-16
+
+# Largest Bessel table block assembly holds at once; larger tables are
+# fetched in blocks of angular orders.
+BESSEL_BLOCK_BYTES = 64 * 2**20
 
 # Spectra memoized by eigenvalue_spectrum: one area optimization evaluates
 # 32 grid points plus at most 26 golden-section points.
@@ -145,7 +160,9 @@ class OperatorSpectrum:
     (|N|, m) to the eigenfunction values at the quadrature nodes, under
     the normalization integral_0^1 R(r)^2 r dr = 1/(2 pi), which makes
     the full 2-D mode unit norm on the unit disc. The map is None when
-    the spectrum was assembled for eigenvalues only.
+    the spectrum was assembled for eigenvalues only. truncation is what
+    was kept (largest |N|, largest m, quadrature order), and
+    angular_orders_solved counts the orders N = 0, 1, ... the walk solved.
     """
 
     entries: tuple[SpectrumEntry, ...]
@@ -153,6 +170,7 @@ class OperatorSpectrum:
     truncation: tuple[int, int, int]
     quadrature: QuadratureRule
     radial_samples: dict[tuple[int, int], np.ndarray] | None = field(default=None)
+    angular_orders_solved: int = 0
 
     @property
     def nu_sq_values(self) -> np.ndarray:
@@ -164,14 +182,24 @@ class OperatorSpectrum:
 
 
 def default_truncation(c_param: float) -> tuple[int, int, int]:
-    """(max_angular_N, max_radial_m, quadrature_order) adequate for a given c.
+    """(angular order bound N_hi, radial ceiling, quadrature order Q) for a given c.
 
-    Eigenvalues decay super-exponentially past the plunge region, so a
-    margin of 10 orders beyond the plunge captures the spectral mass to
-    well under the 0.1% reporting threshold.
+    These are limits, not the kept counts: assemble_spectrum walks the
+    angular orders up from 0 and stops at the first one whose top mode
+    falls below EPS of the strongest, and keeps only the modes at or above
+    that cut. Past the plunge the eigenvalues decay super-exponentially,
+    and the walk stops within about 6.5 c^(1/3) + 2 orders of c
+    (scripts/truncation_study.py). N_hi = ceil(c + 8 c^(1/3)) + 8 bounds
+    that with room to spare, or 2 ceil(c) + 10 where that is smaller (c
+    below about 20), and the Bessel table is built up to N_hi. Q is
+    max(64, ceil(c) + 40): the study finds that 24 or more nodes past c
+    already reproduce every kept mode of a much larger Q to a few 1e-14 of
+    the top one. The radial ceiling is Q - 1, every mode the solve yields.
     """
     c_ceil = int(math.ceil(c_param))
-    return 2 * c_ceil + 10, c_ceil + 10, max(64, 4 * c_ceil)
+    angular = min(2 * c_ceil + 10, int(math.ceil(c_param + 8.0 * c_param ** (1.0 / 3.0))) + 8)
+    quadrature = max(QUADRATURE_FLOOR, c_ceil + QUADRATURE_MARGIN)
+    return angular, quadrature - 1, quadrature
 
 
 def _radial_eigensolve(
@@ -227,54 +255,84 @@ def assemble_spectrum(
     quadrature_order: int | None = None,
     keep_radial: bool = True,
 ) -> OperatorSpectrum:
-    """Solve the radial problems for every angular order and merge the modes.
+    """Solve the radial problems order by order and merge the modes.
+
+    The walk solves N = 0, 1, ... and stops at the first order whose top
+    nu_sq is below EPS times the strongest mode's; within each order only
+    the radial modes at or above that cut are kept. max_angular_N and
+    max_radial_m are ceilings on the walk and on the radial index (None
+    takes default_truncation's bound N_hi and Q - 1); quadrature_order is
+    used as given. Reaching N_hi without the cut stopping the walk issues
+    a TruncationWarning, and so does capturing less than 99.9% of the
+    theoretical mass L |S|^2 / (lambda d)^2. The spectrum's truncation is
+    what was kept: the largest |N| and m among its modes, and Q.
 
     Each mode (N, m) with N != 0 enters twice (+N and -N) with the same
-    magnitude. nu_sq = (L / lambda^2 d^2) R^4 (2 pi beta)^2. A
-    TruncationWarning is issued when the retained modes capture less than
-    99.9% of the theoretical mass L |S|^2 / (lambda d)^2.
+    magnitude. nu_sq = (L / lambda^2 d^2) R^4 (2 pi beta)^2.
 
     keep_radial=False skips eigenvectors (faster, eigenvalues only); the
     resulting spectrum has radial_samples None and cannot seed array
     synthesis.
     """
-    dN, dm, dq = default_truncation(geometry.c_param)
-    max_angular_N = dN if max_angular_N is None else max_angular_N
-    max_radial_m = dm if max_radial_m is None else max_radial_m
-    quadrature_order = dq if quadrature_order is None else quadrature_order
-    if max_angular_N < 0 or max_radial_m < 0:
+    c = geometry.c_param
+    if not (0.0 < c <= C_PARAM_MAX):
+        raise ValidationError(
+            f"c_param {c!r} outside supported range (0, {C_PARAM_MAX:g}], a disc area "
+            f"|S| of up to about {C_PARAM_MAX / 2.0:g} lambda d (c = 2 |S| / (lambda d))"
+        )
+    bound_N, _, default_q = default_truncation(c)
+    quadrature_order = default_q if quadrature_order is None else quadrature_order
+    if any(limit is not None and limit < 0 for limit in (max_angular_N, max_radial_m)):
         raise ValidationError("truncation orders must be nonnegative")
     if quadrature_order < QUADRATURE_MIN:
         raise ValidationError(
             f"quadrature order {quadrature_order} below minimum {QUADRATURE_MIN}"
         )
-    c = geometry.c_param
-    if not (0.0 < c <= C_PARAM_MAX):
-        raise ValidationError(f"c_param {c!r} outside supported range (0, {C_PARAM_MAX:g}]")
+    walk_N = bound_N if max_angular_N is None else min(max_angular_N, bound_N)
+    radial_m = quadrature_order - 1 if max_radial_m is None else max_radial_m
 
     rule = gauss_quadrature(quadrature_order)
     nodes_outer = np.outer(rule.nodes, rule.nodes)
     upper = np.triu_indices(quadrature_order)
     args = c * nodes_outer[upper]
-    table = bessel_j_table(max_angular_N, args)
+    block = max(1, BESSEL_BLOCK_BYTES // (8 * args.size))
 
     scale_nu = geometry.loss_L / (geometry.wavelength_lambda * geometry.range_d) ** 2
     scale_nu *= geometry.radius_R**4 * (2.0 * math.pi) ** 2
 
     entries: list[SpectrumEntry] = []
     radial: dict[tuple[int, int], np.ndarray] | None = {} if keep_radial else None
-    for N in range(max_angular_N + 1):
+    top = 0.0
+    stopped = False
+    for N in range(walk_N + 1):
+        if N % block == 0:
+            table = None  # let the previous block go before the next is built
+            table = bessel_j_table(walk_N, args, range(N, min(N + block, walk_N + 1)))
         row = np.zeros_like(nodes_outer)
-        row[upper] = table[N]
+        row[upper] = table[N % block]
         row = row + row.T - np.diag(np.diag(row))
         betas, samples = _radial_eigensolve(row, rule, N, c, keep_radial)
-        for m, beta in enumerate(betas[: max_radial_m + 1].tolist()):
-            nu_sq = scale_nu * beta * beta
-            entries.append(SpectrumEntry(ModeIndex(N, m), beta, nu_sq))
+        nu_sq = scale_nu * betas * betas
+        top = max(top, float(nu_sq[0]))
+        if nu_sq[0] < EPS * top:
+            stopped = True
+            break
+        kept = int(np.count_nonzero(nu_sq[: radial_m + 1] >= EPS * top))
+        for m in range(kept):
+            beta, mode_nu = float(betas[m]), float(nu_sq[m])
+            entries.append(SpectrumEntry(ModeIndex(N, m), beta, mode_nu))
             if N > 0:
-                entries.append(SpectrumEntry(ModeIndex(-N, m), beta, nu_sq))
+                entries.append(SpectrumEntry(ModeIndex(-N, m), beta, mode_nu))
             if keep_radial:
                 radial[(N, m)] = samples[:, m].copy()
+    solved = N + 1
+    if not stopped and walk_N == bound_N:
+        warnings.warn(
+            f"angular orders up to the bound {bound_N} at c = {c:.6g} all hold modes "
+            f"above {EPS:g} of the top one; orders beyond it were not solved",
+            TruncationWarning,
+            stacklevel=2,
+        )
 
     entries.sort(
         key=lambda e: (
@@ -287,9 +345,14 @@ def assemble_spectrum(
     spectrum = OperatorSpectrum(
         entries=tuple(entries),
         geometry=geometry,
-        truncation=(max_angular_N, max_radial_m, quadrature_order),
+        truncation=(
+            max(e.mode.angular_N for e in entries),
+            max(e.mode.radial_m for e in entries),
+            quadrature_order,
+        ),
         quadrature=rule,
         radial_samples=radial,
+        angular_orders_solved=solved,
     )
     total = geometry.spectral_mass
     if spectrum.captured_mass < SUM_RULE_CAPTURE_MIN * total:
@@ -346,6 +409,7 @@ def spectrum_report(spectrum: OperatorSpectrum) -> dict:
             "max_angular_N": spectrum.truncation[0],
             "max_radial_m": spectrum.truncation[1],
             "quadrature_order": spectrum.truncation[2],
+            "angular_orders_solved": spectrum.angular_orders_solved,
         },
         "sum_rule": {
             "captured": captured,

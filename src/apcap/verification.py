@@ -54,6 +54,21 @@ STUDY_APERTURE = 100.0
 
 GAMMA_G_GRID = (1.0e-2, 1.0, 3.9215, 10.0, 1.0e2, 1.0e4, 1.0e6)
 
+# (rtol, atol) each check allows between a measured value and its golden key;
+# a key no check reads is absent
+GOLDEN_TOLERANCES = {
+    "eps0": (1.0e-12, 0.0),
+    "corollary_coefficient": (1.0e-12, 0.0),
+    "hand_allocation_efficiency": (1.0e-12, 0.0),
+    "dense_oracle_gain_fractions_c1": (1.0e-5, 0.0),
+    "dense_oracle_gain_fractions_c2": (1.0e-5, 0.0),
+    "dense_oracle_gain_fractions_c4": (1.0e-5, 0.0),
+    "maximizer_area_ratio_snr100": (1.0e-3, 0.0),
+    "asymptotic_ratio_sequence": (1.0e-6, 1.0e-8),
+    "lemma1_gap_sequence": (1.0e-9, 0.0),
+    "gram_offdiag_frobenius": (1.0e-9, 0.0),
+}
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -92,12 +107,18 @@ def area_for_m0(m0: float) -> float:
     return math.sqrt(m0) * STUDY_WAVELENGTH * STUDY_RANGE
 
 
-def _match(value: float, golden: dict, key: str, rel: float) -> tuple[bool, str]:
+def _match(value: float, golden: dict, key: str) -> tuple[bool, str]:
     if key not in golden:
         return False, f"golden file missing key {key!r}"
     ref = golden[key]
     err = abs(value - ref) / max(abs(ref), 1e-300)
-    return err <= rel, f"golden rel err {err:.2e}"
+    return err <= GOLDEN_TOLERANCES[key][0], f"golden rel err {err:.2e}"
+
+
+def _allclose(values, golden: dict, key: str) -> bool:
+    frozen = golden.get(key)
+    rtol, atol = GOLDEN_TOLERANCES[key]
+    return frozen is not None and np.allclose(values, frozen, rtol=rtol, atol=atol)
 
 
 def _check_eps0_constant(seed, golden):
@@ -105,7 +126,7 @@ def _check_eps0_constant(seed, golden):
     value = solve_eps0()
     elapsed = time.perf_counter() - t0
     in_window = abs(value - 4.9215) <= 5.0e-4 and elapsed < 1.0e-3
-    frozen_ok, frozen_msg = _match(value, golden, "eps0", 1.0e-12)
+    frozen_ok, frozen_msg = _match(value, golden, "eps0")
     return (
         in_window and frozen_ok,
         f"eps0 = {value:.12f} in {elapsed * 1e6:.0f} us; {frozen_msg}",
@@ -117,7 +138,7 @@ def _check_corollary_coefficient(seed, golden):
     eps0 = solve_eps0()
     coeff = math.log2(eps0) / math.sqrt(eps0 - 1.0)
     in_window = abs(coeff - 1.1610) <= 1.0e-3
-    frozen_ok, frozen_msg = _match(coeff, golden, "corollary_coefficient", 1.0e-12)
+    frozen_ok, frozen_msg = _match(coeff, golden, "corollary_coefficient")
     return (
         in_window and frozen_ok,
         f"log2(eps0)/sqrt(eps0-1) = {coeff:.12f}; {frozen_msg}",
@@ -186,7 +207,7 @@ def _check_spectrum_oracle(seed, golden):
         fractions = np.array([4.0 * e.beta**2 for e in spectrum.entries[:5]])
         rel = float(np.max(np.abs(fractions - oracle) / oracle))
         worst = max(worst, rel)
-        ok = ok and rel <= 1.0e-5
+        ok = ok and rel <= GOLDEN_TOLERANCES[key][0]
     return ok, f"worst top-5 rel err vs dense 2-D oracle {worst:.2e}", "<= 1e-5"
 
 
@@ -220,7 +241,7 @@ def _check_hand_allocation(seed, golden):
     alloc = waterfill(channels, 10.0)
     eff = allocation_efficiency(channels, alloc)
     powers_ok = np.allclose(alloc.powers_Pn, [5.5, 4.5, 0.0], atol=1.0e-9)
-    frozen_ok, frozen_msg = _match(eff, golden, "hand_allocation_efficiency", 1.0e-12)
+    frozen_ok, frozen_msg = _match(eff, golden, "hand_allocation_efficiency")
     return (
         alloc.active_K == 2 and powers_ok and abs(eff - 4.4009) <= 1.0e-4 and frozen_ok,
         f"K = {alloc.active_K}, powers = {np.round(alloc.powers_Pn, 9).tolist()}, "
@@ -261,7 +282,7 @@ def _check_maximizer_location(seed, golden):
     center = math.sqrt(100.0 / (eps0 - 1.0))
     lo, hi = 0.7 * center, 1.3 * center
     in_window = lo <= ratio <= hi
-    frozen_ok, frozen_msg = _match(ratio, golden, "maximizer_area_ratio_snr100", 1.0e-3)
+    frozen_ok, frozen_msg = _match(ratio, golden, "maximizer_area_ratio_snr100")
     return (
         in_window and frozen_ok,
         f"|S|^2/(lambda d)^2 = {ratio:.5f} at gamma_g = 100 "
@@ -280,8 +301,7 @@ def _check_asymptotic_ratio(seed, golden):
         ratios.append(best_beta / strong)
     nondecreasing = all(b >= a - 1.0e-12 for a, b in zip(ratios, ratios[1:]))
     at_1e4 = ratios[GAMMA_G_GRID.index(1.0e4)]
-    frozen = golden.get("asymptotic_ratio_sequence")
-    frozen_ok = frozen is not None and np.allclose(ratios, frozen, rtol=1.0e-6)
+    frozen_ok = _allclose(ratios, golden, "asymptotic_ratio_sequence")
     text = ", ".join(f"{r:.4f}" for r in ratios)
     return (
         nondecreasing and at_1e4 >= 0.9 and frozen_ok,
@@ -326,8 +346,7 @@ def _check_lemma1_gap(seed, golden):
     frozen_msg = "golden skipped (non-default seed)"
     frozen_ok = True
     if seed == DEFAULT_SEED:
-        frozen = golden.get("lemma1_gap_sequence")
-        frozen_ok = frozen is not None and np.allclose(values, frozen, rtol=1.0e-9, atol=0.0)
+        frozen_ok = _allclose(values, golden, "lemma1_gap_sequence")
         frozen_msg = f"golden match {frozen_ok}"
     text = ", ".join(f"{d:g}: {g:.3e}" for d, g in gaps)
     return (
@@ -356,8 +375,7 @@ def _check_array_convergence(seed, golden):
     beta, _ = lower_bound_beta(area, link, spectrum)
     rel = abs(eff - beta) / beta
     elapsed = time.perf_counter() - t0
-    frozen = golden.get("gram_offdiag_frobenius")
-    frozen_ok = frozen is not None and np.allclose(off_masses, frozen, rtol=1.0e-9, atol=0.0)
+    frozen_ok = _allclose(off_masses, golden, "gram_offdiag_frobenius")
     ok = (
         all(r <= 0.7 for r in ratios)
         and all(b < a for a, b in zip(off_masses, off_masses[1:]))

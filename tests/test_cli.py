@@ -141,6 +141,28 @@ class TestBoundsCommand:
         assert starved.stdout != default.stdout
 
 
+class TestReceivedSnrRange:
+    def test_gamma_g_1e7_optimizes(self):
+        # the area grid reaches c = 160 here, past the old quadrature limit
+        proc = run_cli("bounds", "--power", "1e13")
+        assert proc.returncode == 0 and proc.stderr == ""
+        payload = json.loads(proc.stdout)
+        assert payload["gamma_g"] == pytest.approx(1.0e7)
+        assert payload["lower"] <= payload["upper"]
+
+    def test_past_supported_gamma_g_names_the_range(self):
+        proc = run_cli("bounds", "--power", "1e15")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "gamma*g up to 7.60" in proc.stderr
+        assert "c = 2 |S| / (lambda d) = 472" in proc.stderr
+        assert "quadrature order" not in proc.stderr
+
+    def test_past_supported_c_names_the_range(self):
+        proc = run_cli("spectrum", "--area", "2.4e7")
+        assert proc.returncode == 1
+        assert "outside supported range (0, 472]" in proc.stderr
+
+
 class TestArrayCommand:
     def test_json_design(self):
         proc = run_cli("array", "--area", "2e5", "--streams", "3", "--cells", "64")
@@ -150,6 +172,13 @@ class TestArrayCommand:
         assert len(payload["elements"]) == 64
         assert len(payload["weights"][0]) == 64
         assert sum(payload["powers"]) == pytest.approx(1.0e7, rel=1e-9)
+
+    def test_streams_past_kept_modes_refused(self):
+        # the 1e-16 cut keeps 90 modes of this disc
+        kept = json.loads(run_cli("spectrum", "--area", "2e5").stdout)["modes"]
+        proc = run_cli("array", "--area", "2e5", "--streams", str(len(kept) + 1), "--cells", "128")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert f"exceeds available modes {len(kept)} (the spectrum keeps only" in proc.stderr
 
     def test_csv_refused(self):
         proc = run_cli("array", "--area", "2e5", "--format", "csv")

@@ -63,6 +63,20 @@ class TestGaussQuadrature:
             gauss_quadrature(0)
         with pytest.raises(ValidationError):
             gauss_quadrature(513)
+        gauss_quadrature(1)
+        with pytest.raises(ValidationError):
+            gauss_quadrature(True)  # must not hit the memo entry of order 1
+
+    def test_memoized_rule_is_fresh_and_read_only(self):
+        cached = gauss_quadrature(64)
+        assert gauss_quadrature(64) is cached
+        fresh = gauss_quadrature.__wrapped__(64)
+        assert cached.nodes.tobytes() == fresh.nodes.tobytes()
+        assert cached.weights.tobytes() == fresh.weights.tobytes()
+        with pytest.raises(ValueError):
+            cached.nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            cached.weights *= 2.0
 
 
 class TestBesselJ:
@@ -105,6 +119,15 @@ class TestBesselJ:
                 assert table[order, j] == pytest.approx(
                     bessel_j(order, float(x)), abs=1e-13
                 )
+
+    def test_table_blocks_match_full_table(self):
+        xs = np.array([0.0, 0.3, 4.2, 18.0, 77.7, 150.0])
+        full = bessel_j_table(60, xs)
+        for lo, hi in ((0, 7), (7, 40), (40, 61)):
+            block = bessel_j_table(60, xs, range(lo, hi))
+            assert block.tobytes() == full[lo:hi].tobytes()
+        with pytest.raises(ValidationError):
+            bessel_j_table(60, xs, range(50, 62))
 
     def test_table_scipy_high_order(self):
         xs = np.linspace(0.5, 360.0, 91)

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -6,15 +7,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from apcap import spectrum as spectrum_module
+from apcap.cli import main as cli_main
 from apcap.link import ValidationError
+from apcap.numerics import QUAD_MAX_ORDER, bessel_j_table, gauss_quadrature
 from apcap.oracles import dense_disc_gain_fractions
 from apcap.spectrum import (
+    C_PARAM_MAX,
+    DEFAULT_TRUNCATION,
+    EPS,
     DiscGeometry,
     TruncationWarning,
     assemble_spectrum,
     default_truncation,
     disc_for_area,
     effective_rank,
+    eigenvalue_spectrum,
     spectrum_report,
 )
 from apcap.verification import STUDY_RANGE, STUDY_WAVELENGTH, area_for_m0
@@ -23,6 +31,30 @@ from apcap.verification import STUDY_RANGE, STUDY_WAVELENGTH, area_for_m0
 def geometry_for_c(c):
     area = c * STUDY_WAVELENGTH * STUDY_RANGE / 2.0
     return disc_for_area(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
+
+
+def fixed_truncation_nu_sq(c, max_angular_N, max_radial_m, quadrature_order):
+    """nu_sq of every mode (N >= 0, m) of a fixed truncation: no walk, no cut.
+
+    The Nystrom discretization of assemble_spectrum solved for every order
+    up to max_angular_N and kept to max_radial_m, as the fixed rule
+    (2c + 10, c + 10, 4c) did. Rows are fetched 96 orders at a time to
+    bound memory (about 100 MB at Q = 512). geometry_for_c has L = 1, so nu_sq = (c beta)^2.
+    """
+    rule = gauss_quadrature(quadrature_order)
+    upper = np.triu_indices(quadrature_order)
+    args = c * np.outer(rule.nodes, rule.nodes)[upper]
+    weight = np.sqrt(rule.weights * rule.nodes)
+    out = np.empty((max_angular_N + 1, max_radial_m + 1))
+    for lo in range(0, max_angular_N + 1, 96):
+        orders = range(lo, min(lo + 96, max_angular_N + 1))
+        for N, values in zip(orders, bessel_j_table(max_angular_N, args, orders)):
+            kernel = np.zeros((quadrature_order, quadrature_order))
+            kernel[upper] = values
+            kernel += np.triu(kernel, 1).T
+            betas = np.linalg.eigvalsh(weight[:, None] * kernel * weight[None, :])
+            out[N] = np.sort(betas**2)[::-1][: max_radial_m + 1] * c * c
+    return out
 
 
 class TestDiscGeometry:
@@ -94,9 +126,13 @@ class TestRadialEigensolve:
             assemble_spectrum(geometry_for_c(1.0), quadrature_order=8)
 
     def test_c_bounds(self):
-        # c = 2 |S| / (lambda d) = 2000 at |S| = 1e8, lambda = 0.1, d = 1e6
-        with pytest.raises(ValidationError, match="c_param"):
-            assemble_spectrum(disc_for_area(1.0e8, 0.1, 1.0e6, 1.0), keep_radial=False)
+        # the default quadrature order of the largest c fits the quadrature limit
+        assert default_truncation(C_PARAM_MAX)[2] == QUAD_MAX_ORDER
+        assert default_truncation(C_PARAM_MAX + 1.0)[2] > QUAD_MAX_ORDER
+        # c = 2 |S| / (lambda d): 480 and 2000 at |S| = 2.4e7 and 1e8, lambda = 0.1, d = 1e6
+        for area in (2.4e7, 1.0e8):
+            with pytest.raises(ValidationError, match=r"c_param .* \(0, 472\]"):
+                assemble_spectrum(disc_for_area(area, 0.1, 1.0e6, 1.0), keep_radial=False)
 
 
 class TestAssembleSpectrum:
@@ -166,6 +202,74 @@ class TestAssembleSpectrum:
         n2, m2, q2 = default_truncation(30.0)
         assert n2 > n1 and m2 > m1 and q2 >= q1
         assert q1 >= 64
+
+
+class TestAdaptiveTruncation:
+    @pytest.mark.filterwarnings("error::apcap.spectrum.TruncationWarning")
+    @pytest.mark.parametrize("c", [0.5, 4.0, 16.0, 64.0, 128.0])
+    def test_matches_fixed_truncation(self, c):
+        c_ceil = math.ceil(c)
+        old = fixed_truncation_nu_sq(c, 2 * c_ceil + 10, c_ceil + 10, max(64, 4 * c_ceil))
+        new = assemble_spectrum(geometry_for_c(c), keep_radial=False)
+        top = old.max()
+        kept = np.zeros(old.shape, dtype=bool)
+        for e in new.entries:
+            N, m = e.mode.angular_N, e.mode.radial_m
+            if N >= 0:
+                kept[N, m] = True
+                assert abs(e.nu_sq - old[N, m]) <= 1e-13 * top, (N, m)
+        old_mass = old[0].sum() + 2.0 * old[1:].sum()
+        assert new.captured_mass == pytest.approx(old_mass, rel=1e-14)
+        assert old[~kept].max() < EPS * top
+        assert new.angular_orders_solved - 1 < default_truncation(c)[0]
+
+    def test_ceilings_and_report(self):
+        geo = geometry_for_c(16.0)
+        free = assemble_spectrum(geo, keep_radial=False)
+        capped = assemble_spectrum(geo, 500, 500, keep_radial=False)
+        assert capped.entries == free.entries  # a ceiling above the cut changes nothing
+        report = spectrum_report(free)["truncation"]
+        assert report["max_angular_N"] == max(e.mode.angular_N for e in free.entries)
+        assert report["max_radial_m"] == max(e.mode.radial_m for e in free.entries)
+        assert report["quadrature_order"] == 64
+        assert report["angular_orders_solved"] == report["max_angular_N"] + 2
+        with pytest.warns(TruncationWarning, match="capture"):
+            low = assemble_spectrum(geo, 3, 2, 48, keep_radial=False)
+        assert low.truncation == (3, 2, 48)
+        assert low.angular_orders_solved == 4
+
+    @pytest.mark.filterwarnings("error::apcap.spectrum.TruncationWarning")
+    def test_c280_bounds_in_bounded_memory(self, monkeypatch, capsys):
+        # gamma*g = 1e8 on a fixed disc with c = 280
+        tables = []
+        original = spectrum_module.bessel_j_table
+
+        def recording(*args):
+            table = original(*args)
+            tables.append(table.shape)
+            return table
+
+        monkeypatch.setattr(spectrum_module, "bessel_j_table", recording)
+        eigenvalue_spectrum.cache_clear()
+        code = cli_main(["bounds", "--power", "1e14", "--area", "1.4e7"])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["lower"] <= payload["upper"]
+        largest = max(rows * cols * 8 for rows, cols in tables)
+        assert largest < 150 * 2**20
+        geometry = disc_for_area(1.4e7, 0.1, 1.0e6, 1.0)
+        assert geometry.c_param == pytest.approx(280.0, rel=1e-12)
+        spectrum = eigenvalue_spectrum(geometry, DEFAULT_TRUNCATION)  # the memoized solve
+        assert spectrum.angular_orders_solved - 1 < default_truncation(280.0)[0]
+
+    def test_walk_reaching_bound_warns(self, monkeypatch):
+        # a bound below the cut must not truncate silently
+        geo = geometry_for_c(4.0)
+        monkeypatch.setattr(spectrum_module, "default_truncation", lambda c: (5, 63, 64))
+        with pytest.warns(TruncationWarning, match="bound 5"):
+            spectrum = assemble_spectrum(geo, keep_radial=False)
+        assert spectrum.angular_orders_solved == 6
 
 
 class TestEffectiveRank:
