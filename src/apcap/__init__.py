@@ -12,7 +12,7 @@ from .arrays import (
     FarFieldScene,
     achieved_efficiency,
     channel_matrix_pair,
-    design_to_dict,
+    design_json,
     equal_area_partition,
     exact_channel_matrix,
     finite_array_gram,
@@ -41,7 +41,7 @@ from .link import (
     mimo_equal_power_efficiency,
     siso_efficiency,
 )
-from .numerics import bessel_j, bessel_j_table, gauss_quadrature, solve_eps0
+from .numerics import bessel_j_table, gauss_quadrature, solve_eps0
 from .spectrum import (
     DiscGeometry,
     ModeIndex,

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .link import LinkBudget, ValidationError
 from .numerics import bessel_j_table
@@ -224,12 +223,50 @@ class ArrayDesign:
     """
 
     cell_count_N: int
-    tx_elements: tuple[tuple[float, float, float], ...]  # (x, y, sub-aperture area)
-    rx_elements: tuple[tuple[float, float, float], ...]
+    tx_elements: np.ndarray  # N x 3 rows (x, y, sub-aperture area)
+    rx_elements: np.ndarray
     stream_weights_tx: np.ndarray  # K x N complex
     stream_weights_rx: np.ndarray
     stream_powers: np.ndarray
     mode_indices: tuple[tuple[int, int], ...]
+
+
+def _pchip(knots: np.ndarray, values: np.ndarray):
+    """Monotone piecewise-cubic Hermite interpolant (Fritsch & Carlson 1980).
+
+    Knot slopes are the weighted harmonic mean of the neighbouring secant
+    slopes, zero where those differ in sign or vanish, with one-sided end
+    slopes (Moler, Numerical Computing with MATLAB, 3.6). The slopes, the
+    cubic coefficients and the order of evaluation are those of SciPy's
+    PchipInterpolator, so the two agree bit for bit. Needs three or more
+    strictly increasing knots; points outside extend the end cubics.
+    """
+    h = np.diff(knots)
+    m = np.diff(values) / h
+    d = np.zeros_like(values)
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    mean = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) & (m[:-1] != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        harmonic = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    d[1:-1][mean] = 1.0 / harmonic[mean]
+    # one-sided three-point end slopes, clamped to preserve shape
+    h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+    ends = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    clamp = (np.sign(m0) != np.sign(m1)) & (np.abs(ends) > 3.0 * np.abs(m0))
+    d[[0, -1]] = np.where(np.sign(ends) != np.sign(m0), 0.0, np.where(clamp, 3.0 * m0, ends))
+    # power-basis coefficients of each interval, in s = r - knots[i]
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    a3, a2, a1, a0 = t / h, (m - d[:-1]) / h - t, d[:-1], values[:-1]
+
+    def evaluate(r: np.ndarray) -> np.ndarray:
+        i = np.clip(np.searchsorted(knots, r, side="right") - 1, 0, h.size - 1)
+        s = r - knots[i]
+        z = s * s
+        # SciPy's PPoly order: a sum from 0.0 up from the constant term, s^3 as (s s) s
+        return 0.0 + a0[i] + a1[i] * s + a2[i] * z + a3[i] * (z * s)
+
+    return evaluate
 
 
 def _radial_interpolator(spectrum: OperatorSpectrum, angular_N: int, radial_m: int):
@@ -264,7 +301,7 @@ def _radial_interpolator(spectrum: OperatorSpectrum, angular_N: int, radial_m: i
     value_1 = float(np.sum(bessel_at_1 * weighted)) / beta
     knots = np.concatenate(([0.0], rule.nodes, [1.0]))
     values = np.concatenate(([value_0], samples, [value_1]))
-    return PchipInterpolator(knots, values)
+    return _pchip(knots, values)
 
 
 def synthesize_array(
@@ -318,11 +355,11 @@ def synthesize_array(
     )
     tx_area = link.aperture_tx_AT / cell_count_N
     rx_area = link.aperture_rx_AR / cell_count_N
-    tx_elements = tuple((float(x), float(y), tx_area) for x, y in xy)
-    rx_elements = tuple((float(x), float(y), rx_area) for x, y in xy)
+    tx_elements = np.column_stack((xy, np.full(cell_count_N, tx_area)))
+    rx_elements = np.column_stack((xy, np.full(cell_count_N, rx_area)))
 
     modes = [e.mode for e in spectrum.entries[:stream_count_K]]
-    interpolators: dict[tuple[int, int], PchipInterpolator] = {}
+    interpolators = {}
     rows = []
     for mode in modes:
         key = (abs(mode.angular_N), mode.radial_m)
@@ -365,10 +402,8 @@ def finite_array_gram(design: ArrayDesign, geometry: DiscGeometry) -> np.ndarray
     sub-aperture area. As the cell count grows the Gram approaches
     sqrt(A_T A_R / |S|^2) nu_n on the diagonal and zero elsewhere.
     """
-    tx_xy = np.array([(e[0], e[1]) for e in design.tx_elements])
-    rx_xy = np.array([(e[0], e[1]) for e in design.rx_elements])
-    tx_area = design.tx_elements[0][2]
-    rx_area = design.rx_elements[0][2]
+    tx_xy, tx_area = design.tx_elements[:, :2], float(design.tx_elements[0, 2])
+    rx_xy, rx_area = design.rx_elements[:, :2], float(design.rx_elements[0, 2])
     lam_d = geometry.wavelength_lambda * geometry.range_d
     kernel_amp = math.sqrt(geometry.loss_L) / lam_d
     phase = (2.0 * math.pi / lam_d) * (
@@ -396,28 +431,54 @@ def achieved_efficiency(
     return float(np.sum(np.log1p(snr)) / math.log(2.0))
 
 
-def design_to_dict(design: ArrayDesign) -> dict:
-    """JSON-ready array design record.
+# The json.dumps(indent=2) layout of one element, one [re, im] weight pair
+# and one mode index in the design record; %r writes the float repr json does.
+_ELEMENT = '    {\n      "x": %r,\n      "y": %r,\n      "area": %r\n    }'
+_PAIR = "      [\n        %r,\n        %r\n      ]"
+_MODE = "    [\n      %d,\n      %d\n    ]"
 
-    The primary keys describe the transmit side; the receive-side element
-    and weight tables ride along under the _rx suffix.
+
+def _json_list(item: str, count: int, values: list) -> str:
+    return "[\n" + ",\n".join([item] * count) % tuple(values) + "\n  ]"
+
+
+def design_json(design: ArrayDesign) -> str:
+    """The design record as the text json.dumps(record, indent=2) + "\n" writes.
+
+    The record is {schema_version: 1, N, K, elements, weights, powers,
+    elements_rx, weights_rx, modes}: transmit side first, the receive side
+    under the _rx suffix. Each element and [re, im] pair goes through one
+    repeated %r template, not the pure-Python indenting encoder. JSON has
+    no non-finite numbers, so one raises ValidationError naming its field.
     """
-    return {
-        "schema_version": 1,
-        "N": design.cell_count_N,
-        "K": int(design.stream_weights_tx.shape[0]),
-        "elements": [
-            {"x": x, "y": y, "area": area} for (x, y, area) in design.tx_elements
-        ],
-        "weights": [
-            [[float(v.real), float(v.imag)] for v in row] for row in design.stream_weights_tx
-        ],
-        "powers": [float(p) for p in design.stream_powers],
-        "elements_rx": [
-            {"x": x, "y": y, "area": area} for (x, y, area) in design.rx_elements
-        ],
-        "weights_rx": [
-            [[float(v.real), float(v.imag)] for v in row] for row in design.stream_weights_rx
-        ],
-        "modes": [[n, m] for (n, m) in design.mode_indices],
+    tables = {
+        "elements": design.tx_elements,
+        "weights": design.stream_weights_tx,
+        "powers": design.stream_powers,
+        "elements_rx": design.rx_elements,
+        "weights_rx": design.stream_weights_rx,
     }
+    for name, table in tables.items():
+        if not np.isfinite(table).all():
+            raise ValidationError(f"array design field {name!r} holds a non-finite value")
+    k, n = design.stream_weights_tx.shape
+    row = "    [\n" + ",\n".join([_PAIR] * n) + "\n    ]"
+
+    def elements(table: np.ndarray) -> str:
+        return _json_list(_ELEMENT, len(table), table.ravel().tolist())
+
+    def weights(table: np.ndarray) -> str:
+        return _json_list(row, k, np.stack((table.real, table.imag), axis=-1).ravel().tolist())
+
+    fields = (
+        ("schema_version", "1"),
+        ("N", repr(design.cell_count_N)),
+        ("K", repr(k)),
+        ("elements", elements(tables["elements"])),
+        ("weights", weights(tables["weights"])),
+        ("powers", _json_list("    %r", k, tables["powers"].tolist())),
+        ("elements_rx", elements(tables["elements_rx"])),
+        ("weights_rx", weights(tables["weights_rx"])),
+        ("modes", _json_list(_MODE, k, [i for mode in design.mode_indices for i in mode])),
+    )
+    return "{\n" + ",\n".join(f'  "{key}": {text}' for key, text in fields) + "\n}\n"

@@ -18,10 +18,11 @@ import io
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 
 from .bounds import bounds_report, bounds_to_dict, corollary_approx
-from .arrays import design_to_dict, synthesize_array
+from .arrays import design_json, synthesize_array
 from .link import LinkBudget, ValidationError, derive_link, siso_efficiency
 from .numerics import solve_eps0
 from .spectrum import Truncation, assemble_spectrum, disc_for_area, spectrum_report
@@ -358,8 +359,7 @@ def run_array(config: RunConfig) -> int:
     )
     spectrum = assemble_spectrum(geometry, *_truncation(config))
     design = synthesize_array(spectrum, config.area, config.streams, config.cells, link)
-    payload = {"schema_version": SCHEMA_VERSION, **design_to_dict(design)}
-    _emit(config, _json_text(payload))
+    _emit(config, design_json(design))
     return EXIT_OK
 
 
@@ -387,25 +387,30 @@ def run_verify(config: RunConfig) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        config = config_from_args(args)
-        if config.command == "link":
-            return run_link(config)
-        if config.command == "sweep":
-            return run_sweep(config)
-        if config.command == "spectrum":
-            return run_spectrum(config, args)
-        if config.command == "bounds":
-            return run_bounds(config)
-        if config.command == "array":
-            return run_array(config)
-        return run_verify(config)
-    except ValidationError as exc:
-        print(f"apcap: error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            args = parser.parse_args(argv)
+            config = config_from_args(args)
+            if config.command == "link":
+                return run_link(config)
+            if config.command == "sweep":
+                return run_sweep(config)
+            if config.command == "spectrum":
+                return run_spectrum(config, args)
+            if config.command == "bounds":
+                return run_bounds(config)
+            if config.command == "array":
+                return run_array(config)
+            return run_verify(config)
+        except ValidationError as exc:
+            print(f"apcap: error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        finally:
+            # one stderr line per distinct warning message, not a raw Python warning
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"apcap: warning: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

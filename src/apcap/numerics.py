@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-BESSEL_MAX_ORDER = 200
-BESSEL_MAX_X = 1.0e4
 QUAD_MAX_ORDER = 512
 # distinct quadrature orders kept by the gauss_quadrature memo
 QUAD_MEMO_SIZE = 64
@@ -21,6 +19,9 @@ QUAD_MEMO_SIZE = 64
 # Rescaling guard for the downward recurrence; values beyond this are scaled
 # back to keep the unnormalized iterates finite.
 _MILLER_BIG = 1.0e250
+# Smallest argument the recurrence takes: a step multiplies an iterate of up
+# to _MILLER_BIG by 2k/x, which stays finite for x >= 1e-50 while k < 1e7.
+_MILLER_MIN_X = 1.0e-50
 
 
 class ValidationError(ValueError):
@@ -113,80 +114,6 @@ def _frozen_rule(nodes: np.ndarray, weights: np.ndarray) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
-def _bessel_series(order: int, x: float) -> float:
-    # ascending power series; safe when x is small or the leading term
-    # (x/2)^order / order! is already far below the target accuracy
-    half = x / 2.0
-    term = 1.0
-    for k in range(1, order + 1):
-        term *= half / k
-        if term == 0.0:
-            return 0.0
-    total = term
-    k = 1
-    while k < 500:
-        term *= -(half * half) / (k * (order + k))
-        total += term
-        if abs(term) <= 1.0e-17 * (abs(total) + 1.0e-300):
-            break
-        k += 1
-    return total
-
-
-def _bessel_miller(order: int, x: float) -> float:
-    # downward recurrence normalized by J_0 + 2*sum_k J_{2k} = 1
-    start = max(order, int(x)) + 1
-    start += int(20 + 10 * math.sqrt(start))
-    if start % 2:
-        start += 1
-    jp = 0.0
-    j = 1.0e-30
-    result = 0.0
-    norm = 0.0
-    for k in range(start, 0, -1):
-        jm = (2.0 * k / x) * j - jp
-        jp = j
-        j = jm
-        if k - 1 == order:
-            result = j
-        if (k - 1) % 2 == 0 and k - 1 > 0:
-            norm += 2.0 * j
-        if abs(j) > _MILLER_BIG:
-            j *= 1.0e-250
-            jp *= 1.0e-250
-            result *= 1.0e-250
-            norm *= 1.0e-250
-    norm += j
-    return result / norm
-
-
-def bessel_j(order: int, x: float) -> float:
-    """Bessel function of the first kind J_order(x).
-
-    Valid for integer orders 0..200 and real arguments 0 <= x <= 1e4, with
-    absolute error below 1e-10 on that envelope. Arguments outside the
-    envelope raise, since accuracy there is not established.
-
-    The ascending power series is used where it is numerically safe, which
-    is x <= 12 or (x/2)^2 <= order + 1; elsewhere the normalized downward
-    (Miller) recurrence is used. The series alone suffers catastrophic
-    cancellation once x grows past the order, so the crossover is by
-    argument size rather than a fixed multiple of the order.
-    """
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
-        raise ValidationError(f"bessel order must be an integer, got {order!r}")
-    if order < 0 or order > BESSEL_MAX_ORDER:
-        raise ValidationError(f"bessel order {order} outside supported range [0, {BESSEL_MAX_ORDER}]")
-    x = float(x)
-    if not (0.0 <= x <= BESSEL_MAX_X):
-        raise ValidationError(f"bessel argument {x} outside supported range [0, {BESSEL_MAX_X}]")
-    if x == 0.0:
-        return 1.0 if order == 0 else 0.0
-    if x <= 12.0 or (x / 2.0) ** 2 <= order + 1:
-        return _bessel_series(order, x)
-    return _bessel_miller(order, x)
-
-
 def bessel_j_table(
     max_order: int, x: np.ndarray, orders: range | None = None
 ) -> np.ndarray:
@@ -196,10 +123,11 @@ def bessel_j_table(
     `orders` (default: every order 0..max_order, which must contain it).
     Internal workhorse for kernel assembly, where the same arguments are
     needed at every angular order. Uses the normalized downward recurrence
-    throughout; accuracy is a few ulps over the assembly range (x up to
-    ~1e3). The recurrence depends on max_order and x only, so a row has the
+    (below x = 1e-50, the leading series term); accuracy is a few ulps over
+    the assembly range (x up to ~1e3). The recurrence depends on max_order and x only, so a row has the
     same bits whichever `orders` it is returned in: a caller can fetch the
-    rows in blocks and hold one block at a time.
+    rows in blocks and hold one block at a time. A negative max_order, or
+    an argument that is negative or NaN, raises ValidationError.
     """
     if orders is None:
         orders = range(max_order + 1)
@@ -207,8 +135,10 @@ def bessel_j_table(
         raise ValidationError(f"orders {orders!r} not a contiguous part of 0..{max_order}")
     lo, hi = orders.start, orders.stop
     x = np.asarray(x, dtype=float).ravel()
-    positive = x > 0.0
-    xs = x[positive]
+    if max_order < 0 or not np.all(x >= 0.0):
+        raise ValidationError("bessel table needs max_order >= 0 and arguments x >= 0")
+    recur = x >= _MILLER_MIN_X
+    xs = x[recur]
     acc = np.zeros((len(orders), xs.size))
     if xs.size:
         start = max(max_order, int(math.ceil(float(xs.max())))) + 1
@@ -235,12 +165,16 @@ def bessel_j_table(
                 norm[big] *= 1.0e-250
         norm += j
         acc /= norm
-    if positive.all():
+    if recur.all():
         return acc
     out = np.zeros((len(orders), x.size))
-    out[:, positive] = acc
-    if lo == 0:
-        out[0, ~positive] = 1.0
+    out[:, recur] = acc
+    # below _MILLER_MIN_X, zero included, J_n(x) is (x/2)^n / n! to rounding
+    term, half = np.ones(x.size - xs.size), x[~recur] / 2.0
+    for n in range(hi):
+        if n >= lo:
+            out[n - lo, ~recur] = term
+        term = term * half / (n + 1)
     return out
 
 

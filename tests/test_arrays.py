@@ -1,15 +1,19 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
+import apcap.arrays as arrays_module
 from apcap.arrays import (
     FarFieldScene,
     achieved_efficiency,
     channel_matrix_pair,
-    design_to_dict,
+    design_json,
     equal_area_partition,
     exact_channel_matrix,
     finite_array_gram,
@@ -18,12 +22,24 @@ from apcap.arrays import (
     synthesize_array,
 )
 from apcap.bounds import lower_bound_beta, upper_bound
-from apcap.link import ValidationError, siso_efficiency
+from apcap.link import LinkBudget, ValidationError, siso_efficiency
 from apcap.numerics import solve_eps0
 from apcap.spectrum import assemble_spectrum, disc_for_area
 from apcap.verification import STUDY_RANGE, STUDY_WAVELENGTH, area_for_m0, study_link
 
 STUDY_AREA = area_for_m0(4.0)
+# the disc and budget of `apcap array --area 4e5 --power 1e9 --streams 21`
+WIDE_AREA = 4.0e5
+WIDE_LINK = LinkBudget(
+    power_P=1.0e9,
+    bandwidth_B=1.0,
+    noise_psd_N0=1.0,
+    wavelength_lambda=0.1,
+    range_d=1.0e6,
+    loss_L=1.0,
+    aperture_tx_AT=100.0,
+    aperture_rx_AR=100.0,
+)
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +51,38 @@ def study_designs(m0_4_spectrum, snr10_link):
         n: synthesize_array(m0_4_spectrum, STUDY_AREA, 4, n, snr10_link)
         for n in (64, 256, 1024)
     }
+
+
+@pytest.fixture(scope="module")
+def wide_spectrum():
+    return assemble_spectrum(disc_for_area(WIDE_AREA, 0.1, 1.0e6, 1.0))
+
+
+def design_to_dict(design):
+    """The record the design JSON held when json.dumps(indent=2) wrote it: the oracle."""
+    return {
+        "schema_version": 1,
+        "N": design.cell_count_N,
+        "K": int(design.stream_weights_tx.shape[0]),
+        "elements": [
+            {"x": x, "y": y, "area": area} for (x, y, area) in design.tx_elements.tolist()
+        ],
+        "weights": [
+            [[float(v.real), float(v.imag)] for v in row] for row in design.stream_weights_tx
+        ],
+        "powers": [float(p) for p in design.stream_powers],
+        "elements_rx": [
+            {"x": x, "y": y, "area": area} for (x, y, area) in design.rx_elements.tolist()
+        ],
+        "weights_rx": [
+            [[float(v.real), float(v.imag)] for v in row] for row in design.stream_weights_rx
+        ],
+        "modes": [[n, m] for (n, m) in design.mode_indices],
+    }
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestFarFieldScene:
@@ -303,7 +351,7 @@ class TestAchievedEfficiency:
 
 class TestDesignSerialization:
     def test_record_shapes(self, study_designs):
-        record = design_to_dict(study_designs[64])
+        record = json.loads(design_json(study_designs[64]))
         assert record["schema_version"] == 1
         assert record["N"] == 64 and record["K"] == 4
         assert len(record["elements"]) == 64
@@ -315,3 +363,71 @@ class TestDesignSerialization:
         assert isinstance(pair, list) and len(pair) == 2
         assert len(record["elements_rx"]) == 64
         assert len(record["weights_rx"]) == 4
+
+    def test_bytes_match_json_dumps(
+        self, study_designs, m0_4_spectrum, snr10_link, wide_spectrum
+    ):
+        designs = (
+            synthesize_array(m0_4_spectrum, STUDY_AREA, 1, 1, snr10_link),
+            study_designs[64],
+            synthesize_array(wide_spectrum, WIDE_AREA, 21, 1024, WIDE_LINK),
+        )
+        for design in designs:
+            expected = json.dumps(design_to_dict(design), indent=2) + "\n"
+            assert design_json(design) == expected
+
+    @pytest.mark.parametrize(
+        "field, attribute, value",
+        [
+            ("elements", "tx_elements", np.nan),
+            ("weights", "stream_weights_tx", complex(np.inf, 0.0)),
+            ("powers", "stream_powers", np.inf),
+            ("elements_rx", "rx_elements", -np.inf),
+            ("weights_rx", "stream_weights_rx", complex(0.0, np.nan)),
+        ],
+    )
+    def test_non_finite_value_refused(self, study_designs, field, attribute, value):
+        # %r would write nan or inf, and json.dumps wrote NaN or Infinity: neither is JSON
+        table = getattr(study_designs[64], attribute).copy()
+        table.flat[-1] = value
+        broken = dataclasses.replace(study_designs[64], **{attribute: table})
+        with pytest.raises(ValidationError, match=f"field '{field}' holds a non-finite"):
+            design_json(broken)
+
+
+class TestPchip:
+    """The numpy PCHIP against SciPy's PchipInterpolator, bit for bit."""
+
+    def test_radial_interpolants_of_the_wide_array(self, wide_spectrum, monkeypatch):
+        built = []
+        original = arrays_module._pchip
+
+        def recording(knots, values):
+            built.append((knots, values, original(knots, values)))
+            return built[-1][2]
+
+        monkeypatch.setattr(arrays_module, "_pchip", recording)
+        synthesize_array(wide_spectrum, WIDE_AREA, 21, 4096, WIDE_LINK)
+        assert len(built) == 12  # the 21 streams pair +N with -N
+        radii = np.array([c.centroid_r for c in equal_area_partition(4096)])
+        dense = np.linspace(0.0, 1.0, 2049)
+        for knots, values, evaluate in built:
+            oracle = PchipInterpolator(knots, values)
+            for r in (radii, dense, knots):
+                assert same_bits(evaluate(r), oracle(r))
+
+    def test_every_slope_branch(self):
+        knots = np.array([0.0, 1.0, 1.5, 3.0, 4.0, 4.2, 5.0, 7.0, 7.5, 9.0])
+        jagged = np.array([0.0, 0.1, 1.1, 0.5, 0.5, 0.7, 1.5, 2.0, 0.0, 1.5])
+        smooth = np.sin(knots)
+        points = np.concatenate((np.linspace(-0.5, 9.5, 2001), knots))
+        for values in (jagged, smooth, -jagged[::-1]):
+            oracle = PchipInterpolator(knots, values)
+            assert same_bits(arrays_module._pchip(knots, values)(points), oracle(points))
+        # the jagged data reaches every branch of the slope rule
+        slopes = PchipInterpolator(knots, jagged).derivative()(knots)
+        assert slopes[0] == 0.0  # end slope of the wrong sign, clamped to zero
+        assert slopes[2] == 0.0  # secant slopes change sign
+        assert slopes[3] == slopes[4] == 0.0  # a flat secant
+        assert slopes[5] == pytest.approx(1.0)  # weighted harmonic mean of equal slopes
+        assert slopes[-1] == pytest.approx(3.0)  # end slope clamped to 3 m0

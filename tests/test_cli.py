@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface via subprocesses."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -8,12 +9,14 @@ from pathlib import Path
 
 import pytest
 
-GOLDEN = Path(__file__).resolve().parents[1] / "src" / "apcap" / "golden.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = SRC / "apcap" / "golden.json"
+STARVED = ("bounds", "--max-angular", "0", "--max-radial", "0", "--quadrature-order", "16")
 
 
-def run_cli(*args, timeout=180):
+def run_cli(*args, timeout=180, python_flags=()):
     return subprocess.run(
-        [sys.executable, "-m", "apcap.cli", *args],
+        [sys.executable, *python_flags, "-m", "apcap.cli", *args],
         capture_output=True,
         text=True,
         timeout=timeout,
@@ -134,11 +137,22 @@ class TestBoundsCommand:
 
     def test_truncation_override_applies_when_optimizing(self):
         default = run_cli("bounds")
-        starved = run_cli(
-            "bounds", "--max-angular", "0", "--max-radial", "0", "--quadrature-order", "16"
-        )
+        starved = run_cli(*STARVED)
         assert default.returncode == 0 and starved.returncode == 0
         assert starved.stdout != default.stdout
+
+    def test_truncation_warning_is_one_line_per_message(self):
+        # every disc the optimizer tries loses mass to the starved truncation
+        starved = run_cli(*STARVED)
+        assert starved.returncode == 0
+        lines = starved.stderr.splitlines()
+        assert len(lines) > 1 and len(set(lines)) == len(lines)
+        for line in lines:
+            assert line.startswith("apcap: warning: retained modes capture ")
+            assert line.endswith("of the theoretical spectral mass; increase the truncation orders")
+        silenced = run_cli(*STARVED, python_flags=("-W", "ignore"))
+        assert silenced.returncode == 0 and silenced.stderr == ""
+        assert starved.stdout == silenced.stdout
 
 
 class TestReceivedSnrRange:
@@ -179,6 +193,13 @@ class TestArrayCommand:
         proc = run_cli("array", "--area", "2e5", "--streams", str(len(kept) + 1), "--cells", "128")
         assert proc.returncode == 1 and proc.stdout == ""
         assert f"exceeds available modes {len(kept)} (the spectrum keeps only" in proc.stderr
+
+    def test_non_finite_weights_refused(self):
+        # area / aperture-tx overflows, so the weights would be NaN, which JSON lacks
+        proc = run_cli("array", "--area", "2e5", "--cells", "64", "--aperture-tx", "1e-305")
+        assert proc.returncode == 1 and proc.stdout == ""
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("apcap: error:")]
+        assert errors == ["apcap: error: array design field 'weights' holds a non-finite value"]
 
     def test_csv_refused(self):
         proc = run_cli("array", "--area", "2e5", "--format", "csv")
@@ -243,3 +264,17 @@ class TestParserBehavior:
             [path, "verify", "--list"], capture_output=True, text=True, timeout=60
         )
         assert proc.returncode == 0
+
+
+class TestColdStart:
+    def test_import_needs_no_scipy(self):
+        probe = "import apcap.cli, sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
