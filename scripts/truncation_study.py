@@ -41,13 +41,14 @@ def geometry_for_c(c):
 
 
 def modes(spectrum):
-    return {(e.mode.angular_N, e.mode.radial_m): e.nu_sq for e in spectrum.entries}
+    keys = zip(spectrum.angular_N.tolist(), spectrum.radial_m.tolist())
+    return dict(zip(keys, spectrum.nu_sq.tolist()))
 
 
 def compare(candidate, reference):
     """(max |nu_sq diff| / top over shared modes, relative mass difference)."""
     a, b = modes(candidate), modes(reference)
-    top = reference.entries[0].nu_sq
+    top = float(reference.nu_sq[0])
     worst = max(abs(a[k] - b[k]) for k in a.keys() & b.keys()) / top
     mass = abs(candidate.captured_mass - reference.captured_mass) / reference.captured_mass
     return worst, mass
@@ -95,7 +96,7 @@ def main():
         print(
             f"{c:>6g} {bound_N:>5d} {stop:>5d} {(stop - c) / c ** (1.0 / 3.0):>14.2f} "
             f"{q:>4d} {q_ref:>5d} {cells[0]:>19} {cells[1]:>19} {cells[2]:>19} "
-            f"{len(default.entries):>6d} {block_bytes / 2**20:>8.1f} "
+            f"{default.nu_sq.size:>6d} {block_bytes / 2**20:>8.1f} "
             f"{time.perf_counter() - t0:>6.1f}",
             flush=True,
         )

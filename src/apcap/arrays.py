@@ -269,29 +269,24 @@ def _pchip(knots: np.ndarray, values: np.ndarray):
     return evaluate
 
 
-def _radial_interpolator(spectrum: OperatorSpectrum, angular_N: int, radial_m: int):
-    """Monotone cubic interpolant of a radial eigenfunction on [0, 1].
+def _radial_interpolator(spectrum: OperatorSpectrum, index: int):
+    """Monotone cubic interpolant of the radial eigenfunction of mode `index`.
 
-    The quadrature nodes are interior, so the endpoints are filled in
-    first: R(0) vanishes for |N| >= 1, and both R(0) for N = 0 and R(1)
-    follow from pushing the sampled eigenfunction through the integral
-    equation once.
+    index is the mode's position in the spectrum columns. The quadrature
+    nodes are interior, so the endpoints are filled in first: R(0) vanishes
+    for |N| >= 1, and both R(0) for N = 0 and R(1) follow from pushing the
+    sampled eigenfunction through the integral equation once.
     """
-    key = (abs(angular_N), radial_m)
-    samples = spectrum.radial_samples[key]
-    entry = next(
-        e
-        for e in spectrum.entries
-        if e.mode.angular_N == abs(angular_N) and e.mode.radial_m == radial_m
-    )
-    beta = entry.beta
+    order = abs(int(spectrum.angular_N[index]))
+    radial_m = int(spectrum.radial_m[index])
+    samples = spectrum.radial_samples[(order, radial_m)]
+    beta = float(spectrum.beta[index])
     if abs(beta) < 1.0e-12:
         raise ValidationError(
-            f"mode (N={angular_N}, m={radial_m}) eigenvalue too small to interpolate"
+            f"mode (N={order}, m={radial_m}) eigenvalue too small to interpolate"
         )
     rule = spectrum.quadrature
     c = spectrum.geometry.c_param
-    order = abs(angular_N)
     weighted = rule.weights * samples * rule.nodes
     if order == 0:
         value_0 = float(np.sum(weighted)) / beta  # J_0(0) = 1
@@ -324,9 +319,9 @@ def synthesize_array(
         raise ValidationError(
             f"cell count {cell_count_N} must be at least the stream count {stream_count_K}"
         )
-    if stream_count_K > len(spectrum.entries):
+    if stream_count_K > spectrum.nu_sq.size:
         raise ValidationError(
-            f"stream count {stream_count_K} exceeds available modes {len(spectrum.entries)} "
+            f"stream count {stream_count_K} exceeds available modes {spectrum.nu_sq.size} "
             f"(the spectrum keeps only modes at or above EPS = {EPS:g} of the top one)"
         )
     if spectrum.radial_samples is None:
@@ -358,16 +353,17 @@ def synthesize_array(
     tx_elements = np.column_stack((xy, np.full(cell_count_N, tx_area)))
     rx_elements = np.column_stack((xy, np.full(cell_count_N, rx_area)))
 
-    modes = [e.mode for e in spectrum.entries[:stream_count_K]]
+    streams = slice(stream_count_K)
+    modes = tuple(zip(spectrum.angular_N[streams].tolist(), spectrum.radial_m[streams].tolist()))
     interpolators = {}
     rows = []
-    for mode in modes:
-        key = (abs(mode.angular_N), mode.radial_m)
+    for index, (angular_N, radial_m) in enumerate(modes):
+        key = (abs(angular_N), radial_m)
         if key not in interpolators:
-            interpolators[key] = _radial_interpolator(spectrum, *key)
+            interpolators[key] = _radial_interpolator(spectrum, index)
         radial_vals = interpolators[key](centroid_r)
         # eigenfunction on the physical disc: psi(u/R)/R, unit L2 norm over the disc
-        rows.append(radial_vals * np.exp(1j * mode.angular_N * centroid_theta) / radius)
+        rows.append(radial_vals * np.exp(1j * angular_N * centroid_theta) / radius)
     eig_samples = np.array(rows)
 
     weights_tx = math.sqrt(area_S / link.aperture_tx_AT) * eig_samples
@@ -391,7 +387,7 @@ def synthesize_array(
         stream_weights_tx=weights_tx,
         stream_weights_rx=weights_rx,
         stream_powers=alloc.powers_Pn,
-        mode_indices=tuple((m.angular_N, m.radial_m) for m in modes),
+        mode_indices=modes,
     )
 
 

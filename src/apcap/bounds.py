@@ -79,7 +79,7 @@ def corollary_approx(received_snr: float) -> float:
 def effective_gains(area_S: float, link: LinkBudget, spectrum: OperatorSpectrum) -> np.ndarray:
     """Per-mode effective power gains h_k = (A_T A_R / |S|^2) |nu_k|^2."""
     scale = link.aperture_tx_AT * link.aperture_rx_AR / area_S**2
-    return scale * spectrum.nu_sq_values
+    return scale * spectrum.nu_sq
 
 
 def _check_spectrum_matches(area_S: float, link: LinkBudget, spectrum: OperatorSpectrum):
@@ -220,42 +220,6 @@ def optimize_disc_area(
             if b - a < 1.0e-4:
                 break
     return best_area, best_beta
-
-
-def stream_rates(
-    area_S: float, link: LinkBudget, spectrum: OperatorSpectrum
-) -> list[tuple[float, float]]:
-    """Per-stream powers and rate ceilings for the active waterfill streams.
-
-    Only meaningful in the strong regime, where multiple streams carry
-    power. Powers are the waterfill allocation over the effective gains;
-    the rate ceiling of stream k is log2(1 + h_k P_k / (B N0)). Powers sum
-    to P and the ceilings sum to the lower bound.
-    """
-    derived = derive_link(link)
-    eps0 = solve_eps0()
-    if derived.received_snr <= eps0 - 1.0:
-        raise ValidationError(
-            f"received SNR {derived.received_snr:.6g} is in the weak regime; stream "
-            f"splitting applies above eps0 - 1 = {eps0 - 1.0:.6g}"
-        )
-    min_area = max(link.aperture_tx_AT, link.aperture_rx_AR)
-    if area_S < min_area * (1.0 - 1.0e-12):
-        raise ValidationError(
-            f"synthesis area {area_S:.6g} is below max(A_T, A_R) = {min_area:.6g}"
-        )
-    _check_spectrum_matches(area_S, link, spectrum)
-    noise = link.bandwidth_B * link.noise_psd_N0
-    gains = ChannelGains(
-        gains_eta_sq=effective_gains(area_S, link, spectrum), noise_floor_BN0=noise
-    )
-    alloc = waterfill(gains, link.power_P)
-    out = []
-    for k in range(alloc.active_K):
-        power = float(alloc.powers_Pn[k])
-        rate = math.log1p(gains.gains_eta_sq[k] * power / noise) / math.log(2.0)
-        out.append((power, rate))
-    return out
 
 
 def bounds_report(

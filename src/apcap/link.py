@@ -1,16 +1,13 @@
 """Physical link parameters and baseline spectral efficiencies.
 
 The SISO reference efficiency is log2(1 + gamma*g) with g the power
-coupling of the link; the equal-power MIMO formula generalizes it to an
-explicit channel matrix.
+coupling of the link.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .numerics import ValidationError
 
@@ -95,27 +92,3 @@ def siso_efficiency(received_snr: float) -> float:
     if received_snr < 0.0:
         raise ValidationError(f"received SNR must be nonnegative, got {received_snr!r}")
     return math.log1p(received_snr) / math.log(2.0)
-
-
-def mimo_equal_power_efficiency(channel: np.ndarray, gamma: float, g: float) -> float:
-    """Equal-power MIMO spectral efficiency for an explicit M x M channel matrix.
-
-    Each of the M transmit elements radiates P/M, and the per-element
-    coupling carries a 1/M normalization at each end, so the effective
-    per-mode SNR scale is gamma*g/M^3:
-
-        sum_i log2(1 + (gamma*g / M^3) * s_i)
-
-    with s_i the eigenvalues of H H*. Only singular values enter, so the
-    result is invariant under unitary rotations of either side.
-    """
-    H = np.asarray(channel, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValidationError(f"channel matrix must be square, got shape {H.shape}")
-    if not np.all(np.isfinite(H)):
-        raise ValidationError("channel matrix contains non-finite entries")
-    m = H.shape[0]
-    sv_sq = np.linalg.eigvalsh(H @ H.conj().T)
-    sv_sq = np.clip(sv_sq, 0.0, None)
-    scale = gamma * g / m**3
-    return float(np.sum(np.log1p(scale * sv_sq)) / math.log(2.0))

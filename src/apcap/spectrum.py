@@ -136,36 +136,25 @@ def disc_for_area(
     )
 
 
-@dataclass(frozen=True)
-class ModeIndex:
-    """Angular and radial indices of an operator mode."""
-
-    angular_N: int
-    radial_m: int
-
-
-@dataclass(frozen=True)
-class SpectrumEntry:
-    mode: ModeIndex
-    beta: float
-    nu_sq: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorSpectrum:
     """Sorted operator modes plus the sampled radial eigenfunctions.
 
-    entries are sorted by nu_sq descending, ties broken by |N| ascending,
-    then m ascending, then sign of N (+ first). radial_samples maps
-    (|N|, m) to the eigenfunction values at the quadrature nodes, under
-    the normalization integral_0^1 R(r)^2 r dr = 1/(2 pi), which makes
-    the full 2-D mode unit norm on the unit disc. The map is None when
-    the spectrum was assembled for eigenvalues only. truncation is what
-    was kept (largest |N|, largest m, quadrature order), and
+    The modes are four parallel read-only columns, angular_N, radial_m,
+    beta and nu_sq, sorted by nu_sq descending, ties broken by |N|
+    ascending, then m ascending, then sign of N (+ first). radial_samples
+    maps (|N|, m) to the eigenfunction values at the quadrature nodes,
+    under the normalization integral_0^1 R(r)^2 r dr = 1/(2 pi), which
+    makes the full 2-D mode unit norm on the unit disc. The map is None
+    when the spectrum was assembled for eigenvalues only. truncation is
+    what was kept (largest |N|, largest m, quadrature order), and
     angular_orders_solved counts the orders N = 0, 1, ... the walk solved.
     """
 
-    entries: tuple[SpectrumEntry, ...]
+    angular_N: np.ndarray
+    radial_m: np.ndarray
+    beta: np.ndarray
+    nu_sq: np.ndarray
     geometry: DiscGeometry
     truncation: tuple[int, int, int]
     quadrature: QuadratureRule
@@ -173,12 +162,9 @@ class OperatorSpectrum:
     angular_orders_solved: int = 0
 
     @property
-    def nu_sq_values(self) -> np.ndarray:
-        return np.array([e.nu_sq for e in self.entries])
-
-    @property
     def captured_mass(self) -> float:
-        return float(sum(e.nu_sq for e in self.entries))
+        # summed left to right in sorted order, not by numpy's pairwise sum
+        return float(sum(self.nu_sq.tolist()))
 
 
 def default_truncation(c_param: float) -> tuple[int, int, int]:
@@ -300,7 +286,7 @@ def assemble_spectrum(
     scale_nu = geometry.loss_L / (geometry.wavelength_lambda * geometry.range_d) ** 2
     scale_nu *= geometry.radius_R**4 * (2.0 * math.pi) ** 2
 
-    entries: list[SpectrumEntry] = []
+    pieces: list[tuple[np.ndarray, ...]] = []  # (N, m, beta, nu_sq) per order and sign
     radial: dict[tuple[int, int], np.ndarray] | None = {} if keep_radial else None
     top = 0.0
     stopped = False
@@ -318,12 +304,11 @@ def assemble_spectrum(
             stopped = True
             break
         kept = int(np.count_nonzero(nu_sq[: radial_m + 1] >= EPS * top))
-        for m in range(kept):
-            beta, mode_nu = float(betas[m]), float(nu_sq[m])
-            entries.append(SpectrumEntry(ModeIndex(N, m), beta, mode_nu))
-            if N > 0:
-                entries.append(SpectrumEntry(ModeIndex(-N, m), beta, mode_nu))
-            if keep_radial:
+        indices = np.arange(kept)
+        for signed_N in (N, -N) if N > 0 else (N,):
+            pieces.append((np.full(kept, signed_N), indices, betas[:kept], nu_sq[:kept]))
+        if keep_radial:
+            for m in range(kept):
                 radial[(N, m)] = samples[:, m].copy()
     solved = N + 1
     if not stopped and walk_N == bound_N:
@@ -334,22 +319,16 @@ def assemble_spectrum(
             stacklevel=2,
         )
 
-    entries.sort(
-        key=lambda e: (
-            -e.nu_sq,
-            abs(e.mode.angular_N),
-            e.mode.radial_m,
-            0 if e.mode.angular_N >= 0 else 1,
-        )
-    )
+    columns = [np.concatenate(column) for column in zip(*pieces)]
+    signed, indices, _, values = columns
+    order = np.lexsort((signed < 0, indices, np.abs(signed), -values))
+    columns = [column[order] for column in columns]
+    for column in columns:
+        column.flags.writeable = False  # eigenvalue_spectrum shares one spectrum between callers
     spectrum = OperatorSpectrum(
-        entries=tuple(entries),
+        *columns,
         geometry=geometry,
-        truncation=(
-            max(e.mode.angular_N for e in entries),
-            max(e.mode.radial_m for e in entries),
-            quadrature_order,
-        ),
+        truncation=(int(signed.max()), int(indices.max()), quadrature_order),
         quadrature=rule,
         radial_samples=radial,
         angular_orders_solved=solved,
@@ -371,7 +350,7 @@ def eigenvalue_spectrum(geometry: DiscGeometry, truncation: Truncation) -> Opera
 
     The key is the exact geometry and truncation triple (None entries take
     the defaults), so a hit returns the spectrum a fresh solve gives. The
-    result is shared between callers and must not be modified.
+    result is shared between callers; its columns are read-only.
     """
     return assemble_spectrum(geometry, *truncation, keep_radial=False)
 
@@ -381,12 +360,11 @@ def effective_rank(spectrum: OperatorSpectrum, fraction: float) -> int:
 
     At fraction = 1 this counts the modes tied with the strongest one.
     """
-    if not spectrum.entries:
-        raise ValidationError("spectrum has no entries")
+    if not spectrum.nu_sq.size:
+        raise ValidationError("spectrum has no modes")
     if not (0.0 < fraction <= 1.0):
         raise ValidationError(f"fraction must lie in (0, 1], got {fraction!r}")
-    top = spectrum.entries[0].nu_sq
-    return int(np.sum(spectrum.nu_sq_values >= fraction * top))
+    return int(np.sum(spectrum.nu_sq >= fraction * spectrum.nu_sq[0]))
 
 
 def spectrum_report(spectrum: OperatorSpectrum) -> dict:
@@ -417,12 +395,12 @@ def spectrum_report(spectrum: OperatorSpectrum) -> dict:
             "fraction": captured / total,
         },
         "modes": [
-            {
-                "N": e.mode.angular_N,
-                "m": e.mode.radial_m,
-                "beta": e.beta,
-                "nu_sq": e.nu_sq,
-            }
-            for e in spectrum.entries
+            {"N": N, "m": m, "beta": beta, "nu_sq": nu_sq}
+            for N, m, beta, nu_sq in zip(
+                spectrum.angular_N.tolist(),
+                spectrum.radial_m.tolist(),
+                spectrum.beta.tolist(),
+                spectrum.nu_sq.tolist(),
+            )
         ],
     }

@@ -204,7 +204,7 @@ def _check_spectrum_oracle(seed, golden):
         area = c * STUDY_WAVELENGTH * STUDY_RANGE / 2.0
         geometry = disc_for_area(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
         spectrum = assemble_spectrum(geometry, keep_radial=False)
-        fractions = np.array([4.0 * e.beta**2 for e in spectrum.entries[:5]])
+        fractions = np.array([4.0 * beta**2 for beta in spectrum.beta[:5].tolist()])
         rel = float(np.max(np.abs(fractions - oracle) / oracle))
         worst = max(worst, rel)
         ok = ok and rel <= GOLDEN_TOLERANCES[key][0]

@@ -37,6 +37,12 @@ class ChannelGains:
             raise ValidationError(
                 f"noise_floor_BN0 must be positive and finite, got {self.noise_floor_BN0!r}"
             )
+        top = float(gains[0])
+        if not math.isfinite(float(self.noise_floor_BN0) / top):
+            raise ValidationError(
+                f"top gain {top!r} is too small for noise_floor_BN0 "
+                f"{self.noise_floor_BN0!r}: the inverted floor BN0/g overflows"
+            )
 
 
 @dataclass(frozen=True)
@@ -48,6 +54,18 @@ class PowerAllocation:
     water_level: float
 
 
+def _inverted_floors(gains: ChannelGains) -> np.ndarray:
+    """BN0/g_i over the leading gains whose inverted floor is finite.
+
+    The gains are sorted, so the rest (zero gains, and gains so small that
+    BN0/g overflows) form a suffix; none of those channels can be active.
+    """
+    positive = gains.gains_eta_sq[gains.gains_eta_sq > 0.0]
+    with np.errstate(over="ignore"):
+        floors = gains.noise_floor_BN0 / positive
+    return floors[np.isfinite(floors)]
+
+
 def select_active_K(gains: ChannelGains, total_power_P: float) -> int:
     """Greatest K whose prefix water level clears the K-th inverted gain.
 
@@ -55,20 +73,18 @@ def select_active_K(gains: ChannelGains, total_power_P: float) -> int:
 
         (P + sum_{i<=K} BN0/g_i) / K >= BN0/g_K,
 
-    over the positive gains in sorted order. Channels sitting exactly at
+    over the gains with a finite inverted floor, in sorted order, and among
+    the K whose prefix sum does not overflow. Channels sitting exactly at
     the water level are counted active (they receive zero power, and the
     efficiency is unaffected either way).
     """
     if not (total_power_P > 0.0 and math.isfinite(total_power_P)):
         raise ValidationError(f"total power must be positive and finite, got {total_power_P!r}")
-    positive = gains.gains_eta_sq[gains.gains_eta_sq > 0.0]
-    floors = gains.noise_floor_BN0 / positive
-    prefix = np.cumsum(floors)
-    for k in range(positive.size, 0, -1):
-        level = (total_power_P + prefix[k - 1]) / k
-        if level >= floors[k - 1]:
-            return k
-    return 1
+    floors = _inverted_floors(gains)
+    with np.errstate(over="ignore"):
+        levels = (total_power_P + np.cumsum(floors)) / np.arange(1, floors.size + 1)
+    clears = np.flatnonzero((levels >= floors) & np.isfinite(levels))
+    return int(clears[-1]) + 1 if clears.size else 1
 
 
 def waterfill(gains: ChannelGains, total_power_P: float) -> PowerAllocation:
@@ -76,18 +92,16 @@ def waterfill(gains: ChannelGains, total_power_P: float) -> PowerAllocation:
 
     The water level is (P + sum_{i<=K} BN0/g_i) / K with K the active
     count; each active channel receives the level minus its own inverted
-    gain, and the powers telescope to P exactly. Zero-gain channels are
-    reported with zero power.
+    gain, and the powers telescope to P exactly. Channels past the active
+    ones, zero-gain channels among them, are reported with zero power.
     """
     active = select_active_K(gains, total_power_P)
-    floors = np.full(gains.gains_eta_sq.size, np.inf)
-    positive = gains.gains_eta_sq > 0.0
-    floors[positive] = gains.noise_floor_BN0 / gains.gains_eta_sq[positive]
-    level = (total_power_P + float(np.sum(floors[:active]))) / active
-    powers = np.zeros_like(floors)
+    floors = _inverted_floors(gains)[:active]
+    level = (total_power_P + float(np.sum(floors))) / active
+    powers = np.zeros(gains.gains_eta_sq.size)
     # a channel exactly at the level is active with zero power; tiny negative
     # residues from roundoff are clipped as well
-    powers[:active] = np.maximum(level - floors[:active], 0.0)
+    powers[:active] = np.maximum(level - floors, 0.0)
     return PowerAllocation(powers_Pn=powers, active_K=active, water_level=level)
 
 

@@ -310,7 +310,7 @@ class TestFiniteArrayGram:
         scale = math.sqrt(
             snr10_link.aperture_tx_AT * snr10_link.aperture_rx_AR / STUDY_AREA**2
         )
-        expected = scale * np.sqrt(m0_4_spectrum.nu_sq_values[:4])
+        expected = scale * np.sqrt(m0_4_spectrum.nu_sq[:4])
         assert np.abs(np.diag(gram)) == pytest.approx(expected, rel=2e-3)
 
     def test_offdiagonal_mass_quarters_with_cell_count(

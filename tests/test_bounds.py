@@ -14,7 +14,6 @@ from apcap.bounds import (
     effective_gains,
     lower_bound_beta,
     optimize_disc_area,
-    stream_rates,
     upper_bound,
 )
 from apcap.link import ValidationError, siso_efficiency
@@ -82,7 +81,7 @@ class TestEffectiveGains:
         area = area_for_m0(4.0)
         gains = effective_gains(area, snr10_link, m0_4_spectrum)
         g = 1.0e-6
-        expected0 = g * 4.0 * m0_4_spectrum.entries[0].beta ** 2
+        expected0 = g * 4.0 * float(m0_4_spectrum.beta[0]) ** 2
         assert gains[0] == pytest.approx(expected0, rel=1e-9)
         assert np.all(np.diff(gains) <= 1e-30)
 
@@ -150,21 +149,6 @@ class TestAreaOptimization:
         near = 100.0185310010082
         beta_at_area(100.0, snr10_link)
         assert beta_at_area(near, snr10_link) == fresh_beta_at_area(near, snr10_link)
-
-
-class TestStreamRates:
-    def test_sums_match_bound_and_budget(self, m0_4_spectrum, snr10_link):
-        area = area_for_m0(4.0)
-        rates = stream_rates(area, snr10_link, m0_4_spectrum)
-        beta, active = lower_bound_beta(area, snr10_link, m0_4_spectrum)
-        assert len(rates) == active
-        assert sum(p for p, _ in rates) == pytest.approx(snr10_link.power_P, rel=1e-12)
-        assert sum(r for _, r in rates) == pytest.approx(beta, rel=1e-12)
-
-    def test_weak_regime_rejected(self, m0_4_spectrum):
-        link = study_link(1.0)
-        with pytest.raises(ValidationError, match="weak"):
-            stream_rates(area_for_m0(4.0), link, m0_4_spectrum)
 
 
 class TestBoundsReport:

@@ -155,6 +155,23 @@ class TestBoundsCommand:
         assert starved.stdout == silenced.stdout
 
 
+class TestSubnormalGain:
+    @pytest.mark.parametrize("command", ["bounds", "link"])
+    def test_infinite_noise_floor_refused(self, command):
+        # the top gain is subnormal here, so B N0 / g overflows
+        proc = run_cli(command, "--area", "2e5", "--aperture-tx", "1e-305")
+        assert proc.returncode == 1 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("apcap: error: top gain ")
+
+    def test_overflowing_water_level_stays_finite(self):
+        # every inverted floor is finite, but the sum of the first two overflows
+        proc = run_cli("bounds", "--area", "2e5", "--aperture-tx", "3e-300")
+        assert proc.returncode == 0 and proc.stderr == ""
+        payload = json.loads(proc.stdout)
+        assert payload["K"] == 1 and 0.0 <= payload["lower"] <= payload["upper"]
+
+
 class TestReceivedSnrRange:
     def test_gamma_g_1e7_optimizes(self):
         # the area grid reaches c = 160 here, past the old quadrature limit
@@ -195,8 +212,12 @@ class TestArrayCommand:
         assert f"exceeds available modes {len(kept)} (the spectrum keeps only" in proc.stderr
 
     def test_non_finite_weights_refused(self):
-        # area / aperture-tx overflows, so the weights would be NaN, which JSON lacks
-        proc = run_cli("array", "--area", "2e5", "--cells", "64", "--aperture-tx", "1e-305")
+        # area / aperture-tx overflows, so the weights would be NaN, which JSON lacks;
+        # the low noise PSD keeps the waterfill's inverted floors finite
+        proc = run_cli(
+            "array", "--area", "2e5", "--cells", "64", "--aperture-tx", "1e-305",
+            "--noise-psd", "1e-10",
+        )
         assert proc.returncode == 1 and proc.stdout == ""
         errors = [line for line in proc.stderr.splitlines() if line.startswith("apcap: error:")]
         assert errors == ["apcap: error: array design field 'weights' holds a non-finite value"]

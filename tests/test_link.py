@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,7 +8,6 @@ from apcap.link import (
     LinkBudget,
     ValidationError,
     derive_link,
-    mimo_equal_power_efficiency,
     siso_efficiency,
 )
 
@@ -107,33 +105,3 @@ class TestSisoEfficiency:
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
             siso_efficiency(-0.1)
-
-
-class TestMimoEqualPower:
-    def test_single_element_identity(self):
-        # M = 1 with unit channel: the M^3 scale reduces to plain siso
-        h = np.ones((1, 1), dtype=complex)
-        assert mimo_equal_power_efficiency(h, 7.0, 1.0) == pytest.approx(
-            siso_efficiency(7.0)
-        )
-
-    def test_orthogonal_scaled_identity(self):
-        # HH* = M I so each of the M streams sees gamma g M / M^3 = gamma g / M^2
-        m = 4
-        h = math.sqrt(m) * np.eye(m, dtype=complex)
-        got = mimo_equal_power_efficiency(h, 8.0, 1.0)
-        assert got == pytest.approx(m * siso_efficiency(8.0 / m**2), rel=1e-12)
-
-    def test_phase_invariance(self, rng):
-        h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        phases = np.exp(1j * rng.uniform(0, 2 * math.pi, size=3))
-        assert mimo_equal_power_efficiency(h * phases[None, :], 5.0, 0.3) == (
-            pytest.approx(mimo_equal_power_efficiency(h, 5.0, 0.3), rel=1e-12)
-        )
-
-    def test_rejects_non_square_garbage(self):
-        with pytest.raises(ValidationError):
-            mimo_equal_power_efficiency(np.ones((2, 3), dtype=complex), 1.0, 1.0)
-        bad = np.array([[math.nan + 0j]])
-        with pytest.raises(ValidationError):
-            mimo_equal_power_efficiency(bad, 1.0, 1.0)

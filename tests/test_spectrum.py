@@ -33,6 +33,11 @@ def geometry_for_c(c):
     return disc_for_area(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
 
 
+def modes_of(spectrum):
+    """The (N, m) index of every mode, in spectrum order."""
+    return list(zip(spectrum.angular_N.tolist(), spectrum.radial_m.tolist()))
+
+
 def fixed_truncation_nu_sq(c, max_angular_N, max_radial_m, quadrature_order):
     """nu_sq of every mode (N >= 0, m) of a fixed truncation: no walk, no cut.
 
@@ -99,18 +104,18 @@ class TestRadialEigensolve:
     def test_eigenvalue_sum_rule_across_orders(self):
         # sum over all N (+-N both entered) and m of beta^2 equals 1/4
         spectrum = assemble_spectrum(geometry_for_c(4.0), 39, 63, 64, keep_radial=False)
-        total = sum(e.beta**2 for e in spectrum.entries)
+        total = sum(beta**2 for beta in spectrum.beta.tolist())
         assert total == pytest.approx(0.25, rel=1e-10)
 
     def test_negative_order_matches_positive(self):
         spectrum = assemble_spectrum(geometry_for_c(2.0), quadrature_order=48)
-        betas = {(e.mode.angular_N, e.mode.radial_m): e.beta for e in spectrum.entries}
+        betas = dict(zip(modes_of(spectrum), spectrum.beta.tolist()))
         for (n, m), beta in betas.items():
             assert betas[(-n, m)] == pytest.approx(beta, rel=1e-14)
 
     def test_samples_shape_and_norm(self):
         spectrum = assemble_spectrum(geometry_for_c(4.0), quadrature_order=64)
-        betas = [e.beta for e in spectrum.entries if e.mode.angular_N == 0]
+        betas = spectrum.beta[spectrum.angular_N == 0]
         assert abs(betas[0]) > abs(betas[-1])
         rule = spectrum.quadrature
         for m in range(3):
@@ -137,21 +142,42 @@ class TestRadialEigensolve:
 
 class TestAssembleSpectrum:
     def test_entries_sorted_and_degenerate(self, m0_4_spectrum):
-        nu = [e.nu_sq for e in m0_4_spectrum.entries]
+        nu = m0_4_spectrum.nu_sq.tolist()
         assert nu == sorted(nu, reverse=True)
-        by_mode = {(e.mode.angular_N, e.mode.radial_m): e.nu_sq for e in m0_4_spectrum.entries}
+        by_mode = dict(zip(modes_of(m0_4_spectrum), nu))
         for (n, m), value in by_mode.items():
             if n != 0:
                 assert by_mode[(-n, m)] == value
 
+    def test_tie_break_order(self, m0_4_spectrum):
+        # exact nu_sq ties fall back to |N|, then m, then +N before -N
+        s = m0_4_spectrum
+        keys = list(
+            zip(
+                (-s.nu_sq).tolist(),
+                np.abs(s.angular_N).tolist(),
+                s.radial_m.tolist(),
+                (s.angular_N < 0).tolist(),
+            )
+        )
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        assert np.count_nonzero(np.diff(s.nu_sq) == 0.0) > 0
+
+    def test_memoized_columns_read_only(self, m0_4_geometry):
+        spectrum = eigenvalue_spectrum(m0_4_geometry, DEFAULT_TRUNCATION)
+        with pytest.raises(ValueError):
+            spectrum.nu_sq[0] = 0.0
+        for column in (spectrum.angular_N, spectrum.radial_m, spectrum.beta):
+            assert not column.flags.writeable
+        assert eigenvalue_spectrum(m0_4_geometry, DEFAULT_TRUNCATION) is spectrum
+
     def test_mode_identities(self, m0_4_spectrum):
         # leading mode is radially fundamental and angularly symmetric at c = 4
-        top = m0_4_spectrum.entries[0].mode
-        assert (top.angular_N, top.radial_m) == (0, 0)
-        for e in m0_4_spectrum.entries:
-            assert e.nu_sq == pytest.approx(
+        assert modes_of(m0_4_spectrum)[0] == (0, 0)
+        for beta, nu_sq in zip(m0_4_spectrum.beta.tolist(), m0_4_spectrum.nu_sq.tolist()):
+            assert nu_sq == pytest.approx(
                 m0_4_spectrum.geometry.loss_L
-                * (m0_4_spectrum.geometry.c_param * e.beta) ** 2,
+                * (m0_4_spectrum.geometry.c_param * beta) ** 2,
                 rel=1e-12,
             )
 
@@ -167,10 +193,8 @@ class TestAssembleSpectrum:
         lossy = assemble_spectrum(
             disc_for_area(area, STUDY_WAVELENGTH, STUDY_RANGE, 0.5), keep_radial=False
         )
-        assert lossy.entries[0].beta == pytest.approx(full.entries[0].beta, rel=1e-13)
-        assert lossy.entries[0].nu_sq == pytest.approx(
-            0.5 * full.entries[0].nu_sq, rel=1e-13
-        )
+        assert lossy.beta[0] == pytest.approx(full.beta[0], rel=1e-13)
+        assert lossy.nu_sq[0] == pytest.approx(0.5 * full.nu_sq[0], rel=1e-13)
 
     def test_same_c_same_betas(self):
         # beta depends on the geometry only through c
@@ -181,8 +205,8 @@ class TestAssembleSpectrum:
             disc_for_area(5.0e3, 0.1, 1.0e5, 1.0), keep_radial=False
         )
         assert a.geometry.c_param == pytest.approx(b.geometry.c_param, rel=1e-14)
-        for ea, eb in zip(a.entries[:20], b.entries[:20]):
-            assert ea.beta == pytest.approx(eb.beta, rel=1e-12)
+        for beta_a, beta_b in zip(a.beta[:20], b.beta[:20]):
+            assert beta_a == pytest.approx(beta_b, rel=1e-12)
 
     def test_truncation_warning_when_starved(self):
         geo = geometry_for_c(4.0)
@@ -213,11 +237,10 @@ class TestAdaptiveTruncation:
         new = assemble_spectrum(geometry_for_c(c), keep_radial=False)
         top = old.max()
         kept = np.zeros(old.shape, dtype=bool)
-        for e in new.entries:
-            N, m = e.mode.angular_N, e.mode.radial_m
+        for (N, m), nu_sq in zip(modes_of(new), new.nu_sq.tolist()):
             if N >= 0:
                 kept[N, m] = True
-                assert abs(e.nu_sq - old[N, m]) <= 1e-13 * top, (N, m)
+                assert abs(nu_sq - old[N, m]) <= 1e-13 * top, (N, m)
         old_mass = old[0].sum() + 2.0 * old[1:].sum()
         assert new.captured_mass == pytest.approx(old_mass, rel=1e-14)
         assert old[~kept].max() < EPS * top
@@ -227,10 +250,12 @@ class TestAdaptiveTruncation:
         geo = geometry_for_c(16.0)
         free = assemble_spectrum(geo, keep_radial=False)
         capped = assemble_spectrum(geo, 500, 500, keep_radial=False)
-        assert capped.entries == free.entries  # a ceiling above the cut changes nothing
+        # a ceiling above the cut changes nothing
+        for column in ("angular_N", "radial_m", "beta", "nu_sq"):
+            assert np.array_equal(getattr(capped, column), getattr(free, column)), column
         report = spectrum_report(free)["truncation"]
-        assert report["max_angular_N"] == max(e.mode.angular_N for e in free.entries)
-        assert report["max_radial_m"] == max(e.mode.radial_m for e in free.entries)
+        assert report["max_angular_N"] == free.angular_N.max()
+        assert report["max_radial_m"] == free.radial_m.max()
         assert report["quadrature_order"] == 64
         assert report["angular_orders_solved"] == report["max_angular_N"] + 2
         with pytest.warns(TruncationWarning, match="capture"):
@@ -305,7 +330,7 @@ class TestAgainstDenseOracle:
         # modest 32 x 32 polar grid is plenty at c = 1 for the top three
         oracle = dense_disc_gain_fractions(1.0, 3, radial_points=32, angular_points=32)
         spectrum = assemble_spectrum(geometry_for_c(1.0), keep_radial=False)
-        mine = np.array([4.0 * e.beta**2 for e in spectrum.entries[:3]])
+        mine = np.array([4.0 * beta**2 for beta in spectrum.beta[:3].tolist()])
         assert np.max(np.abs(mine - oracle) / oracle) < 1e-8
 
 

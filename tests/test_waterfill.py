@@ -19,6 +19,16 @@ def channels(*gains, noise=1.0):
     return ChannelGains(gains_eta_sq=np.array(gains, dtype=float), noise_floor_BN0=noise)
 
 
+def loop_active_K(gains, total_power_P):
+    """The scalar downward search select_active_K replaced, kept as its reference."""
+    floors = gains.noise_floor_BN0 / gains.gains_eta_sq[gains.gains_eta_sq > 0.0]
+    prefix = np.cumsum(floors)
+    for k in range(floors.size, 0, -1):
+        if (total_power_P + prefix[k - 1]) / k >= floors[k - 1]:
+            return k
+    return 1
+
+
 class TestChannelGains:
     def test_rejects_increasing_order(self):
         with pytest.raises(ValidationError):
@@ -39,6 +49,11 @@ class TestChannelGains:
     def test_trailing_zeros_allowed(self):
         ch = channels(1.0, 0.5, 0.0)
         assert ch.gains_eta_sq.size == 3
+
+    def test_rejects_top_gain_with_infinite_floor(self):
+        # BN0 / 1e-320 overflows, so no channel could ever be active
+        with pytest.raises(ValidationError, match="top gain 1e-320 is too small"):
+            channels(1e-320, 0.0)
 
 
 class TestHandWorkedAllocation:
@@ -95,6 +110,32 @@ class TestWaterfill:
             waterfill(channels(1.0), 0.0)
         with pytest.raises(ValidationError):
             waterfill(channels(1.0), math.inf)
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_gain_never_active(self):
+        # BN0 / 1e-320 overflows; the third channel is dropped, not turned into NaN
+        ch = channels(1.0, 0.5, 1e-320)
+        assert select_active_K(ch, 10.0) == 2
+        alloc = waterfill(ch, 10.0)
+        assert alloc.active_K == 2 and alloc.water_level == 6.5
+        assert alloc.powers_Pn.tolist() == [5.5, 4.5, 0.0]
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_prefix_never_active(self):
+        # floors 1, 1e308, 1e308: the level over all three overflows to inf
+        alloc = waterfill(channels(1.0, 1e-308, 1e-308), 10.0)
+        assert alloc.active_K == 1 and alloc.water_level == 11.0
+        assert alloc.powers_Pn.tolist() == [10.0, 0.0, 0.0]
+
+    @given(
+        st.lists(st.floats(min_value=1e-6, max_value=1e3), min_size=1, max_size=40),
+        st.integers(min_value=0, max_value=3),
+        st.floats(min_value=1e-3, max_value=1e6),
+    )
+    def test_matches_loop_reference(self, gains, zeros, total):
+        gains = np.concatenate((np.sort(gains)[::-1], np.zeros(zeros)))
+        ch = ChannelGains(gains_eta_sq=gains, noise_floor_BN0=0.7)
+        assert select_active_K(ch, total) == loop_active_K(ch, total)
 
     def test_active_k_monotone_in_power(self):
         ch = channels(1.0, 0.5, 0.1)
