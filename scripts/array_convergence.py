@@ -20,7 +20,7 @@ import numpy as np
 
 from apcap.arrays import achieved_efficiency, finite_array_gram, synthesize_array
 from apcap.bounds import lower_bound_beta
-from apcap.spectrum import assemble_spectrum, disc_for_area
+from apcap.spectrum import DiscGeometry, assemble_spectrum
 from apcap.verification import (
     STUDY_RANGE,
     STUDY_WAVELENGTH,
@@ -38,7 +38,7 @@ def main():
 
     link = study_link(args.gamma_g)
     area = area_for_m0(4.0)
-    geometry = disc_for_area(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
+    geometry = DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
     spectrum = assemble_spectrum(geometry)
     bound, active = lower_bound_beta(area, link, spectrum)
     print(

@@ -36,7 +36,7 @@ from apcap import (
 from apcap.bounds import default_area_grid
 from apcap.numerics import solve_eps0
 from apcap.oracles import dense_disc_gain_fractions
-from apcap.spectrum import disc_for_area
+from apcap.spectrum import DiscGeometry
 from apcap.verification import (
     DEFAULT_SEED,
     GAMMA_G_GRID,
@@ -125,7 +125,7 @@ def main():
     print("array gram convergence ...")
     link = study_link(10.0)
     area = area_for_m0(4.0)
-    geometry = disc_for_area(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
+    geometry = DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
     spectrum = assemble_spectrum(geometry)
     masses = []
     for cells in (64, 256, 1024):

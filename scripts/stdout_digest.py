@@ -1,12 +1,14 @@
-"""Digest of the CLI's stdout for a fixed set of invocations.
+"""Digest of the CLI's stdout and stderr for a fixed set of invocations.
 
-For each invocation it prints `sha256  bytes  exit  invocation`: the sha256
-and length of its stdout and its exit code. Every invocation is one fresh
-`python -m apcap.cli` process, run from the root of the checkout with
-PYTHONPATH=src and one BLAS thread. The invocations are the benchmark's
-workload invocations (WORKLOADS of perfbench/run.py, imported, not copied)
-and three more: the spectrum report as JSON and as CSV, and a starved
-truncation that warns on every disc the area optimizer tries.
+For each invocation it prints `sha256  bytes  exit  stderr-sha256
+invocation`: the sha256 and length of its stdout, its exit code and the
+sha256 of its stderr, so a gained or lost warning shows as well. Every
+invocation is one fresh `python -m apcap.cli` process, run from the root
+of the checkout with PYTHONPATH=src and one BLAS thread. The invocations
+are the benchmark's workload invocations (WORKLOADS of perfbench/run.py,
+imported, not copied) and four more: the spectrum report as JSON and as
+CSV, a starved truncation that warns on every disc the area optimizer
+tries, and an array whose subnormal transmit aperture is refused.
 
 Two checkouts print the same lines exactly when these outputs are
 byte-identical, so a change that must not move any output is checked by a
@@ -26,6 +28,7 @@ EXTRA = (
     ("spectrum", "--area", "2e5"),
     ("spectrum", "--area", "3.2e6", "--format", "csv"),
     ("bounds", "--max-angular", "0", "--max-radial", "0", "--quadrature-order", "16"),
+    ("array", "--area", "2e5", "--aperture-tx", "1e-305"),
 )
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -55,7 +58,11 @@ def main():
             [sys.executable, "-m", "apcap.cli", *args], cwd=root, env=env, capture_output=True
         )
         digest = hashlib.sha256(proc.stdout).hexdigest()
-        print(f"{digest}  {len(proc.stdout)}  {proc.returncode}  {' '.join(args)}", flush=True)
+        err_digest = hashlib.sha256(proc.stderr).hexdigest()
+        print(
+            f"{digest}  {len(proc.stdout)}  {proc.returncode}  {err_digest}  {' '.join(args)}",
+            flush=True,
+        )
 
 
 if __name__ == "__main__":

@@ -26,9 +26,9 @@ from apcap import spectrum as spectrum_module
 from apcap.numerics import QUAD_MAX_ORDER
 from apcap.spectrum import (
     QUADRATURE_FLOOR,
+    DiscGeometry,
     assemble_spectrum,
     default_truncation,
-    disc_for_area,
 )
 
 WAVELENGTH = 0.1
@@ -37,7 +37,7 @@ REFERENCE_EXTRA = 80  # reference quadrature order = default order + this, cappe
 
 
 def geometry_for_c(c):
-    return disc_for_area(c * WAVELENGTH * RANGE / 2.0, WAVELENGTH, RANGE, 1.0)
+    return DiscGeometry(c * WAVELENGTH * RANGE / 2.0, WAVELENGTH, RANGE, 1.0)
 
 
 def modes(spectrum):
@@ -82,7 +82,7 @@ def main():
     for c in args.c:
         t0 = time.perf_counter()
         geometry = geometry_for_c(c)
-        bound_N, _, q = default_truncation(c)
+        bound_N, q = default_truncation(c)
         q_ref = min(QUAD_MAX_ORDER, q + REFERENCE_EXTRA)
         default, block_bytes = solve_recording_tables(geometry)
         reference = assemble_spectrum(geometry, quadrature_order=q_ref, keep_radial=False)

@@ -279,7 +279,7 @@ def _radial_interpolator(spectrum: OperatorSpectrum, index: int):
     """
     order = abs(int(spectrum.angular_N[index]))
     radial_m = int(spectrum.radial_m[index])
-    samples = spectrum.radial_samples[(order, radial_m)]
+    samples = spectrum.radial_samples[order][:, radial_m]
     beta = float(spectrum.beta[index])
     if abs(beta) < 1.0e-12:
         raise ValidationError(
@@ -366,6 +366,13 @@ def synthesize_array(
         rows.append(radial_vals * np.exp(1j * angular_N * centroid_theta) / radius)
     eig_samples = np.array(rows)
 
+    # validate the gains first: where they are refused, the weights below overflow
+    gains = effective_gains(area_S, link, spectrum)[:stream_count_K]
+    alloc = waterfill(
+        ChannelGains(gains_eta_sq=gains, noise_floor_BN0=link.bandwidth_B * link.noise_psd_N0),
+        link.power_P,
+    )
+
     weights_tx = math.sqrt(area_S / link.aperture_tx_AT) * eig_samples
     weights_rx = math.sqrt(area_S / link.aperture_rx_AR) * eig_samples
     # exact unit norm under the sub-aperture measure (A/N per element)
@@ -373,12 +380,6 @@ def synthesize_array(
     norm_rx = np.sqrt(rx_area * np.sum(np.abs(weights_rx) ** 2, axis=1))
     weights_tx /= norm_tx[:, None]
     weights_rx /= norm_rx[:, None]
-
-    gains = effective_gains(area_S, link, spectrum)[:stream_count_K]
-    alloc = waterfill(
-        ChannelGains(gains_eta_sq=gains, noise_floor_BN0=link.bandwidth_B * link.noise_psd_N0),
-        link.power_P,
-    )
 
     return ArrayDesign(
         cell_count_N=cell_count_N,

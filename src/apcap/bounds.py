@@ -21,9 +21,9 @@ from .spectrum import (
     AREA_RATIO_MAX,
     C_PARAM_MAX,
     DEFAULT_TRUNCATION,
+    DiscGeometry,
     OperatorSpectrum,
     Truncation,
-    disc_for_area,
     eigenvalue_spectrum,
 )
 from .waterfill import ChannelGains, allocation_efficiency, waterfill
@@ -126,7 +126,7 @@ def beta_at_area(
     area_S: float, link: LinkBudget, truncation: Truncation = DEFAULT_TRUNCATION
 ) -> tuple[float, int]:
     """lower_bound_beta at one area over the memoized eigenvalue spectrum."""
-    geometry = disc_for_area(area_S, link.wavelength_lambda, link.range_d, link.loss_L)
+    geometry = DiscGeometry(area_S, link.wavelength_lambda, link.range_d, link.loss_L)
     return lower_bound_beta(area_S, link, eigenvalue_spectrum(geometry, truncation))
 
 

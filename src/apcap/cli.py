@@ -25,7 +25,7 @@ from .bounds import bounds_report, bounds_to_dict, corollary_approx
 from .arrays import design_json, synthesize_array
 from .link import LinkBudget, ValidationError, derive_link, siso_efficiency
 from .numerics import solve_eps0
-from .spectrum import Truncation, assemble_spectrum, disc_for_area, spectrum_report
+from .spectrum import DiscGeometry, Truncation, assemble_spectrum, spectrum_report
 from .verification import CHECK_NAMES, DEFAULT_SEED, run_checks
 
 EXIT_OK = 0
@@ -326,7 +326,7 @@ def run_sweep(config: RunConfig) -> int:
 
 
 def run_spectrum(config: RunConfig, args: argparse.Namespace) -> int:
-    geometry = disc_for_area(args.area, args.wavelength, args.range_d, args.loss)
+    geometry = DiscGeometry(args.area, args.wavelength, args.range_d, args.loss)
     spectrum = assemble_spectrum(geometry, *_truncation(config), keep_radial=False)
     report = spectrum_report(spectrum)
     if config.out_format == "json":
@@ -354,9 +354,7 @@ def run_array(config: RunConfig) -> int:
     if config.out_format != "json":
         raise ValidationError("array designs export as JSON only")
     link = config.link
-    geometry = disc_for_area(
-        config.area, link.wavelength_lambda, link.range_d, link.loss_L
-    )
+    geometry = DiscGeometry(config.area, link.wavelength_lambda, link.range_d, link.loss_L)
     spectrum = assemble_spectrum(geometry, *_truncation(config))
     design = synthesize_array(spectrum, config.area, config.streams, config.cells, link)
     _emit(config, design_json(design))

@@ -44,9 +44,9 @@ class QuadratureRule:
         return float(np.dot(self.weights, values))
 
 
-def _legendre_value_and_derivative(n: int, x: float) -> tuple[float, float]:
-    """P_n(x) and P_n'(x) by the three-term recurrence."""
-    p_prev, p = 1.0, x
+def _legendre_value_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) by the three-term recurrence, elementwise over x."""
+    p_prev, p = np.ones_like(x), x
     for k in range(2, n + 1):
         p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
     # derivative from the standard identity, valid for |x| < 1
@@ -59,9 +59,10 @@ def _legendre_value_and_derivative(n: int, x: float) -> tuple[float, float]:
 def gauss_quadrature(order: int) -> QuadratureRule:
     """Gauss-Legendre rule with `order` points, mapped to [0, 1].
 
-    Nodes are found by Newton iteration on the Legendre recurrence with a
-    fixed 1e-14 tolerance, then mirrored about the midpoint so the rule is
-    exactly symmetric. A rule of order Q integrates polynomials of degree
+    Nodes are found by Newton iteration on the Legendre recurrence, run on
+    every root at once (a root stops updating once its step is at most
+    1e-14), then mirrored about the midpoint so the rule is exactly
+    symmetric. A rule of order Q integrates polynomials of degree
     up to 2Q - 1 exactly.
 
     Rules are memoized and shared between callers, so their node and
@@ -83,26 +84,29 @@ def gauss_quadrature(order: int) -> QuadratureRule:
 
     n = order
     half = (n + 1) // 2
+    k = np.arange(1, half + 1)
+    # initial guesses from math.cos, so they do not depend on numpy's SIMD kernels
+    x = np.array([math.cos(math.pi * (j - 0.25) / (n + 0.5)) for j in range(1, half + 1)])
+    todo = np.arange(half)
+    for _ in range(100):
+        p, dp = _legendre_value_and_derivative(n, x[todo])
+        dx = p / dp
+        x[todo] -= dx
+        todo = todo[~(np.abs(dx) <= 1.0e-14)]
+        if not todo.size:
+            break
+    p, dp = _legendre_value_and_derivative(n, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    # x holds the k-th root from the +1 end; mirror to fill both halves.
+    # The lower node is formed as 1 - upper, which is exact since the
+    # upper node lies in [1/2, 1], so the pair is symmetric to the bit.
+    upper_node = (1.0 + x) / 2.0
     nodes = np.empty(n)
     weights = np.empty(n)
-    for k in range(1, half + 1):
-        x = math.cos(math.pi * (k - 0.25) / (n + 0.5))
-        for _ in range(100):
-            p, dp = _legendre_value_and_derivative(n, x)
-            dx = p / dp
-            x -= dx
-            if abs(dx) <= 1.0e-14:
-                break
-        p, dp = _legendre_value_and_derivative(n, x)
-        w = 2.0 / ((1.0 - x * x) * dp * dp)
-        # x is the k-th root from the +1 end; mirror to fill both halves.
-        # The lower node is formed as 1 - upper, which is exact since the
-        # upper node lies in [1/2, 1], so the pair is symmetric to the bit.
-        upper_node = (1.0 + x) / 2.0
-        nodes[n - k] = upper_node
-        nodes[k - 1] = 1.0 - upper_node
-        weights[k - 1] = w / 2.0
-        weights[n - k] = w / 2.0
+    nodes[n - k] = upper_node
+    nodes[k - 1] = 1.0 - upper_node
+    weights[k - 1] = w / 2.0
+    weights[n - k] = w / 2.0
     if n % 2 == 1:
         nodes[half - 1] = 0.5
     return _frozen_rule(nodes, weights)

@@ -66,44 +66,27 @@ class TruncationWarning(UserWarning):
 
 @dataclass(frozen=True)
 class DiscGeometry:
-    """Synthesis disc and the dimensionless parameters it induces.
+    """Synthesis disc: area |S|, wavelength lambda, range d and loss L.
 
-    c_param = 2 pi R^2 / (lambda d) controls the radial eigenproblem;
-    space_bandwidth_M0 = |S|^2 / (lambda^2 d^2) approximates the number of
-    strongly coupled modes.
+    The spectrum depends on the disc only through these four values, and
+    the other parameters are derived from them: the radius
+    R = sqrt(|S|/pi); c_param = 2 pi R^2 / (lambda d), which controls the
+    radial eigenproblem; and space_bandwidth_M0 = |S|^2 / (lambda^2 d^2),
+    which approximates the number of strongly coupled modes.
     """
 
-    radius_R: float
     area_S: float
-    c_param: float
-    space_bandwidth_M0: float
     wavelength_lambda: float
     range_d: float
     loss_L: float
 
     def __post_init__(self):
-        if not (self.radius_R > 0.0 and math.isfinite(self.radius_R)):
-            raise ValidationError(f"radius_R must be positive and finite, got {self.radius_R!r}")
-        for name in ("wavelength_lambda", "range_d"):
+        for name in ("area_S", "wavelength_lambda", "range_d"):
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValidationError(f"{name} must be positive and finite, got {value!r}")
         if not (0.0 < self.loss_L <= 1.0):
             raise ValidationError(f"loss_L must lie in (0, 1], got {self.loss_L!r}")
-        area = math.pi * self.radius_R**2
-        if abs(self.area_S - area) > 1.0e-12 * area:
-            raise ValidationError(
-                f"area_S {self.area_S!r} inconsistent with radius {self.radius_R!r}"
-            )
-        lam_d = self.wavelength_lambda * self.range_d
-        c = 2.0 * math.pi * self.radius_R**2 / lam_d
-        if abs(self.c_param - c) > 1.0e-12 * c:
-            raise ValidationError(f"c_param {self.c_param!r} inconsistent with geometry")
-        m0 = (self.area_S / lam_d) ** 2
-        if abs(self.space_bandwidth_M0 - m0) > 1.0e-12 * m0:
-            raise ValidationError(
-                f"space_bandwidth_M0 {self.space_bandwidth_M0!r} inconsistent with geometry"
-            )
         max_area = AREA_RATIO_MAX * math.pi * self.range_d**2
         if self.area_S > max_area:
             raise ValidationError(
@@ -112,28 +95,21 @@ class DiscGeometry:
             )
 
     @property
+    def radius_R(self) -> float:
+        return math.sqrt(self.area_S / math.pi)
+
+    @property
+    def c_param(self) -> float:
+        return 2.0 * math.pi * self.radius_R**2 / (self.wavelength_lambda * self.range_d)
+
+    @property
+    def space_bandwidth_M0(self) -> float:
+        return (self.area_S / (self.wavelength_lambda * self.range_d)) ** 2
+
+    @property
     def spectral_mass(self) -> float:
         """Theoretical total of |nu|^2 over all modes: L |S|^2 / (lambda d)^2."""
         return self.loss_L * (self.area_S / (self.wavelength_lambda * self.range_d)) ** 2
-
-
-def disc_for_area(
-    area_S: float, wavelength_lambda: float, range_d: float, loss_L: float
-) -> DiscGeometry:
-    """Build a DiscGeometry from a disc area, deriving the redundant fields."""
-    if not (area_S > 0.0 and math.isfinite(area_S)):
-        raise ValidationError(f"area_S must be positive and finite, got {area_S!r}")
-    radius = math.sqrt(area_S / math.pi)
-    lam_d = wavelength_lambda * range_d
-    return DiscGeometry(
-        radius_R=radius,
-        area_S=area_S,
-        c_param=2.0 * math.pi * radius**2 / lam_d,
-        space_bandwidth_M0=(area_S / lam_d) ** 2,
-        wavelength_lambda=wavelength_lambda,
-        range_d=range_d,
-        loss_L=loss_L,
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,12 +119,14 @@ class OperatorSpectrum:
     The modes are four parallel read-only columns, angular_N, radial_m,
     beta and nu_sq, sorted by nu_sq descending, ties broken by |N|
     ascending, then m ascending, then sign of N (+ first). radial_samples
-    maps (|N|, m) to the eigenfunction values at the quadrature nodes,
-    under the normalization integral_0^1 R(r)^2 r dr = 1/(2 pi), which
-    makes the full 2-D mode unit norm on the unit disc. The map is None
-    when the spectrum was assembled for eigenvalues only. truncation is
-    what was kept (largest |N|, largest m, quadrature order), and
-    angular_orders_solved counts the orders N = 0, 1, ... the walk solved.
+    maps each kept order |N| to a Q x kept matrix whose column m holds the
+    eigenfunction R_{|N|,m} at the quadrature nodes, under the
+    normalization integral_0^1 R(r)^2 r dr = 1/(2 pi), which makes the full
+    2-D mode unit norm on the unit disc; +N and -N share the matrix. The map
+    is None when the spectrum was assembled for eigenvalues only.
+    truncation is what was kept (largest |N|, largest m, quadrature order),
+    and angular_orders_solved counts the orders N = 0, 1, ... the walk
+    solved.
     """
 
     angular_N: np.ndarray
@@ -158,7 +136,7 @@ class OperatorSpectrum:
     geometry: DiscGeometry
     truncation: tuple[int, int, int]
     quadrature: QuadratureRule
-    radial_samples: dict[tuple[int, int], np.ndarray] | None = field(default=None)
+    radial_samples: dict[int, np.ndarray] | None = field(default=None)
     angular_orders_solved: int = 0
 
     @property
@@ -167,10 +145,10 @@ class OperatorSpectrum:
         return float(sum(self.nu_sq.tolist()))
 
 
-def default_truncation(c_param: float) -> tuple[int, int, int]:
-    """(angular order bound N_hi, radial ceiling, quadrature order Q) for a given c.
+def default_truncation(c_param: float) -> tuple[int, int]:
+    """(angular order bound N_hi, quadrature order Q) for a given c.
 
-    These are limits, not the kept counts: assemble_spectrum walks the
+    N_hi is a limit, not the kept count: assemble_spectrum walks the
     angular orders up from 0 and stops at the first one whose top mode
     falls below EPS of the strongest, and keeps only the modes at or above
     that cut. Past the plunge the eigenvalues decay super-exponentially,
@@ -180,43 +158,30 @@ def default_truncation(c_param: float) -> tuple[int, int, int]:
     below about 20), and the Bessel table is built up to N_hi. Q is
     max(64, ceil(c) + 40): the study finds that 24 or more nodes past c
     already reproduce every kept mode of a much larger Q to a few 1e-14 of
-    the top one. The radial ceiling is Q - 1, every mode the solve yields.
+    the top one.
     """
     c_ceil = int(math.ceil(c_param))
     angular = min(2 * c_ceil + 10, int(math.ceil(c_param + 8.0 * c_param ** (1.0 / 3.0))) + 8)
-    quadrature = max(QUADRATURE_FLOOR, c_ceil + QUADRATURE_MARGIN)
-    return angular, quadrature - 1, quadrature
+    return angular, max(QUADRATURE_FLOOR, c_ceil + QUADRATURE_MARGIN)
 
 
 def _radial_eigensolve(
-    bessel_row: np.ndarray,
-    rule: QuadratureRule,
-    angular_N: int,
-    c_param: float,
-    keep_radial: bool,
+    matrix: np.ndarray, angular_N: int, c_param: float, keep_radial: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eigenpairs of the radial kernel J_|N|(c r r') r' on [0, 1].
+    """Eigenpairs of one order's Nystrom matrix, read from its lower triangle.
 
-    The kernel depends on the angular index only through |N|, so +-N give
-    identical eigenvalues. The substitution phi = sqrt(r) R(r) symmetrizes
-    the kernel to J_|N|(c r r') sqrt(r r'), so the Nystrom matrix
-    D^{1/2} K D^{1/2} is real symmetric and the eigenvalues come out real.
     Returns the betas sorted by |beta| descending and, when keep_radial,
-    the matching R(r) samples at the quadrature nodes as columns (else
-    None). Eigenvector signs are fixed so the largest-magnitude sample is
-    positive, keeping golden files stable across library versions.
-    eigvalsh serves the eigenvalue-only case; it rounds differently from
-    eigh, so each case keeps its own LAPACK driver.
+    the matching eigenvectors as columns (else None). Eigenvector signs
+    are fixed so the largest-magnitude entry is positive, keeping golden
+    files stable across library versions. eigvalsh serves the
+    eigenvalue-only case; it rounds differently from eigh, so each case
+    keeps its own LAPACK driver.
     """
-    sqrt_x = np.sqrt(rule.nodes)
-    sqrt_w = np.sqrt(rule.weights)
-    kernel = bessel_row * np.outer(sqrt_x, sqrt_x)
-    symmetric = sqrt_w[:, None] * kernel * sqrt_w[None, :]
     try:
         if keep_radial:
-            values, vectors = np.linalg.eigh(symmetric)
+            values, vectors = np.linalg.eigh(matrix)
         else:
-            values, vectors = np.linalg.eigvalsh(symmetric), None
+            values, vectors = np.linalg.eigvalsh(matrix), None
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(
             f"radial eigensolve failed to converge at angular order {angular_N}, "
@@ -229,9 +194,7 @@ def _radial_eigensolve(
     pivots = np.argmax(np.abs(vectors), axis=0)
     flip = vectors[pivots, np.arange(vectors.shape[1])] < 0.0
     vectors[:, flip] = -vectors[:, flip]
-    # back-substitute to R(r) samples with unit-disc normalization
-    scale = 1.0 / (sqrt_w * sqrt_x * math.sqrt(2.0 * math.pi))
-    return values[order], vectors * scale[:, None]
+    return values[order], vectors
 
 
 def assemble_spectrum(
@@ -242,6 +205,15 @@ def assemble_spectrum(
     keep_radial: bool = True,
 ) -> OperatorSpectrum:
     """Solve the radial problems order by order and merge the modes.
+
+    For each order N the radial kernel J_|N|(c r r') r' on [0, 1] is
+    discretized on Q Gauss-Legendre nodes. The kernel depends on N only
+    through |N|, so +-N give identical eigenvalues. The substitution
+    phi = sqrt(r) R(r) symmetrizes it to J_|N|(c r r') sqrt(r r'), so the
+    Nystrom matrix D^{1/2} K D^{1/2} is real symmetric and its eigenvalues
+    are real. Only the lower triangle is formed, in one Q x Q buffer
+    refilled per order; the eigensolver reads no other. Eigenvectors are
+    back-substituted to R(r) samples with unit-disc normalization.
 
     The walk solves N = 0, 1, ... and stops at the first order whose top
     nu_sq is below EPS times the strongest mode's; within each order only
@@ -266,7 +238,7 @@ def assemble_spectrum(
             f"c_param {c!r} outside supported range (0, {C_PARAM_MAX:g}], a disc area "
             f"|S| of up to about {C_PARAM_MAX / 2.0:g} lambda d (c = 2 |S| / (lambda d))"
         )
-    bound_N, _, default_q = default_truncation(c)
+    bound_N, default_q = default_truncation(c)
     quadrature_order = default_q if quadrature_order is None else quadrature_order
     if any(limit is not None and limit < 0 for limit in (max_angular_N, max_radial_m)):
         raise ValidationError("truncation orders must be nonnegative")
@@ -278,26 +250,31 @@ def assemble_spectrum(
     radial_m = quadrature_order - 1 if max_radial_m is None else max_radial_m
 
     rule = gauss_quadrature(quadrature_order)
-    nodes_outer = np.outer(rule.nodes, rule.nodes)
-    upper = np.triu_indices(quadrature_order)
-    args = c * nodes_outer[upper]
+    # the lower triangle (row i >= column j) column by column: the Bessel
+    # recurrence runs faster on this argument order than on row by row
+    cols, rows = np.triu_indices(quadrature_order)
+    args = c * (rule.nodes[rows] * rule.nodes[cols])
     block = max(1, BESSEL_BLOCK_BYTES // (8 * args.size))
+    sqrt_x, sqrt_w = np.sqrt(rule.nodes), np.sqrt(rule.weights)
+    # products grouped as sqrt_w[i] * (J * (sqrt_x[i] sqrt_x[j])) * sqrt_w[j];
+    # another grouping rounds differently and moves the betas
+    left, nodes_term, right = sqrt_w[rows], sqrt_x[rows] * sqrt_x[cols], sqrt_w[cols]
+    matrix = np.zeros((quadrature_order, quadrature_order))
+    sample_scale = (1.0 / (sqrt_w * sqrt_x * math.sqrt(2.0 * math.pi)))[:, None]
 
     scale_nu = geometry.loss_L / (geometry.wavelength_lambda * geometry.range_d) ** 2
     scale_nu *= geometry.radius_R**4 * (2.0 * math.pi) ** 2
 
     pieces: list[tuple[np.ndarray, ...]] = []  # (N, m, beta, nu_sq) per order and sign
-    radial: dict[tuple[int, int], np.ndarray] | None = {} if keep_radial else None
+    radial: dict[int, np.ndarray] | None = {} if keep_radial else None
     top = 0.0
     stopped = False
     for N in range(walk_N + 1):
         if N % block == 0:
             table = None  # let the previous block go before the next is built
             table = bessel_j_table(walk_N, args, range(N, min(N + block, walk_N + 1)))
-        row = np.zeros_like(nodes_outer)
-        row[upper] = table[N % block]
-        row = row + row.T - np.diag(np.diag(row))
-        betas, samples = _radial_eigensolve(row, rule, N, c, keep_radial)
+        matrix[rows, cols] = left * (table[N % block] * nodes_term) * right
+        betas, vectors = _radial_eigensolve(matrix, N, c, keep_radial)
         nu_sq = scale_nu * betas * betas
         top = max(top, float(nu_sq[0]))
         if nu_sq[0] < EPS * top:
@@ -308,8 +285,7 @@ def assemble_spectrum(
         for signed_N in (N, -N) if N > 0 else (N,):
             pieces.append((np.full(kept, signed_N), indices, betas[:kept], nu_sq[:kept]))
         if keep_radial:
-            for m in range(kept):
-                radial[(N, m)] = samples[:, m].copy()
+            radial[N] = vectors[:, :kept] * sample_scale
     solved = N + 1
     if not stopped and walk_N == bound_N:
         warnings.warn(

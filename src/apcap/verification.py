@@ -38,8 +38,8 @@ from .numerics import solve_eps0
 from .oracles import greedy_waterfill
 from .spectrum import (
     DEFAULT_TRUNCATION,
+    DiscGeometry,
     assemble_spectrum,
-    disc_for_area,
     effective_rank,
     eigenvalue_spectrum,
 )
@@ -167,7 +167,7 @@ def _check_sum_rule(seed, golden):
     details = []
     for c in (0.5, 1.0, 2.0, 4.0):
         area = c * STUDY_WAVELENGTH * STUDY_RANGE / 2.0
-        geometry = disc_for_area(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
+        geometry = DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
         spectrum = assemble_spectrum(geometry, keep_radial=False)
         frac = spectrum.captured_mass / geometry.spectral_mass
         worst = max(worst, abs(1.0 - frac))
@@ -184,7 +184,7 @@ def _check_eigenvalue_plunge(seed, golden):
     results = []
     ok = True
     for m0 in (4.0, 9.0, 16.0):
-        geometry = disc_for_area(area_for_m0(m0), STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
+        geometry = DiscGeometry(area_for_m0(m0), STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
         spectrum = assemble_spectrum(geometry, keep_radial=False)
         rank = effective_rank(spectrum, 0.5)
         tol = max(2.0, 0.25 * m0)
@@ -202,7 +202,7 @@ def _check_spectrum_oracle(seed, golden):
             return False, f"golden file missing key {key!r}", "rel err <= 1e-5"
         oracle = np.asarray(golden[key])
         area = c * STUDY_WAVELENGTH * STUDY_RANGE / 2.0
-        geometry = disc_for_area(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
+        geometry = DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
         spectrum = assemble_spectrum(geometry, keep_radial=False)
         fractions = np.array([4.0 * beta**2 for beta in spectrum.beta[:5].tolist()])
         rel = float(np.max(np.abs(fractions - oracle) / oracle))
@@ -259,7 +259,7 @@ def _check_bound_ordering(seed, golden):
         upper = upper_bound(gamma_g, eps0)
         best_lower = -math.inf
         for area in default_area_grid(link, points=20):
-            geometry = disc_for_area(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
+            geometry = DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
             spectrum = eigenvalue_spectrum(geometry, DEFAULT_TRUNCATION)
             beta, _ = lower_bound_beta(area, link, spectrum)
             best_lower = max(best_lower, beta)
@@ -360,7 +360,7 @@ def _check_array_convergence(seed, golden):
     t0 = time.perf_counter()
     link = study_link(10.0)
     area = area_for_m0(4.0)
-    geometry = disc_for_area(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
+    geometry = DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
     spectrum = assemble_spectrum(geometry)
     off_masses = []
     last_design = None
@@ -396,7 +396,7 @@ def _check_array_convergence(seed, golden):
 def _check_siso_construction(seed, golden):
     link = study_link(10.0)
     area = area_for_m0(1.0e-4)
-    geometry = disc_for_area(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
+    geometry = DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
     spectrum = assemble_spectrum(geometry)
     design = synthesize_array(spectrum, area, 1, 1, link)
     eff = achieved_efficiency(design, geometry, link)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from apcap.spectrum import assemble_spectrum, disc_for_area
+from apcap.spectrum import DiscGeometry, assemble_spectrum
 from apcap.verification import STUDY_RANGE, STUDY_WAVELENGTH, area_for_m0, study_link
 
 settings.register_profile(
@@ -16,7 +16,7 @@ settings.load_profile("suite")
 
 @pytest.fixture(scope="session")
 def m0_4_geometry():
-    return disc_for_area(area_for_m0(4.0), STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
+    return DiscGeometry(area_for_m0(4.0), STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
 
 
 @pytest.fixture(scope="session")

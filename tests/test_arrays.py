@@ -24,7 +24,7 @@ from apcap.arrays import (
 from apcap.bounds import lower_bound_beta, upper_bound
 from apcap.link import LinkBudget, ValidationError, siso_efficiency
 from apcap.numerics import solve_eps0
-from apcap.spectrum import assemble_spectrum, disc_for_area
+from apcap.spectrum import DiscGeometry, assemble_spectrum
 from apcap.verification import STUDY_RANGE, STUDY_WAVELENGTH, area_for_m0, study_link
 
 STUDY_AREA = area_for_m0(4.0)
@@ -55,7 +55,7 @@ def study_designs(m0_4_spectrum, snr10_link):
 
 @pytest.fixture(scope="module")
 def wide_spectrum():
-    return assemble_spectrum(disc_for_area(WIDE_AREA, 0.1, 1.0e6, 1.0))
+    return assemble_spectrum(DiscGeometry(WIDE_AREA, 0.1, 1.0e6, 1.0))
 
 
 def design_to_dict(design):
@@ -256,7 +256,7 @@ class TestSynthesizeArray:
 
     def test_needs_radial_samples(self, snr10_link):
         bare = assemble_spectrum(
-            disc_for_area(STUDY_AREA, STUDY_WAVELENGTH, STUDY_RANGE, 1.0),
+            DiscGeometry(STUDY_AREA, STUDY_WAVELENGTH, STUDY_RANGE, 1.0),
             keep_radial=False,
         )
         with pytest.raises(ValidationError, match="radial samples"):
@@ -267,7 +267,7 @@ class TestSynthesizeArray:
         # for four sub-aperture disks inside their cells
         area = 120.0
         tight = assemble_spectrum(
-            disc_for_area(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
+            DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
         )
         with pytest.raises(ValidationError, match="does not fit inside"):
             synthesize_array(tight, area, 1, 4, snr10_link)

@@ -18,7 +18,7 @@ from apcap.bounds import (
 )
 from apcap.link import ValidationError, siso_efficiency
 from apcap.numerics import solve_eps0
-from apcap.spectrum import assemble_spectrum, disc_for_area
+from apcap.spectrum import DiscGeometry, assemble_spectrum
 from apcap.verification import STUDY_RANGE, STUDY_WAVELENGTH, area_for_m0, study_link
 
 EPS0 = solve_eps0()
@@ -30,7 +30,7 @@ LOWER_AT_M0_4_SNR10 = 2.3172404605164445
 
 def fresh_beta_at_area(area, link):
     """beta_at_area computed from a spectrum solved afresh for this call."""
-    geometry = disc_for_area(area, link.wavelength_lambda, link.range_d, link.loss_L)
+    geometry = DiscGeometry(area, link.wavelength_lambda, link.range_d, link.loss_L)
     return lower_bound_beta(area, link, assemble_spectrum(geometry, keep_radial=False))
 
 
@@ -97,7 +97,7 @@ class TestLowerBound:
         assert active == 3
 
     def test_area_below_aperture_rejected(self, snr10_link):
-        geo = disc_for_area(50.0, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
+        geo = DiscGeometry(50.0, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
         spectrum = assemble_spectrum(geo, keep_radial=False)
         with pytest.raises(ValidationError, match="max\\(A_T, A_R\\)"):
             lower_bound_beta(50.0, snr10_link, spectrum)

@@ -156,7 +156,7 @@ class TestBoundsCommand:
 
 
 class TestSubnormalGain:
-    @pytest.mark.parametrize("command", ["bounds", "link"])
+    @pytest.mark.parametrize("command", ["bounds", "link", "array"])
     def test_infinite_noise_floor_refused(self, command):
         # the top gain is subnormal here, so B N0 / g overflows
         proc = run_cli(command, "--area", "2e5", "--aperture-tx", "1e-305")

@@ -22,6 +22,41 @@ GL2_NODES = (0.21132486540518713, 0.7886751345948129)
 J0_AT_1 = 0.7651976865579666
 
 
+def scalar_gauss_legendre(order):
+    """Nodes and weights on [0, 1] from a scalar Newton loop, one root at a time.
+
+    The reference gauss_quadrature's vectorized iteration must reproduce to
+    the bit: the same recurrence, start, 1e-14 step tolerance and mirroring.
+    """
+
+    def legendre(n, x):
+        p_prev, p = 1.0, x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+    if order == 1:
+        return np.array([0.5]), np.array([1.0])
+    n, half = order, (order + 1) // 2
+    nodes, weights = np.empty(n), np.empty(n)
+    for k in range(1, half + 1):
+        x = math.cos(math.pi * (k - 0.25) / (n + 0.5))
+        for _ in range(100):
+            p, dp = legendre(n, x)
+            dx = p / dp
+            x -= dx
+            if abs(dx) <= 1.0e-14:
+                break
+        p, dp = legendre(n, x)
+        w = 2.0 / ((1.0 - x * x) * dp * dp)
+        upper_node = (1.0 + x) / 2.0
+        nodes[n - k], nodes[k - 1] = upper_node, 1.0 - upper_node
+        weights[k - 1] = weights[n - k] = w / 2.0
+    if n % 2 == 1:
+        nodes[half - 1] = 0.5
+    return nodes, weights
+
+
 def table_j(order, x):
     """J_order(x) alone: a table up to `order` at the single argument x."""
     return float(bessel_j_table(order, np.array([x]))[order, 0])
@@ -45,6 +80,13 @@ class TestGaussQuadrature:
         for degree in (2 * order - 1, 2 * order - 2, 1, 0):
             integral = rule.integrate(rule.nodes**degree)
             assert integral == pytest.approx(1.0 / (degree + 1), rel=1e-13)
+
+    def test_bit_identical_to_scalar_newton(self):
+        for order in [*range(1, 97), 128, 256, 300, 512]:
+            rule = gauss_quadrature(order)
+            nodes, weights = scalar_gauss_legendre(order)
+            assert np.array_equal(rule.nodes, nodes), order
+            assert np.array_equal(rule.weights, weights), order
 
     def test_matches_numpy_on_unit_interval(self):
         rule = gauss_quadrature(40)

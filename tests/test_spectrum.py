@@ -20,7 +20,6 @@ from apcap.spectrum import (
     TruncationWarning,
     assemble_spectrum,
     default_truncation,
-    disc_for_area,
     effective_rank,
     eigenvalue_spectrum,
     spectrum_report,
@@ -30,7 +29,7 @@ from apcap.verification import STUDY_RANGE, STUDY_WAVELENGTH, area_for_m0
 
 def geometry_for_c(c):
     area = c * STUDY_WAVELENGTH * STUDY_RANGE / 2.0
-    return disc_for_area(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
+    return DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
 
 
 def modes_of(spectrum):
@@ -64,7 +63,7 @@ def fixed_truncation_nu_sq(c, max_angular_N, max_radial_m, quadrature_order):
 
 class TestDiscGeometry:
     def test_factory_round_trip(self):
-        geo = disc_for_area(2.0e5, 0.1, 1.0e6, 1.0)
+        geo = DiscGeometry(2.0e5, 0.1, 1.0e6, 1.0)
         assert geo.area_S == pytest.approx(math.pi * geo.radius_R**2, rel=1e-14)
         assert geo.c_param == pytest.approx(4.0, rel=1e-12)
         assert geo.space_bandwidth_M0 == pytest.approx(4.0, rel=1e-12)
@@ -72,32 +71,27 @@ class TestDiscGeometry:
 
     def test_c_is_twice_root_m0(self):
         for m0 in (0.25, 1.0, 9.0):
-            geo = disc_for_area(area_for_m0(m0), STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
+            geo = DiscGeometry(area_for_m0(m0), STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
             assert geo.c_param == pytest.approx(2.0 * math.sqrt(m0), rel=1e-12)
 
-    def test_inconsistent_fields_rejected(self):
-        good = disc_for_area(2.0e5, 0.1, 1.0e6, 1.0)
-        with pytest.raises(ValidationError, match="area"):
-            DiscGeometry(
-                radius_R=good.radius_R,
-                area_S=good.area_S * 1.001,
-                c_param=good.c_param,
-                space_bandwidth_M0=good.space_bandwidth_M0,
-                wavelength_lambda=good.wavelength_lambda,
-                range_d=good.range_d,
-                loss_L=good.loss_L,
-            )
+    @pytest.mark.parametrize("field", ["area_S", "wavelength_lambda", "range_d"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    def test_non_finite_or_negative_input_rejected(self, field, value):
+        values = {"area_S": 2.0e5, "wavelength_lambda": 0.1, "range_d": 1.0e6, "loss_L": 1.0}
+        values[field] = value
+        with pytest.raises(ValidationError, match=f"{field} must be positive and finite"):
+            DiscGeometry(**values)
 
     def test_small_disc_gate(self):
         # area above 1e-4 * pi d^2 is no longer a small disc at this range
         with pytest.raises(ValidationError, match="small-disc|area"):
-            disc_for_area(1.0e9, 0.1, 1.0e6, 1.0)
+            DiscGeometry(1.0e9, 0.1, 1.0e6, 1.0)
 
     def test_loss_bounds(self):
         with pytest.raises(ValidationError):
-            disc_for_area(2.0e5, 0.1, 1.0e6, -0.5)
+            DiscGeometry(2.0e5, 0.1, 1.0e6, -0.5)
         with pytest.raises(ValidationError):
-            disc_for_area(2.0e5, 0.1, 1.0e6, 1.5)
+            DiscGeometry(2.0e5, 0.1, 1.0e6, 1.5)
 
 
 class TestRadialEigensolve:
@@ -118,13 +112,34 @@ class TestRadialEigensolve:
         betas = spectrum.beta[spectrum.angular_N == 0]
         assert abs(betas[0]) > abs(betas[-1])
         rule = spectrum.quadrature
+        assert spectrum.radial_samples[0].shape == (64, betas.size)
         for m in range(3):
-            samples = spectrum.radial_samples[(0, m)]
-            assert samples.shape == (64,)
+            samples = spectrum.radial_samples[0][:, m]
             # unit L2 norm over the physical unit disc: integral of R^2 r dr
             # against 2*pi equals one
             norm = 2.0 * math.pi * rule.integrate(samples**2 * rule.nodes)
             assert norm == pytest.approx(1.0, rel=1e-10)
+
+    @pytest.mark.parametrize("c", [4.0, 64.0])
+    def test_betas_match_full_symmetric_matrix(self, c):
+        # assembly forms only the lower triangle; eigvalsh of the full matrix,
+        # built with the same products, must give the same bits
+        geo = geometry_for_c(c)
+        c = geo.c_param
+        spectrum = assemble_spectrum(geo, keep_radial=False)
+        q = spectrum.truncation[2]
+        rule = gauss_quadrature(q)
+        sqrt_x, sqrt_w = np.sqrt(rule.nodes), np.sqrt(rule.weights)
+        args = c * np.outer(rule.nodes, rule.nodes).ravel()
+        table = bessel_j_table(default_truncation(c)[0], args, range(4))
+        for N in range(4):
+            row = table[N].reshape(q, q)
+            matrix = sqrt_w[:, None] * (row * np.outer(sqrt_x, sqrt_x)) * sqrt_w[None, :]
+            betas = np.linalg.eigvalsh(matrix)
+            betas = betas[np.argsort(-np.abs(betas), kind="stable")]
+            kept = spectrum.beta[spectrum.angular_N == N]
+            assert kept.size > 0
+            assert np.array_equal(kept, betas[: kept.size])
 
     def test_quadrature_floor(self):
         with pytest.raises(ValidationError):
@@ -132,12 +147,12 @@ class TestRadialEigensolve:
 
     def test_c_bounds(self):
         # the default quadrature order of the largest c fits the quadrature limit
-        assert default_truncation(C_PARAM_MAX)[2] == QUAD_MAX_ORDER
-        assert default_truncation(C_PARAM_MAX + 1.0)[2] > QUAD_MAX_ORDER
+        assert default_truncation(C_PARAM_MAX)[1] == QUAD_MAX_ORDER
+        assert default_truncation(C_PARAM_MAX + 1.0)[1] > QUAD_MAX_ORDER
         # c = 2 |S| / (lambda d): 480 and 2000 at |S| = 2.4e7 and 1e8, lambda = 0.1, d = 1e6
         for area in (2.4e7, 1.0e8):
             with pytest.raises(ValidationError, match=r"c_param .* \(0, 472\]"):
-                assemble_spectrum(disc_for_area(area, 0.1, 1.0e6, 1.0), keep_radial=False)
+                assemble_spectrum(DiscGeometry(area, 0.1, 1.0e6, 1.0), keep_radial=False)
 
 
 class TestAssembleSpectrum:
@@ -188,10 +203,10 @@ class TestAssembleSpectrum:
     def test_loss_scales_nu_not_beta(self):
         area = area_for_m0(1.0)
         full = assemble_spectrum(
-            disc_for_area(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0), keep_radial=False
+            DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0), keep_radial=False
         )
         lossy = assemble_spectrum(
-            disc_for_area(area, STUDY_WAVELENGTH, STUDY_RANGE, 0.5), keep_radial=False
+            DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 0.5), keep_radial=False
         )
         assert lossy.beta[0] == pytest.approx(full.beta[0], rel=1e-13)
         assert lossy.nu_sq[0] == pytest.approx(0.5 * full.nu_sq[0], rel=1e-13)
@@ -199,10 +214,10 @@ class TestAssembleSpectrum:
     def test_same_c_same_betas(self):
         # beta depends on the geometry only through c
         a = assemble_spectrum(
-            disc_for_area(5.0e4, 0.1, 1.0e6, 1.0), keep_radial=False
+            DiscGeometry(5.0e4, 0.1, 1.0e6, 1.0), keep_radial=False
         )
         b = assemble_spectrum(
-            disc_for_area(5.0e3, 0.1, 1.0e5, 1.0), keep_radial=False
+            DiscGeometry(5.0e3, 0.1, 1.0e5, 1.0), keep_radial=False
         )
         assert a.geometry.c_param == pytest.approx(b.geometry.c_param, rel=1e-14)
         for beta_a, beta_b in zip(a.beta[:20], b.beta[:20]):
@@ -219,12 +234,12 @@ class TestAssembleSpectrum:
         without = assemble_spectrum(geo, keep_radial=False)
         assert without.radial_samples is None
         assert with_samples.radial_samples is not None
-        assert (0, 0) in with_samples.radial_samples
+        assert 0 in with_samples.radial_samples
 
     def test_default_truncation_grows_with_c(self):
-        n1, m1, q1 = default_truncation(1.0)
-        n2, m2, q2 = default_truncation(30.0)
-        assert n2 > n1 and m2 > m1 and q2 >= q1
+        n1, q1 = default_truncation(1.0)
+        n2, q2 = default_truncation(30.0)
+        assert n2 > n1 and q2 > q1
         assert q1 >= 64
 
 
@@ -283,7 +298,7 @@ class TestAdaptiveTruncation:
         assert payload["lower"] <= payload["upper"]
         largest = max(rows * cols * 8 for rows, cols in tables)
         assert largest < 150 * 2**20
-        geometry = disc_for_area(1.4e7, 0.1, 1.0e6, 1.0)
+        geometry = DiscGeometry(1.4e7, 0.1, 1.0e6, 1.0)
         assert geometry.c_param == pytest.approx(280.0, rel=1e-12)
         spectrum = eigenvalue_spectrum(geometry, DEFAULT_TRUNCATION)  # the memoized solve
         assert spectrum.angular_orders_solved - 1 < default_truncation(280.0)[0]
@@ -291,7 +306,7 @@ class TestAdaptiveTruncation:
     def test_walk_reaching_bound_warns(self, monkeypatch):
         # a bound below the cut must not truncate silently
         geo = geometry_for_c(4.0)
-        monkeypatch.setattr(spectrum_module, "default_truncation", lambda c: (5, 63, 64))
+        monkeypatch.setattr(spectrum_module, "default_truncation", lambda c: (5, 64))
         with pytest.warns(TruncationWarning, match="bound 5"):
             spectrum = assemble_spectrum(geo, keep_radial=False)
         assert spectrum.angular_orders_solved == 6
@@ -300,7 +315,7 @@ class TestAdaptiveTruncation:
 class TestEffectiveRank:
     def test_golden_plunge_ranks(self):
         for m0, expected in ((4.0, 3), (9.0, 8), (16.0, 17)):
-            geo = disc_for_area(area_for_m0(m0), STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
+            geo = DiscGeometry(area_for_m0(m0), STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
             spectrum = assemble_spectrum(geo, keep_radial=False)
             assert effective_rank(spectrum, 0.5) == expected
 
