@@ -40,7 +40,7 @@ def main():
     area = area_for_m0(4.0)
     geometry = DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
     spectrum = assemble_spectrum(geometry)
-    bound, active = lower_bound_beta(area, link, spectrum)
+    bound, active = lower_bound_beta(link, spectrum)
     print(
         f"gamma_g = {args.gamma_g:g}, M0 = 4, K = {args.streams}: "
         f"mode bound {bound:.6f} b/s/Hz ({active} active streams)"
@@ -50,7 +50,7 @@ def main():
     prev_excess = None
     for cells in args.cells:
         t0 = time.time()
-        design = synthesize_array(spectrum, area, args.streams, cells, link)
+        design = synthesize_array(spectrum, args.streams, cells, link)
         gram = finite_array_gram(design, geometry)
         offdiag = float(np.linalg.norm(gram - np.diag(np.diag(gram))))
         eff = achieved_efficiency(design, geometry, link)

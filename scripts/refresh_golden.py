@@ -129,11 +129,11 @@ def main():
     spectrum = assemble_spectrum(geometry)
     masses = []
     for cells in (64, 256, 1024):
-        design = synthesize_array(spectrum, area, 4, cells, link)
+        design = synthesize_array(spectrum, 4, cells, link)
         gram = finite_array_gram(design, geometry)
         masses.append(float(np.linalg.norm(gram - np.diag(np.diag(gram)))))
     golden["gram_offdiag_frobenius"] = masses
-    beta, _ = lower_bound_beta(area, link, spectrum)
+    beta, _ = lower_bound_beta(link, spectrum)
     golden["array_study_lower_bound"] = beta
 
     print("area maximizer at gamma_g = 100 ...")

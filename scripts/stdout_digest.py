@@ -6,9 +6,13 @@ sha256 of its stderr, so a gained or lost warning shows as well. Every
 invocation is one fresh `python -m apcap.cli` process, run from the root
 of the checkout with PYTHONPATH=src and one BLAS thread. The invocations
 are the benchmark's workload invocations (WORKLOADS of perfbench/run.py,
-imported, not copied) and four more: the spectrum report as JSON and as
+imported, not copied) and EXTRA: the spectrum report as JSON and as
 CSV, a starved truncation that warns on every disc the area optimizer
-tries, and an array whose subnormal transmit aperture is refused.
+tries, an array whose subnormal transmit aperture is refused, the CSV
+forms of link, sweep and bounds, invocations whose flags are wrong in two
+ways at once (which error wins is part of the output), a disc too small
+for its modes to be represented next to a tiny one that still works, and
+an --out path in a directory that does not exist.
 
 Two checkouts print the same lines exactly when these outputs are
 byte-identical, so a change that must not move any output is checked by a
@@ -29,6 +33,16 @@ EXTRA = (
     ("spectrum", "--area", "3.2e6", "--format", "csv"),
     ("bounds", "--max-angular", "0", "--max-radial", "0", "--quadrature-order", "16"),
     ("array", "--area", "2e5", "--aperture-tx", "1e-305"),
+    ("link", "--format", "csv"),
+    ("sweep", "--area", "2e5", "--grid", "2:20:3:log", "--format", "csv"),
+    ("bounds", "--format", "csv"),
+    ("sweep", "--power", "-1", "--grid", "junk"),
+    ("array", "--format", "csv", "--loss", "2", "--area", "2e5"),
+    ("verify", "--list", "no_such_check"),
+    ("verify", "--list"),
+    ("spectrum", "--area", "1e-300"),
+    ("spectrum", "--area", "1e-30"),
+    ("bounds", "--area", "2e5", "--out", "no-such-dir/bounds.json"),
 )
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _check_spectrum_matches, effective_gains
 from .link import LinkBudget, ValidationError
 from .numerics import bessel_j_table
 from .spectrum import EPS, DiscGeometry, OperatorSpectrum
@@ -300,18 +301,14 @@ def _radial_interpolator(spectrum: OperatorSpectrum, index: int):
 
 
 def synthesize_array(
-    spectrum: OperatorSpectrum,
-    area_S: float,
-    stream_count_K: int,
-    cell_count_N: int,
-    link: LinkBudget,
+    spectrum: OperatorSpectrum, stream_count_K: int, cell_count_N: int, link: LinkBudget
 ) -> ArrayDesign:
     """Build the K-stream distributed array on N equal-area cells.
 
     The top K spectrum modes become streams. Tx and rx share the same
-    partition of their (equal-area) discs; every element's sub-aperture
-    disk must fit inside its cell, otherwise the cell count is too small
-    and the call is rejected.
+    partition of their discs, both the spectrum's disc; every element's
+    sub-aperture disk must fit inside its cell, otherwise the cell count is
+    too small and the call is rejected.
     """
     if stream_count_K < 1:
         raise ValidationError(f"stream count must be positive, got {stream_count_K}")
@@ -326,11 +323,9 @@ def synthesize_array(
         )
     if spectrum.radial_samples is None:
         raise ValidationError("spectrum was assembled without radial samples")
-    from .bounds import _check_spectrum_matches, effective_gains
-
-    _check_spectrum_matches(area_S, link, spectrum)
-    geometry = spectrum.geometry
-    radius = geometry.radius_R
+    _check_spectrum_matches(link, spectrum)
+    area_S = spectrum.geometry.area_S
+    radius = spectrum.geometry.radius_R
 
     cells = equal_area_partition(cell_count_N)
     clearance_unit = min(c.clearance for c in cells)
@@ -367,7 +362,7 @@ def synthesize_array(
     eig_samples = np.array(rows)
 
     # validate the gains first: where they are refused, the weights below overflow
-    gains = effective_gains(area_S, link, spectrum)[:stream_count_K]
+    gains = effective_gains(link, spectrum)[:stream_count_K]
     alloc = waterfill(
         ChannelGains(gains_eta_sq=gains, noise_floor_BN0=link.bandwidth_B * link.noise_psd_N0),
         link.power_P,

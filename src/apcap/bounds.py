@@ -11,7 +11,6 @@ sqrt(gamma*g/(eps0-1)) * log2(eps0), about 1.1610 sqrt(gamma*g).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,19 +29,6 @@ from .waterfill import ChannelGains, allocation_efficiency, waterfill
 
 WEAK_SIGNAL = "weak_signal"
 STRONG_SIGNAL = "strong_signal"
-
-
-@dataclass(frozen=True)
-class CapacityBounds:
-    """Bounds record for one link: regime, bits, active count, best area."""
-
-    received_snr: float
-    lower_bits: float
-    upper_bits: float
-    regime: str
-    active_K: int
-    best_area_S: float | None
-    eps0: float
 
 
 def upper_bound(received_snr: float, eps0: float) -> float:
@@ -76,18 +62,17 @@ def corollary_approx(received_snr: float) -> float:
     return math.sqrt(received_snr / (eps0 - 1.0)) * math.log2(eps0)
 
 
-def effective_gains(area_S: float, link: LinkBudget, spectrum: OperatorSpectrum) -> np.ndarray:
-    """Per-mode effective power gains h_k = (A_T A_R / |S|^2) |nu_k|^2."""
-    scale = link.aperture_tx_AT * link.aperture_rx_AR / area_S**2
+def effective_gains(link: LinkBudget, spectrum: OperatorSpectrum) -> np.ndarray:
+    """Per-mode effective power gains h_k = (A_T A_R / |S|^2) |nu_k|^2.
+
+    |S| is the area of the spectrum's disc.
+    """
+    scale = link.aperture_tx_AT * link.aperture_rx_AR / spectrum.geometry.area_S**2
     return scale * spectrum.nu_sq
 
 
-def _check_spectrum_matches(area_S: float, link: LinkBudget, spectrum: OperatorSpectrum):
+def _check_spectrum_matches(link: LinkBudget, spectrum: OperatorSpectrum):
     geo = spectrum.geometry
-    if abs(geo.area_S - area_S) > 1.0e-9 * area_S:
-        raise ValidationError(
-            f"spectrum geometry area {geo.area_S:.6g} does not match requested area {area_S:.6g}"
-        )
     for name, got, want in (
         ("wavelength", geo.wavelength_lambda, link.wavelength_lambda),
         ("range", geo.range_d, link.range_d),
@@ -97,25 +82,25 @@ def _check_spectrum_matches(area_S: float, link: LinkBudget, spectrum: OperatorS
             raise ValidationError(f"spectrum {name} {got!r} does not match link {want!r}")
 
 
-def lower_bound_beta(
-    area_S: float, link: LinkBudget, spectrum: OperatorSpectrum
-) -> tuple[float, int]:
+def lower_bound_beta(link: LinkBudget, spectrum: OperatorSpectrum) -> tuple[float, int]:
     """Waterfilled lower bound beta(|S|) and its active stream count.
 
-    The disc area must be at least max(A_T, A_R) so the apertures fit
-    inside the synthesis disc. The bound is the waterfilling efficiency
+    |S| is the area of the spectrum's disc, which must be at least
+    max(A_T, A_R) so the apertures fit inside it; its wavelength, range and
+    loss must be the link's. The bound is the waterfilling efficiency
     over the effective gains h_k = (A_T A_R/|S|^2) |nu_k|^2 with budget P
     and noise floor B*N0.
     """
+    area_S = spectrum.geometry.area_S
     min_area = max(link.aperture_tx_AT, link.aperture_rx_AR)
     if area_S < min_area * (1.0 - 1.0e-12):
         raise ValidationError(
             f"synthesis area {area_S:.6g} is below max(A_T, A_R) = {min_area:.6g}"
         )
-    _check_spectrum_matches(area_S, link, spectrum)
+    _check_spectrum_matches(link, spectrum)
     derive_link(link)  # enforces the far-field gate
     gains = ChannelGains(
-        gains_eta_sq=effective_gains(area_S, link, spectrum),
+        gains_eta_sq=effective_gains(link, spectrum),
         noise_floor_BN0=link.bandwidth_B * link.noise_psd_N0,
     )
     alloc = waterfill(gains, link.power_P)
@@ -127,7 +112,7 @@ def beta_at_area(
 ) -> tuple[float, int]:
     """lower_bound_beta at one area over the memoized eigenvalue spectrum."""
     geometry = DiscGeometry(area_S, link.wavelength_lambda, link.range_d, link.loss_L)
-    return lower_bound_beta(area_S, link, eigenvalue_spectrum(geometry, truncation))
+    return lower_bound_beta(link, eigenvalue_spectrum(geometry, truncation))
 
 
 def default_area_grid(link: LinkBudget, points: int = 32) -> np.ndarray:
@@ -227,19 +212,18 @@ def bounds_report(
     area_S: float | None = None,
     truncation: Truncation = DEFAULT_TRUNCATION,
     grid_points: int = 32,
-) -> CapacityBounds:
-    """Full bounds record for a link, optimizing the disc area when none is given.
+) -> dict:
+    """JSON-ready bounds record of a link, optimizing the disc area when none is given.
 
-    The truncation applies to every area evaluated.
+    Keys, in order: gamma_g, regime, lower, upper, approx (the strong-regime
+    closed form, None in the weak regime), K (active streams), best_area
+    and eps0. The truncation applies to every area evaluated.
     """
     derived = derive_link(link)
     eps0 = solve_eps0()
     snr = derived.received_snr
     upper = upper_bound(snr, eps0)
-    if snr <= eps0 - 1.0:
-        regime = WEAK_SIGNAL
-    else:
-        regime = STRONG_SIGNAL
+    regime = WEAK_SIGNAL if snr <= eps0 - 1.0 else STRONG_SIGNAL
     if area_S is None:
         grid = default_area_grid(link, points=grid_points)
         best_area, lower = optimize_disc_area(link, grid, truncation)
@@ -247,29 +231,13 @@ def bounds_report(
     else:
         lower, active = beta_at_area(area_S, link, truncation)
         best_area = area_S
-    return CapacityBounds(
-        received_snr=snr,
-        lower_bits=lower,
-        upper_bits=upper,
-        regime=regime,
-        active_K=active,
-        best_area_S=best_area,
-        eps0=eps0,
-    )
-
-
-def bounds_to_dict(bounds: CapacityBounds) -> dict:
-    """JSON-ready bounds record."""
-    approx = None
-    if bounds.regime == STRONG_SIGNAL:
-        approx = corollary_approx(bounds.received_snr)
     return {
-        "gamma_g": bounds.received_snr,
-        "regime": bounds.regime,
-        "lower": bounds.lower_bits,
-        "upper": bounds.upper_bits,
-        "approx": approx,
-        "K": bounds.active_K,
-        "best_area": bounds.best_area_S,
-        "eps0": bounds.eps0,
+        "gamma_g": snr,
+        "regime": regime,
+        "lower": lower,
+        "upper": upper,
+        "approx": corollary_approx(snr) if regime == STRONG_SIGNAL else None,
+        "K": active,
+        "best_area": best_area,
+        "eps0": eps0,
     }

@@ -6,22 +6,22 @@ bounds with optional area optimization), array (finite distributed-array
 synthesis), verify (the named verification checks).
 
 Exit codes: 0 success, 1 validation error (bad flags or physical
-parameters), 2 verification failure. Output is deterministic: identical
-flags and seed produce byte-identical files.
+parameters, an unwritable --out path), 2 verification failure. Output is
+deterministic: identical flags produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 
-from .bounds import bounds_report, bounds_to_dict, corollary_approx
+from .bounds import bounds_report, corollary_approx
 from .arrays import design_json, synthesize_array
 from .link import LinkBudget, ValidationError, derive_link, siso_efficiency
 from .numerics import solve_eps0
@@ -33,44 +33,6 @@ EXIT_VALIDATION = 1
 EXIT_VERIFY = 2
 
 SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Sweep grid: points values from lo to hi, log or linear spacing."""
-
-    lo: float
-    hi: float
-    points: int
-    log: bool
-
-    def values(self) -> list[float]:
-        if self.log:
-            step = (math.log(self.hi) - math.log(self.lo)) / (self.points - 1)
-            return [math.exp(math.log(self.lo) + i * step) for i in range(self.points)]
-        step = (self.hi - self.lo) / (self.points - 1)
-        return [self.lo + i * step for i in range(self.points)]
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs; assembled from parsed flags."""
-
-    command: str
-    link: LinkBudget | None = None
-    area: float | None = None
-    grid: GridSpec | None = None
-    quadrature_order: int | None = None
-    max_angular: int | None = None
-    max_radial: int | None = None
-    out_format: str = "json"
-    out_path: str | None = None
-    seed: int = DEFAULT_SEED
-    streams: int = 4
-    cells: int = 256
-    golden: str | None = None
-    list_checks: bool = False
-    check_names: tuple[str, ...] = ()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,7 +74,6 @@ def _add_truncation_flags(p):
 def _add_output_flags(p):
     p.add_argument("--format", dest="out_format", choices=("json", "csv"), default="json", help="output format (default json)")
     p.add_argument("--out", dest="out_path", default=None, help="output path (default stdout)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"seed for randomized scenes (default {DEFAULT_SEED})")
 
 
 def build_parser() -> _Parser:
@@ -167,7 +128,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _parse_grid(text: str) -> GridSpec:
+def _parse_grid(text: str) -> list[float]:
+    """The received-SNR values of a min:max:points:log|lin grid spec."""
     parts = text.split(":")
     if len(parts) != 4:
         raise ValidationError(f"grid spec {text!r} is not min:max:points:log|lin")
@@ -181,193 +143,139 @@ def _parse_grid(text: str) -> GridSpec:
         raise ValidationError(f"grid needs at least 2 points, got {points}")
     if not lo < hi:
         raise ValidationError(f"grid needs min < max, got {lo} and {hi}")
-    if parts[3] == "log" and lo <= 0.0:
+    if parts[3] == "lin":
+        step = (hi - lo) / (points - 1)
+        return [lo + i * step for i in range(points)]
+    if lo <= 0.0:
         raise ValidationError("log grid needs a positive minimum")
-    return GridSpec(lo=lo, hi=hi, points=points, log=parts[3] == "log")
+    step = (math.log(hi) - math.log(lo)) / (points - 1)
+    return [math.exp(math.log(lo) + i * step) for i in range(points)]
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    if hasattr(args, "power"):
-        config.link = LinkBudget(
-            power_P=args.power,
-            bandwidth_B=args.bandwidth,
-            noise_psd_N0=args.noise_psd,
-            wavelength_lambda=args.wavelength,
-            range_d=args.range_d,
-            loss_L=args.loss,
-            aperture_tx_AT=args.aperture_tx,
-            aperture_rx_AR=args.aperture_rx,
-        )
-    for name in (
-        "area",
-        "quadrature_order",
-        "max_angular",
-        "max_radial",
-        "out_format",
-        "out_path",
-        "seed",
-        "streams",
-        "cells",
-        "golden",
-        "list_checks",
-    ):
-        if hasattr(args, name):
-            setattr(config, name, getattr(args, name))
-    if hasattr(args, "grid"):
-        config.grid = _parse_grid(args.grid)
-    if hasattr(args, "names"):
-        unknown = [n for n in args.names if n not in CHECK_NAMES]
-        if unknown:
-            raise ValidationError(f"unknown check names: {', '.join(unknown)}")
-        config.check_names = tuple(args.names)
-    return config
+def _link(args: argparse.Namespace) -> LinkBudget:
+    return LinkBudget(
+        args.power, args.bandwidth, args.noise_psd, args.wavelength, args.range_d,
+        args.loss, args.aperture_tx, args.aperture_rx,
+    )
 
 
-def _truncation(config: RunConfig) -> Truncation:
-    return (config.max_angular, config.max_radial, config.quadrature_order)
+def _truncation(args: argparse.Namespace) -> Truncation:
+    return (args.max_angular, args.max_radial, args.quadrature_order)
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.out_path is None:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.out_path is None:
         sys.stdout.write(text)
-    else:
-        with open(config.out_path, "w", newline="") as fh:
+        return
+    try:
+        with open(args.out_path, "w", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write --out {args.out_path!r}: {exc.strerror}") from None
 
 
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(rows: list[dict]) -> str:
+    """Header from the first record's keys, then one line per record."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(rows[0])
     for row in rows:
-        writer.writerow(["" if v is None else repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerow(["" if v is None else repr(v) if isinstance(v, float) else v for v in row.values()])
     return buf.getvalue()
 
 
-def run_link(config: RunConfig) -> int:
-    link = config.link
+def run_link(args: argparse.Namespace) -> int:
+    link = _link(args)
     derived = derive_link(link)
-    bounds = bounds_report(link, config.area, _truncation(config))
+    bounds = bounds_report(link, args.area, _truncation(args))
     siso = siso_efficiency(derived.received_snr)
-    if config.out_format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "g": derived.gain_g,
-            "gamma": derived.snr_gamma,
-            "gamma_g": derived.received_snr,
-            "siso_bits": siso,
-            "capacity_bps": link.bandwidth_B * siso,
-            "bounds": bounds_to_dict(bounds),
-        }
-        _emit(config, _json_text(payload))
+    record = {
+        "g": derived.gain_g,
+        "gamma": derived.snr_gamma,
+        "gamma_g": derived.received_snr,
+        "siso_bits": siso,
+        "capacity_bps": link.bandwidth_B * siso,
+    }
+    if args.out_format == "json":
+        _emit(args, _json_text({"schema_version": SCHEMA_VERSION, **record, "bounds": bounds}))
     else:
-        record = bounds_to_dict(bounds)
-        header = ["g", "gamma", "gamma_g", "siso_bits", "capacity_bps", "regime", "lower", "upper", "approx", "K", "best_area", "eps0"]
-        row = [
-            derived.gain_g,
-            derived.snr_gamma,
-            derived.received_snr,
-            siso,
-            link.bandwidth_B * siso,
-            record["regime"],
-            record["lower"],
-            record["upper"],
-            record["approx"],
-            record["K"],
-            record["best_area"],
-            record["eps0"],
-        ]
-        _emit(config, _csv_text(header, [row]))
+        # the bounds' gamma_g is the same number; the key keeps its place in record
+        _emit(args, _csv_text([{**record, **bounds}]))
     return EXIT_OK
 
 
-def run_sweep(config: RunConfig) -> int:
-    base = config.link
-    derived = derive_link(base)
+def run_sweep(args: argparse.Namespace) -> int:
+    base = _link(args)
+    grid = _parse_grid(args.grid)
+    received_snr = derive_link(base).received_snr
     eps0 = solve_eps0()
     lam_d = base.wavelength_lambda * base.range_d
     rows = []
-    for gamma_g in config.grid.values():
-        scale = gamma_g / derived.received_snr
-        link = LinkBudget(
-            power_P=base.power_P * scale,
-            bandwidth_B=base.bandwidth_B,
-            noise_psd_N0=base.noise_psd_N0,
-            wavelength_lambda=base.wavelength_lambda,
-            range_d=base.range_d,
-            loss_L=base.loss_L,
-            aperture_tx_AT=base.aperture_tx_AT,
-            aperture_rx_AR=base.aperture_rx_AR,
-        )
-        bounds = bounds_report(link, config.area, _truncation(config))
-        approx = corollary_approx(gamma_g) if gamma_g >= eps0 - 1.0 else None
+    for gamma_g in grid:
+        link = dataclasses.replace(base, power_P=base.power_P * (gamma_g / received_snr))
+        bounds = bounds_report(link, args.area, _truncation(args))
+        # siso and approx from the grid value: the rescaled link's gamma_g may be an ulp off
         rows.append(
             {
                 "gamma_g": gamma_g,
                 "siso": siso_efficiency(gamma_g),
-                "lower": bounds.lower_bits,
-                "upper": bounds.upper_bits,
-                "approx": approx,
-                "K": bounds.active_K,
-                "best_area_ratio": (bounds.best_area_S / lam_d) ** 2,
+                "lower": bounds["lower"],
+                "upper": bounds["upper"],
+                "approx": corollary_approx(gamma_g) if gamma_g >= eps0 - 1.0 else None,
+                "K": bounds["K"],
+                "best_area_ratio": (bounds["best_area"] / lam_d) ** 2,
             }
         )
-    if config.out_format == "json":
-        _emit(config, _json_text({"schema_version": SCHEMA_VERSION, "rows": rows}))
+    if args.out_format == "json":
+        _emit(args, _json_text({"schema_version": SCHEMA_VERSION, "rows": rows}))
     else:
-        header = ["gamma_g", "siso", "lower", "upper", "approx", "K", "best_area_ratio"]
-        _emit(config, _csv_text(header, [[r[k] for k in header] for r in rows]))
+        _emit(args, _csv_text(rows))
     return EXIT_OK
 
 
-def run_spectrum(config: RunConfig, args: argparse.Namespace) -> int:
+def run_spectrum(args: argparse.Namespace) -> int:
     geometry = DiscGeometry(args.area, args.wavelength, args.range_d, args.loss)
-    spectrum = assemble_spectrum(geometry, *_truncation(config), keep_radial=False)
+    spectrum = assemble_spectrum(geometry, *_truncation(args), keep_radial=False)
     report = spectrum_report(spectrum)
-    if config.out_format == "json":
-        _emit(config, _json_text(report))
+    if args.out_format == "json":
+        _emit(args, _json_text(report))
     else:
-        header = ["N", "m", "beta", "nu_sq"]
-        rows = [[m["N"], m["m"], m["beta"], m["nu_sq"]] for m in report["modes"]]
-        _emit(config, _csv_text(header, rows))
+        _emit(args, _csv_text(report["modes"]))
     return EXIT_OK
 
 
-def run_bounds(config: RunConfig) -> int:
-    bounds = bounds_report(config.link, config.area, _truncation(config))
-    record = bounds_to_dict(bounds)
-    if config.out_format == "json":
-        record = {"schema_version": SCHEMA_VERSION, **record}
-        _emit(config, _json_text(record))
+def run_bounds(args: argparse.Namespace) -> int:
+    record = bounds_report(_link(args), args.area, _truncation(args))
+    if args.out_format == "json":
+        _emit(args, _json_text({"schema_version": SCHEMA_VERSION, **record}))
     else:
-        header = ["gamma_g", "regime", "lower", "upper", "approx", "K", "best_area", "eps0"]
-        _emit(config, _csv_text(header, [[record[k] for k in header]]))
+        _emit(args, _csv_text([record]))
     return EXIT_OK
 
 
-def run_array(config: RunConfig) -> int:
-    if config.out_format != "json":
+def run_array(args: argparse.Namespace) -> int:
+    link = _link(args)
+    if args.out_format != "json":
         raise ValidationError("array designs export as JSON only")
-    link = config.link
-    geometry = DiscGeometry(config.area, link.wavelength_lambda, link.range_d, link.loss_L)
-    spectrum = assemble_spectrum(geometry, *_truncation(config))
-    design = synthesize_array(spectrum, config.area, config.streams, config.cells, link)
-    _emit(config, design_json(design))
+    geometry = DiscGeometry(args.area, link.wavelength_lambda, link.range_d, link.loss_L)
+    spectrum = assemble_spectrum(geometry, *_truncation(args))
+    _emit(args, design_json(synthesize_array(spectrum, args.streams, args.cells, link)))
     return EXIT_OK
 
 
-def run_verify(config: RunConfig) -> int:
-    if config.list_checks:
+def run_verify(args: argparse.Namespace) -> int:
+    unknown = [n for n in args.names if n not in CHECK_NAMES]
+    if unknown:
+        raise ValidationError(f"unknown check names: {', '.join(unknown)}")
+    if args.list_checks:
         for name in CHECK_NAMES:
             print(name)
         return EXIT_OK
-    names = list(config.check_names) if config.check_names else None
-    results = run_checks(names=names, seed=config.seed, golden_path=config.golden)
+    results = run_checks(names=args.names or None, seed=args.seed, golden_path=args.golden)
     width = max(len(r.name) for r in results)
     for i, result in enumerate(results, start=1):
         status = "PASS" if result.passed else "FAIL"
@@ -383,23 +291,22 @@ def run_verify(config: RunConfig) -> int:
     return EXIT_OK
 
 
+COMMANDS = {
+    "link": run_link,
+    "sweep": run_sweep,
+    "spectrum": run_spectrum,
+    "bounds": run_bounds,
+    "array": run_array,
+    "verify": run_verify,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     with warnings.catch_warnings(record=True) as caught:
         try:
             args = parser.parse_args(argv)
-            config = config_from_args(args)
-            if config.command == "link":
-                return run_link(config)
-            if config.command == "sweep":
-                return run_sweep(config)
-            if config.command == "spectrum":
-                return run_spectrum(config, args)
-            if config.command == "bounds":
-                return run_bounds(config)
-            if config.command == "array":
-                return run_array(config)
-            return run_verify(config)
+            return COMMANDS[args.command](args)
         except ValidationError as exc:
             print(f"apcap: error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION

@@ -39,10 +39,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
 
-    def integrate(self, values: np.ndarray) -> float:
-        """Integrate samples taken at the rule's nodes."""
-        return float(np.dot(self.weights, values))
-
 
 def _legendre_value_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P_n(x) and P_n'(x) by the three-term recurrence, elementwise over x."""

@@ -2,9 +2,10 @@
 
 Everything in this module deliberately avoids the main code paths:
 different algorithms, different discretizations, no shared helpers beyond
-numpy itself. The golden-file refresh script and the test suite run these
-against the production implementations; agreement is evidence, shared
-bugs are not.
+numpy itself. `apcap verify`, the golden-file refresh script and the test
+suite run these against the production implementations; agreement is
+evidence, shared bugs are not. Oracles only the tests use live in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -12,36 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-
-def series_bessel_j(order: int, x: float, terms: int = 60) -> float:
-    """Bessel J_n(x) by the plain ascending series with exact factorials.
-
-    Python integers keep the coefficients exact, so the only rounding is
-    the final float conversions. Accurate while the series converges
-    without significant cancellation, roughly x^2/4 < order + terms.
-    """
-    total = 0.0
-    half = x / 2.0
-    for k in range(terms):
-        coeff = (-1) ** k / (math.factorial(k) * math.factorial(k + order))
-        term = coeff * half ** (2 * k + order)
-        total += term
-        if abs(term) < 1e-18 * max(1.0, abs(total)) and k > order:
-            break
-    return total
-
-
-def bisect_eps0(iterations: int = 80) -> float:
-    """The threshold constant by pure bisection on e = exp(2(1 - 1/e))."""
-    lo, hi = 2.0, 10.0
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if mid - math.exp(2.0 * (1.0 - 1.0 / mid)) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
 
 
 def dense_disc_singular_values(
@@ -104,12 +75,3 @@ def greedy_waterfill(
         best = int(np.argmax(marginal))
         powers[best] += step
     return powers
-
-
-def grid_two_channel_best(
-    gain_a: float, gain_b: float, total_power: float, points: int = 20001
-) -> float:
-    """Exhaustive two-channel split: best rate in bits over a power grid."""
-    split = np.linspace(0.0, total_power, points)
-    rates = np.log1p(gain_a * split) + np.log1p(gain_b * (total_power - split))
-    return float(np.max(rates)) / math.log(2.0)

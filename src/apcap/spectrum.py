@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -222,8 +223,10 @@ def assemble_spectrum(
     takes default_truncation's bound N_hi and Q - 1); quadrature_order is
     used as given. Reaching N_hi without the cut stopping the walk issues
     a TruncationWarning, and so does capturing less than 99.9% of the
-    theoretical mass L |S|^2 / (lambda d)^2. The spectrum's truncation is
-    what was kept: the largest |N| and m among its modes, and Q.
+    theoretical mass L |S|^2 / (lambda d)^2. A disc whose theoretical mass
+    is below the smallest normal double is refused: its modes underflow.
+    The spectrum's truncation is what was kept: the largest |N| and m among
+    its modes, and Q.
 
     Each mode (N, m) with N != 0 enters twice (+N and -N) with the same
     magnitude. nu_sq = (L / lambda^2 d^2) R^4 (2 pi beta)^2.
@@ -237,6 +240,13 @@ def assemble_spectrum(
         raise ValidationError(
             f"c_param {c!r} outside supported range (0, {C_PARAM_MAX:g}], a disc area "
             f"|S| of up to about {C_PARAM_MAX / 2.0:g} lambda d (c = 2 |S| / (lambda d))"
+        )
+    total = geometry.spectral_mass
+    if not total >= sys.float_info.min:
+        raise ValidationError(
+            f"disc area {geometry.area_S:.6g} is too small: its spectral mass "
+            f"L |S|^2 / (lambda d)^2 = {total:.6g} is below the smallest normal double "
+            f"{sys.float_info.min:.6g}, so its modes underflow"
         )
     bound_N, default_q = default_truncation(c)
     quadrature_order = default_q if quadrature_order is None else quadrature_order
@@ -309,7 +319,6 @@ def assemble_spectrum(
         radial_samples=radial,
         angular_orders_solved=solved,
     )
-    total = geometry.spectral_mass
     if spectrum.captured_mass < SUM_RULE_CAPTURE_MIN * total:
         warnings.warn(
             f"retained modes capture {spectrum.captured_mass / total:.4%} of the "

@@ -261,7 +261,7 @@ def _check_bound_ordering(seed, golden):
         for area in default_area_grid(link, points=20):
             geometry = DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
             spectrum = eigenvalue_spectrum(geometry, DEFAULT_TRUNCATION)
-            beta, _ = lower_bound_beta(area, link, spectrum)
+            beta, _ = lower_bound_beta(link, spectrum)
             best_lower = max(best_lower, beta)
             worst_margin = max(worst_margin, beta - upper)
         if gamma_g <= eps0 - 1.0:
@@ -365,14 +365,14 @@ def _check_array_convergence(seed, golden):
     off_masses = []
     last_design = None
     for cells in (64, 256, 1024):
-        design = synthesize_array(spectrum, area, 4, cells, link)
+        design = synthesize_array(spectrum, 4, cells, link)
         gram = finite_array_gram(design, geometry)
         off = gram - np.diag(np.diag(gram))
         off_masses.append(float(np.linalg.norm(off)))
         last_design = design
     ratios = [b / a for a, b in zip(off_masses, off_masses[1:])]
     eff = achieved_efficiency(last_design, geometry, link)
-    beta, _ = lower_bound_beta(area, link, spectrum)
+    beta, _ = lower_bound_beta(link, spectrum)
     rel = abs(eff - beta) / beta
     elapsed = time.perf_counter() - t0
     frozen_ok = _allclose(off_masses, golden, "gram_offdiag_frobenius")
@@ -398,7 +398,7 @@ def _check_siso_construction(seed, golden):
     area = area_for_m0(1.0e-4)
     geometry = DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
     spectrum = assemble_spectrum(geometry)
-    design = synthesize_array(spectrum, area, 1, 1, link)
+    design = synthesize_array(spectrum, 1, 1, link)
     eff = achieved_efficiency(design, geometry, link)
     target = siso_efficiency(10.0)
     rel = abs(eff - target) / target
@@ -415,36 +415,14 @@ def _check_sweep_determinism(seed, golden):
 
     from .cli import main as cli_main
 
-    args_common = [
-        "sweep",
-        "--power",
-        "1e7",
-        "--bandwidth",
-        "1",
-        "--noise-psd",
-        "1",
-        "--wavelength",
-        "0.1",
-        "--range",
-        "1e6",
-        "--loss",
-        "1",
-        "--aperture-tx",
-        "100",
-        "--aperture-rx",
-        "100",
-        "--grid",
-        "0.5:10:4:log",
-        "--optimize-area",
-        "--format",
-        "csv",
-        "--seed",
-        str(seed),
-    ]
+    args = (
+        "sweep --power 1e7 --bandwidth 1 --noise-psd 1 --wavelength 0.1 --range 1e6 --loss 1 "
+        "--aperture-tx 100 --aperture-rx 100 --grid 0.5:10:4:log --optimize-area --format csv"
+    ).split()
     with tempfile.TemporaryDirectory() as tmp:
         paths = [Path(tmp) / "a.csv", Path(tmp) / "b.csv"]
         for path in paths:
-            code = cli_main(args_common + ["--out", str(path)])
+            code = cli_main(args + ["--out", str(path)])
             if code != 0:
                 return False, f"sweep exited {code}", "byte-identical files"
         blobs = [p.read_bytes() for p in paths]

@@ -48,7 +48,7 @@ def study_designs(m0_4_spectrum, snr10_link):
     # power, but its weights exercise the mode pairs whose Gram coupling
     # does not cancel by angular symmetry alone
     return {
-        n: synthesize_array(m0_4_spectrum, STUDY_AREA, 4, n, snr10_link)
+        n: synthesize_array(m0_4_spectrum, 4, n, snr10_link)
         for n in (64, 256, 1024)
     }
 
@@ -246,13 +246,14 @@ class TestEqualAreaPartition:
 class TestSynthesizeArray:
     def test_validation(self, m0_4_spectrum, snr10_link):
         with pytest.raises(ValidationError, match="stream count"):
-            synthesize_array(m0_4_spectrum, STUDY_AREA, 0, 16, snr10_link)
+            synthesize_array(m0_4_spectrum, 0, 16, snr10_link)
         with pytest.raises(ValidationError, match="at least the stream count"):
-            synthesize_array(m0_4_spectrum, STUDY_AREA, 8, 4, snr10_link)
+            synthesize_array(m0_4_spectrum, 8, 4, snr10_link)
         with pytest.raises(ValidationError, match="available modes"):
-            synthesize_array(m0_4_spectrum, STUDY_AREA, 1000, 2000, snr10_link)
-        with pytest.raises(ValidationError, match="does not match requested area"):
-            synthesize_array(m0_4_spectrum, area_for_m0(1.0), 3, 64, snr10_link)
+            synthesize_array(m0_4_spectrum, 1000, 2000, snr10_link)
+        farther = dataclasses.replace(snr10_link, range_d=2.0 * STUDY_RANGE)
+        with pytest.raises(ValidationError, match="spectrum range 1000000.0 does not match link"):
+            synthesize_array(m0_4_spectrum, 3, 64, farther)
 
     def test_needs_radial_samples(self, snr10_link):
         bare = assemble_spectrum(
@@ -260,7 +261,7 @@ class TestSynthesizeArray:
             keep_radial=False,
         )
         with pytest.raises(ValidationError, match="radial samples"):
-            synthesize_array(bare, STUDY_AREA, 3, 64, snr10_link)
+            synthesize_array(bare, 3, 64, snr10_link)
 
     def test_subaperture_must_fit_cell(self, snr10_link):
         # a synthesis disc barely larger than the aperture leaves no room
@@ -270,7 +271,7 @@ class TestSynthesizeArray:
             DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
         )
         with pytest.raises(ValidationError, match="does not fit inside"):
-            synthesize_array(tight, area, 1, 4, snr10_link)
+            synthesize_array(tight, 1, 4, snr10_link)
 
     def test_weight_rows_unit_norm(self, study_designs, snr10_link):
         for n, design in study_designs.items():
@@ -328,7 +329,7 @@ class TestFiniteArrayGram:
 
 class TestAchievedEfficiency:
     def test_single_element_matches_siso(self, m0_4_spectrum, m0_4_geometry, snr10_link):
-        design = synthesize_array(m0_4_spectrum, STUDY_AREA, 1, 1, snr10_link)
+        design = synthesize_array(m0_4_spectrum, 1, 1, snr10_link)
         achieved = achieved_efficiency(design, m0_4_geometry, snr10_link)
         assert achieved == pytest.approx(siso_efficiency(10.0), rel=1e-12)
         # the lone weight is the inverse aperture-root, up to phase
@@ -337,7 +338,7 @@ class TestAchievedEfficiency:
     def test_converges_to_waterfill_bound(
         self, study_designs, m0_4_geometry, m0_4_spectrum, snr10_link
     ):
-        lower, _ = lower_bound_beta(STUDY_AREA, snr10_link, m0_4_spectrum)
+        lower, _ = lower_bound_beta(snr10_link, m0_4_spectrum)
         upper = upper_bound(10.0, solve_eps0())
         effs = {
             n: achieved_efficiency(d, m0_4_geometry, snr10_link)
@@ -368,9 +369,9 @@ class TestDesignSerialization:
         self, study_designs, m0_4_spectrum, snr10_link, wide_spectrum
     ):
         designs = (
-            synthesize_array(m0_4_spectrum, STUDY_AREA, 1, 1, snr10_link),
+            synthesize_array(m0_4_spectrum, 1, 1, snr10_link),
             study_designs[64],
-            synthesize_array(wide_spectrum, WIDE_AREA, 21, 1024, WIDE_LINK),
+            synthesize_array(wide_spectrum, 21, 1024, WIDE_LINK),
         )
         for design in designs:
             expected = json.dumps(design_to_dict(design), indent=2) + "\n"
@@ -407,7 +408,7 @@ class TestPchip:
             return built[-1][2]
 
         monkeypatch.setattr(arrays_module, "_pchip", recording)
-        synthesize_array(wide_spectrum, WIDE_AREA, 21, 4096, WIDE_LINK)
+        synthesize_array(wide_spectrum, 21, 4096, WIDE_LINK)
         assert len(built) == 12  # the 21 streams pair +N with -N
         radii = np.array([c.centroid_r for c in equal_area_partition(4096)])
         dense = np.linspace(0.0, 1.0, 2049)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from apcap.bounds import (
     beta_at_area,
     bounds_report,
-    bounds_to_dict,
     corollary_approx,
     default_area_grid,
     effective_gains,
@@ -31,7 +31,7 @@ LOWER_AT_M0_4_SNR10 = 2.3172404605164445
 def fresh_beta_at_area(area, link):
     """beta_at_area computed from a spectrum solved afresh for this call."""
     geometry = DiscGeometry(area, link.wavelength_lambda, link.range_d, link.loss_L)
-    return lower_bound_beta(area, link, assemble_spectrum(geometry, keep_radial=False))
+    return lower_bound_beta(link, assemble_spectrum(geometry, keep_radial=False))
 
 
 class TestUpperBound:
@@ -78,21 +78,21 @@ class TestCorollaryApprox:
 
 class TestEffectiveGains:
     def test_gain_identity(self, m0_4_spectrum, snr10_link):
-        area = area_for_m0(4.0)
-        gains = effective_gains(area, snr10_link, m0_4_spectrum)
+        gains = effective_gains(snr10_link, m0_4_spectrum)
         g = 1.0e-6
         expected0 = g * 4.0 * float(m0_4_spectrum.beta[0]) ** 2
         assert gains[0] == pytest.approx(expected0, rel=1e-9)
         assert np.all(np.diff(gains) <= 1e-30)
 
     def test_geometry_mismatch_rejected(self, m0_4_spectrum, snr10_link):
-        with pytest.raises(ValidationError, match="does not match requested area"):
-            lower_bound_beta(area_for_m0(1.0), snr10_link, m0_4_spectrum)
+        farther = dataclasses.replace(snr10_link, range_d=2.0 * STUDY_RANGE)
+        with pytest.raises(ValidationError, match="spectrum range 1000000.0 does not match link"):
+            lower_bound_beta(farther, m0_4_spectrum)
 
 
 class TestLowerBound:
     def test_frozen_reference_value(self, m0_4_spectrum, snr10_link):
-        beta, active = lower_bound_beta(area_for_m0(4.0), snr10_link, m0_4_spectrum)
+        beta, active = lower_bound_beta(snr10_link, m0_4_spectrum)
         assert beta == pytest.approx(LOWER_AT_M0_4_SNR10, rel=1e-12)
         assert active == 3
 
@@ -100,7 +100,7 @@ class TestLowerBound:
         geo = DiscGeometry(50.0, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
         spectrum = assemble_spectrum(geo, keep_radial=False)
         with pytest.raises(ValidationError, match="max\\(A_T, A_R\\)"):
-            lower_bound_beta(50.0, snr10_link, spectrum)
+            lower_bound_beta(snr10_link, spectrum)
 
     def test_never_exceeds_upper(self, snr10_link):
         upper = upper_bound(10.0, EPS0)
@@ -153,16 +153,18 @@ class TestAreaOptimization:
 
 class TestBoundsReport:
     def test_fixed_area_report(self, snr10_link):
-        bounds = bounds_report(snr10_link, area_S=area_for_m0(4.0))
-        assert bounds.regime == "strong_signal"
-        assert bounds.lower_bits == pytest.approx(LOWER_AT_M0_4_SNR10, rel=1e-12)
-        assert bounds.active_K == 3
-        record = bounds_to_dict(bounds)
+        record = bounds_report(snr10_link, area_S=area_for_m0(4.0))
+        assert list(record) == [
+            "gamma_g", "regime", "lower", "upper", "approx", "K", "best_area", "eps0"
+        ]
+        assert record["regime"] == "strong_signal"
+        assert record["lower"] == pytest.approx(LOWER_AT_M0_4_SNR10, rel=1e-12)
+        assert record["K"] == 3
         assert record["approx"] == pytest.approx(upper_bound(10.0, EPS0), rel=1e-14)
 
     def test_weak_regime_record_has_no_approx(self):
         link = study_link(1.0)
-        record = bounds_to_dict(bounds_report(link, area_S=1000.0))
+        record = bounds_report(link, area_S=1000.0)
         assert record["regime"] == "weak_signal"
         assert record["approx"] is None
         assert record["lower"] <= record["upper"] + 1e-12

@@ -96,6 +96,13 @@ class TestSweepCommand:
             assert proc.returncode == 1, grid
             assert "grid" in proc.stderr
 
+    def test_link_checked_before_grid(self):
+        proc = run_cli("sweep", "--power", "-1", "--grid", "junk")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "apcap: error: power_P must be a positive finite number, got -1.0"
+        ]
+
 
 class TestSpectrumCommand:
     def test_csv_modes(self):
@@ -118,8 +125,31 @@ class TestSpectrumCommand:
         assert proc.returncode == 1
         assert "loss" in proc.stderr
 
+    def test_underflowing_disc_refused(self):
+        # the spectral mass L |S|^2 / (lambda d)^2 underflows to 0 here
+        proc = run_cli("spectrum", "--area", "1e-300")
+        assert proc.returncode == 1 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("apcap: error: disc area 1e-300 is too small")
+
+    def test_tiny_disc_still_solved(self):
+        proc = run_cli("spectrum", "--area", "1e-30")
+        assert proc.returncode == 0 and proc.stderr == ""
+        payload = json.loads(proc.stdout)
+        assert payload["sum_rule"]["fraction"] == pytest.approx(1.0, abs=1e-12)
+        assert [(m["N"], m["m"]) for m in payload["modes"]] == [(0, 0)]
+
 
 class TestBoundsCommand:
+    def test_out_into_missing_directory_refused(self, tmp_path):
+        target = tmp_path / "missing" / "bounds.json"
+        proc = run_cli("bounds", "--area", "2e5", "--out", str(target))
+        assert proc.returncode == 1 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"apcap: error: cannot write --out {str(target)!r}: ")
+
     def test_fixed_area_json(self):
         proc = run_cli("bounds", "--area", "2e5")
         payload = json.loads(proc.stdout)
@@ -227,6 +257,11 @@ class TestArrayCommand:
         assert proc.returncode == 1
         assert "JSON" in proc.stderr
 
+    def test_link_checked_before_format(self):
+        proc = run_cli("array", "--format", "csv", "--loss", "2", "--area", "2e5")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.splitlines() == ["apcap: error: loss_L must not exceed 1, got 2.0"]
+
 
 class TestVerifyCommand:
     def test_list_names(self):
@@ -247,6 +282,11 @@ class TestVerifyCommand:
         proc = run_cli("verify", "no_such_check")
         assert proc.returncode == 1
         assert "unknown check" in proc.stderr
+
+    def test_unknown_name_rejected_before_list(self):
+        proc = run_cli("verify", "--list", "no_such_check")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "unknown check names: no_such_check" in proc.stderr
 
     def test_tampered_golden_fails(self, tmp_path):
         golden = json.loads(GOLDEN.read_text())
@@ -277,6 +317,16 @@ class TestParserBehavior:
     def test_missing_subcommand_exits_one(self):
         proc = run_cli()
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize("command", ["link", "sweep", "spectrum", "bounds", "array"])
+    def test_seed_only_on_verify(self, command):
+        proc = run_cli(command, "--area", "2e5", "--seed", "1")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "unrecognized arguments: --seed 1" in proc.stderr
+
+    def test_verify_takes_seed(self):
+        proc = run_cli("verify", "--seed", "1", "--list")
+        assert proc.returncode == 0 and len(proc.stdout.splitlines()) == 15
 
     def test_console_script_installed(self):
         path = shutil.which("apcap")

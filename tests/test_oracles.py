@@ -6,19 +6,16 @@ from scipy import special
 
 from apcap.numerics import bessel_j_table, solve_eps0
 from apcap.oracles import (
-    bisect_eps0,
     dense_disc_gain_fractions,
     dense_disc_singular_values,
     greedy_waterfill,
-    grid_two_channel_best,
 )
 from apcap.waterfill import ChannelGains, allocation_efficiency, waterfill
+from oracles import bisect_eps0, grid_two_channel_best, series_bessel_j
 
 
 class TestSeriesBessel:
     def test_against_scipy(self):
-        from apcap.oracles import series_bessel_j
-
         # the plain series keeps ~13 digits through x = 11, where the
         # alternating terms already cancel three digits
         for order in (0, 1, 2, 5, 9):
@@ -28,8 +25,6 @@ class TestSeriesBessel:
                 )
 
     def test_against_production(self):
-        from apcap.oracles import series_bessel_j
-
         for order in (0, 3, 12):
             for x in (0.5, 2.0, 8.0):
                 production = bessel_j_table(order, np.array([x]))[order, 0]

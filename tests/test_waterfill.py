@@ -6,13 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from apcap.link import ValidationError
-from apcap.oracles import greedy_waterfill, grid_two_channel_best
+from apcap.oracles import greedy_waterfill
 from apcap.waterfill import (
     ChannelGains,
     allocation_efficiency,
     select_active_K,
     waterfill,
 )
+from oracles import grid_two_channel_best
 
 
 def channels(*gains, noise=1.0):
