@@ -19,8 +19,7 @@ import sys
 
 import numpy as np
 
-from apcap.bounds import beta_at_area, default_area_grid, optimize_disc_area, upper_bound
-from apcap.numerics import solve_eps0
+from apcap.bounds import EPS0, beta_at_area, default_area_grid, optimize_disc_area, upper_bound
 from apcap.verification import STUDY_RANGE, STUDY_WAVELENGTH, study_link
 
 
@@ -32,13 +31,12 @@ def main():
     args = parser.parse_args()
 
     link = study_link(args.gamma_g)
-    eps0 = solve_eps0()
-    upper = upper_bound(args.gamma_g, eps0)
+    upper = upper_bound(args.gamma_g)
     lambda_d = STUDY_WAVELENGTH * STUDY_RANGE
 
     grid = default_area_grid(link, points=args.points)
     betas = np.array([beta_at_area(a, link)[0] for a in grid])
-    best_area, best_beta = optimize_disc_area(link, grid)
+    best_area, best_beta, _ = optimize_disc_area(link, points=args.points)
     best_ratio = (best_area / lambda_d) ** 2
 
     print(f"gamma_g = {args.gamma_g:g}, upper bound {upper:.4f} b/s/Hz")
@@ -52,7 +50,7 @@ def main():
 
     print()
     print(f"refined argmax: M0 = {best_ratio:.5f}, beta = {best_beta:.5f}")
-    print(f"plateau scale sqrt(gamma_g/(eps0-1)) = {math.sqrt(args.gamma_g / (eps0 - 1.0)):.5f}")
+    print(f"plateau scale sqrt(gamma_g/(eps0-1)) = {math.sqrt(args.gamma_g / (EPS0 - 1.0)):.5f}")
     half_pct = grid[(betas >= 0.995 * best_beta)]
     if half_pct.size:
         lo, hi = (half_pct[0] / lambda_d) ** 2, (half_pct[-1] / lambda_d) ** 2

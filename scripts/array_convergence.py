@@ -19,8 +19,8 @@ import time
 import numpy as np
 
 from apcap.arrays import achieved_efficiency, finite_array_gram, synthesize_array
-from apcap.bounds import lower_bound_beta
-from apcap.spectrum import DiscGeometry, assemble_spectrum
+from apcap.bounds import beta_at_area
+from apcap.spectrum import DiscGeometry
 from apcap.verification import (
     STUDY_RANGE,
     STUDY_WAVELENGTH,
@@ -39,8 +39,7 @@ def main():
     link = study_link(args.gamma_g)
     area = area_for_m0(4.0)
     geometry = DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
-    spectrum = assemble_spectrum(geometry)
-    bound, active = lower_bound_beta(link, spectrum)
+    bound, active = beta_at_area(area, link)
     print(
         f"gamma_g = {args.gamma_g:g}, M0 = 4, K = {args.streams}: "
         f"mode bound {bound:.6f} b/s/Hz ({active} active streams)"
@@ -50,7 +49,7 @@ def main():
     prev_excess = None
     for cells in args.cells:
         t0 = time.time()
-        design = synthesize_array(spectrum, args.streams, cells, link)
+        design = synthesize_array(link, area, args.streams, cells)
         gram = finite_array_gram(design, geometry)
         offdiag = float(np.linalg.norm(gram - np.diag(np.diag(gram))))
         eff = achieved_efficiency(design, geometry, link)

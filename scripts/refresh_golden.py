@@ -25,16 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from apcap import (
-    assemble_spectrum,
-    finite_array_gram,
-    lower_bound_beta,
-    optimize_disc_area,
-    synthesize_array,
-    waterfill,
-)
-from apcap.bounds import default_area_grid
-from apcap.numerics import solve_eps0
+from apcap import beta_at_area, finite_array_gram, optimize_disc_area, synthesize_array, waterfill
+from apcap.bounds import EPS0
 from apcap.oracles import dense_disc_gain_fractions
 from apcap.spectrum import DiscGeometry
 from apcap.verification import (
@@ -104,9 +96,8 @@ def main():
     t_start = time.time()
 
     print("constants ...")
-    eps0 = solve_eps0()
-    golden["eps0"] = eps0
-    golden["corollary_coefficient"] = math.log2(eps0) / math.sqrt(eps0 - 1.0)
+    golden["eps0"] = EPS0
+    golden["corollary_coefficient"] = math.log2(EPS0) / math.sqrt(EPS0 - 1.0)
 
     print("hand allocation ...")
     channels = ChannelGains(gains_eta_sq=np.array([1.0, 0.5, 0.1]), noise_floor_BN0=1.0)
@@ -126,19 +117,17 @@ def main():
     link = study_link(10.0)
     area = area_for_m0(4.0)
     geometry = DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
-    spectrum = assemble_spectrum(geometry)
     masses = []
     for cells in (64, 256, 1024):
-        design = synthesize_array(spectrum, 4, cells, link)
+        design = synthesize_array(link, area, 4, cells)
         gram = finite_array_gram(design, geometry)
         masses.append(float(np.linalg.norm(gram - np.diag(np.diag(gram)))))
     golden["gram_offdiag_frobenius"] = masses
-    beta, _ = lower_bound_beta(link, spectrum)
+    beta, _ = beta_at_area(area, link)
     golden["array_study_lower_bound"] = beta
 
     print("area maximizer at gamma_g = 100 ...")
-    link100 = study_link(100.0)
-    best_area, best_beta = optimize_disc_area(link100, default_area_grid(link100, points=32))
+    best_area, best_beta, _ = optimize_disc_area(study_link(100.0), points=32)
     golden["maximizer_area_ratio_snr100"] = (
         best_area / (STUDY_WAVELENGTH * STUDY_RANGE)
     ) ** 2
@@ -148,9 +137,8 @@ def main():
     ratios = []
     for gamma_g in GAMMA_G_GRID:
         t0 = time.time()
-        row_link = study_link(gamma_g)
-        _, row_beta = optimize_disc_area(row_link, default_area_grid(row_link, points=24))
-        strong = math.sqrt(gamma_g / (eps0 - 1.0)) * math.log2(eps0)
+        _, row_beta, _ = optimize_disc_area(study_link(gamma_g), points=24)
+        strong = math.sqrt(gamma_g / (EPS0 - 1.0)) * math.log2(EPS0)
         ratios.append(row_beta / strong)
         print(f"  gamma_g={gamma_g:g}: ratio {ratios[-1]:.6f} in {time.time() - t0:.0f} s")
     golden["asymptotic_ratio_sequence"] = ratios

@@ -11,8 +11,9 @@ CSV, a starved truncation that warns on every disc the area optimizer
 tries, an array whose subnormal transmit aperture is refused, the CSV
 forms of link, sweep and bounds, invocations whose flags are wrong in two
 ways at once (which error wins is part of the output), a disc too small
-for its modes to be represented next to a tiny one that still works, and
-an --out path in a directory that does not exist.
+for its modes to be represented next to a tiny one that still works, an
+--out path in a directory that does not exist, and an array on a link that
+fails the far-field gate.
 
 Two checkouts print the same lines exactly when these outputs are
 byte-identical, so a change that must not move any output is checked by a
@@ -43,6 +44,10 @@ EXTRA = (
     ("spectrum", "--area", "1e-300"),
     ("spectrum", "--area", "1e-30"),
     ("bounds", "--area", "2e5", "--out", "no-such-dir/bounds.json"),
+    (
+        "array", "--area", "3e5", "--aperture-tx", "2e3", "--aperture-rx", "2e3",
+        "--range", "1e5", "--cells", "4096", "--streams", "1",
+    ),
 )
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -7,7 +7,7 @@ finite distributed arrays that approach the lower bound constructively.
 """
 
 from .arrays import finite_array_gram, synthesize_array
-from .bounds import lower_bound_beta, optimize_disc_area
+from .bounds import beta_at_area, optimize_disc_area
 from .link import ValidationError
 from .spectrum import assemble_spectrum
 from .waterfill import waterfill

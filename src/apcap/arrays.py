@@ -17,10 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _check_spectrum_matches, effective_gains
-from .link import LinkBudget, ValidationError
+from .bounds import effective_gains
+from .link import LinkBudget, ValidationError, derive_link
 from .numerics import bessel_j_table
-from .spectrum import EPS, DiscGeometry, OperatorSpectrum
+from .spectrum import (
+    DEFAULT_TRUNCATION,
+    EPS,
+    DiscGeometry,
+    OperatorSpectrum,
+    Truncation,
+    assemble_spectrum,
+)
 from .waterfill import ChannelGains, waterfill
 
 FAR_FIELD_RANGE_FACTOR = 1.0e3
@@ -301,15 +308,23 @@ def _radial_interpolator(spectrum: OperatorSpectrum, index: int):
 
 
 def synthesize_array(
-    spectrum: OperatorSpectrum, stream_count_K: int, cell_count_N: int, link: LinkBudget
+    link: LinkBudget,
+    area_S: float,
+    stream_count_K: int,
+    cell_count_N: int,
+    truncation: Truncation = DEFAULT_TRUNCATION,
 ) -> ArrayDesign:
     """Build the K-stream distributed array on N equal-area cells.
 
-    The top K spectrum modes become streams. Tx and rx share the same
-    partition of their discs, both the spectrum's disc; every element's
+    The disc of area |S| takes the link's wavelength, range and loss, and
+    its spectrum is solved with radial samples at the given truncation;
+    its top K modes become streams. Tx and rx share the same partition of
+    that disc. The link must pass the far-field gate, and every element's
     sub-aperture disk must fit inside its cell, otherwise the cell count is
     too small and the call is rejected.
     """
+    geometry = DiscGeometry(area_S, link.wavelength_lambda, link.range_d, link.loss_L)
+    spectrum = assemble_spectrum(geometry, *truncation)
     if stream_count_K < 1:
         raise ValidationError(f"stream count must be positive, got {stream_count_K}")
     if cell_count_N < stream_count_K:
@@ -321,11 +336,8 @@ def synthesize_array(
             f"stream count {stream_count_K} exceeds available modes {spectrum.nu_sq.size} "
             f"(the spectrum keeps only modes at or above EPS = {EPS:g} of the top one)"
         )
-    if spectrum.radial_samples is None:
-        raise ValidationError("spectrum was assembled without radial samples")
-    _check_spectrum_matches(link, spectrum)
-    area_S = spectrum.geometry.area_S
-    radius = spectrum.geometry.radius_R
+    derive_link(link)  # enforces the far-field gate
+    radius = geometry.radius_R
 
     cells = equal_area_partition(cell_count_N)
     clearance_unit = min(c.clearance for c in cells)

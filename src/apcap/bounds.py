@@ -30,8 +30,11 @@ from .waterfill import ChannelGains, allocation_efficiency, waterfill
 WEAK_SIGNAL = "weak_signal"
 STRONG_SIGNAL = "strong_signal"
 
+# the root of eps = exp(2(1 - 1/eps)); gamma*g = EPS0 - 1 splits the two regimes
+EPS0 = solve_eps0()
 
-def upper_bound(received_snr: float, eps0: float) -> float:
+
+def upper_bound(received_snr: float) -> float:
     """Upper bound on spectral efficiency in bits/s/Hz.
 
     log2(1 + gamma*g) up to the threshold eps0 - 1, then
@@ -40,9 +43,9 @@ def upper_bound(received_snr: float, eps0: float) -> float:
     """
     if received_snr < 0.0:
         raise ValidationError(f"received SNR must be nonnegative, got {received_snr!r}")
-    if received_snr <= eps0 - 1.0:
+    if received_snr <= EPS0 - 1.0:
         return math.log1p(received_snr) / math.log(2.0)
-    return math.sqrt(received_snr / (eps0 - 1.0)) * math.log2(eps0)
+    return math.sqrt(received_snr / (EPS0 - 1.0)) * math.log2(EPS0)
 
 
 def corollary_approx(received_snr: float) -> float:
@@ -53,13 +56,12 @@ def corollary_approx(received_snr: float) -> float:
     coefficient log2(eps0)/sqrt(eps0-1) (about 1.1610) is computed from
     the solved eps0, never hard-coded.
     """
-    eps0 = solve_eps0()
-    if received_snr < eps0 - 1.0:
+    if received_snr < EPS0 - 1.0:
         raise ValidationError(
             f"received SNR {received_snr:.6g} is below the threshold eps0 - 1 = "
-            f"{eps0 - 1.0:.6g}; the closed form only applies in the strong regime"
+            f"{EPS0 - 1.0:.6g}; the closed form only applies in the strong regime"
         )
-    return math.sqrt(received_snr / (eps0 - 1.0)) * math.log2(eps0)
+    return math.sqrt(received_snr / (EPS0 - 1.0)) * math.log2(EPS0)
 
 
 def effective_gains(link: LinkBudget, spectrum: OperatorSpectrum) -> np.ndarray:
@@ -71,33 +73,25 @@ def effective_gains(link: LinkBudget, spectrum: OperatorSpectrum) -> np.ndarray:
     return scale * spectrum.nu_sq
 
 
-def _check_spectrum_matches(link: LinkBudget, spectrum: OperatorSpectrum):
-    geo = spectrum.geometry
-    for name, got, want in (
-        ("wavelength", geo.wavelength_lambda, link.wavelength_lambda),
-        ("range", geo.range_d, link.range_d),
-        ("loss", geo.loss_L, link.loss_L),
-    ):
-        if abs(got - want) > 1.0e-12 * abs(want):
-            raise ValidationError(f"spectrum {name} {got!r} does not match link {want!r}")
-
-
-def lower_bound_beta(link: LinkBudget, spectrum: OperatorSpectrum) -> tuple[float, int]:
+def beta_at_area(
+    area_S: float, link: LinkBudget, truncation: Truncation = DEFAULT_TRUNCATION
+) -> tuple[float, int]:
     """Waterfilled lower bound beta(|S|) and its active stream count.
 
-    |S| is the area of the spectrum's disc, which must be at least
-    max(A_T, A_R) so the apertures fit inside it; its wavelength, range and
-    loss must be the link's. The bound is the waterfilling efficiency
-    over the effective gains h_k = (A_T A_R/|S|^2) |nu_k|^2 with budget P
-    and noise floor B*N0.
+    The disc of area |S| takes the link's wavelength, range and loss, and
+    its spectrum comes from the memoized eigenvalue_spectrum. |S| must be
+    at least max(A_T, A_R) so the apertures fit inside the disc, and the
+    link must pass the far-field gate. The bound is the waterfilling
+    efficiency over the effective gains h_k = (A_T A_R/|S|^2) |nu_k|^2
+    with budget P and noise floor B*N0.
     """
-    area_S = spectrum.geometry.area_S
+    geometry = DiscGeometry(area_S, link.wavelength_lambda, link.range_d, link.loss_L)
+    spectrum = eigenvalue_spectrum(geometry, truncation)
     min_area = max(link.aperture_tx_AT, link.aperture_rx_AR)
     if area_S < min_area * (1.0 - 1.0e-12):
         raise ValidationError(
             f"synthesis area {area_S:.6g} is below max(A_T, A_R) = {min_area:.6g}"
         )
-    _check_spectrum_matches(link, spectrum)
     derive_link(link)  # enforces the far-field gate
     gains = ChannelGains(
         gains_eta_sq=effective_gains(link, spectrum),
@@ -105,14 +99,6 @@ def lower_bound_beta(link: LinkBudget, spectrum: OperatorSpectrum) -> tuple[floa
     )
     alloc = waterfill(gains, link.power_P)
     return allocation_efficiency(gains, alloc), alloc.active_K
-
-
-def beta_at_area(
-    area_S: float, link: LinkBudget, truncation: Truncation = DEFAULT_TRUNCATION
-) -> tuple[float, int]:
-    """lower_bound_beta at one area over the memoized eigenvalue spectrum."""
-    geometry = DiscGeometry(area_S, link.wavelength_lambda, link.range_d, link.loss_L)
-    return lower_bound_beta(link, eigenvalue_spectrum(geometry, truncation))
 
 
 def default_area_grid(link: LinkBudget, points: int = 32) -> np.ndarray:
@@ -124,16 +110,15 @@ def default_area_grid(link: LinkBudget, points: int = 32) -> np.ndarray:
     the small-disc gate is rejected.
     """
     derived = derive_link(link)
-    eps0 = solve_eps0()
     lam_d = link.wavelength_lambda * link.range_d
     lo = max(link.aperture_tx_AT, link.aperture_rx_AR)
     end_factor = 4.0
-    m0_hi = end_factor * math.sqrt(max(derived.received_snr, eps0 - 1.0) / (eps0 - 1.0))
+    m0_hi = end_factor * math.sqrt(max(derived.received_snr, EPS0 - 1.0) / (EPS0 - 1.0))
     hi = lam_d * math.sqrt(m0_hi)
     c_hi = 2.0 * math.sqrt(m0_hi)
     if c_hi > C_PARAM_MAX:
         # the same end rule solved for gamma*g at c = C_PARAM_MAX, i.e. M0 = (c/2)^2
-        snr_max = (eps0 - 1.0) * ((C_PARAM_MAX / 2.0) ** 2 / end_factor) ** 2
+        snr_max = (EPS0 - 1.0) * ((C_PARAM_MAX / 2.0) ** 2 / end_factor) ** 2
         raise ValidationError(
             f"received SNR gamma*g = {derived.received_snr:.6g} is outside the supported "
             f"range: area optimization covers gamma*g up to {snr_max:.6g}, "
@@ -153,65 +138,53 @@ def default_area_grid(link: LinkBudget, points: int = 32) -> np.ndarray:
 
 
 def optimize_disc_area(
-    link: LinkBudget, area_grid: np.ndarray, truncation: Truncation = DEFAULT_TRUNCATION
-) -> tuple[float, float]:
-    """Best synthesis disc area and the lower bound it achieves.
+    link: LinkBudget, points: int = 32, truncation: Truncation = DEFAULT_TRUNCATION
+) -> tuple[float, float, int]:
+    """Best synthesis disc area, the lower bound it achieves and its active stream count.
 
-    Evaluates beta over the supplied grid, then runs a golden-section
-    refinement stage between the neighbors of the best grid point. The
-    refinement only ever improves on the best grid value since every
-    evaluated point is tracked.
+    Evaluates beta over default_area_grid(link, points), then runs a
+    golden-section refinement stage between the neighbors of the best grid
+    point. The refinement only ever improves on the best grid value since
+    every evaluated point is tracked.
     """
-    grid = np.sort(np.asarray(area_grid, dtype=float))
-    if grid.size < 2:
+    if points < 2:
         raise ValidationError("area grid needs at least two points")
-    min_area = max(link.aperture_tx_AT, link.aperture_rx_AR)
-    gate = AREA_RATIO_MAX * math.pi * link.range_d**2
-    if grid[0] < min_area * (1.0 - 1.0e-12) or grid[-1] > gate:
-        raise ValidationError(
-            f"area grid [{grid[0]:.6g}, {grid[-1]:.6g}] outside the admissible range "
-            f"[{min_area:.6g}, {gate:.6g}]"
-        )
-
-    betas = np.array([beta_at_area(a, link, truncation)[0] for a in grid])
-    best_idx = int(np.argmax(betas))
+    grid = default_area_grid(link, points)
+    evaluated = [beta_at_area(a, link, truncation) for a in grid]
+    best_idx = int(np.argmax([beta for beta, _ in evaluated]))
     best_area = float(grid[best_idx])
-    best_beta = float(betas[best_idx])
+    best_beta, best_K = evaluated[best_idx]
 
     # one golden-section stage between the bracketing neighbors, in log-area
     lo = grid[max(best_idx - 1, 0)]
-    hi = grid[min(best_idx + 1, grid.size - 1)]
+    hi = grid[min(best_idx + 1, points - 1)]
     if hi > lo:
         phi = (math.sqrt(5.0) - 1.0) / 2.0
         a, b = math.log(lo), math.log(hi)
         x1 = b - phi * (b - a)
         x2 = a + phi * (b - a)
-        f1, _ = beta_at_area(math.exp(x1), link, truncation)
-        f2, _ = beta_at_area(math.exp(x2), link, truncation)
+        f1, k1 = beta_at_area(math.exp(x1), link, truncation)
+        f2, k2 = beta_at_area(math.exp(x2), link, truncation)
         for _ in range(24):
             if f1 >= f2:
-                b, x2, f2 = x2, x1, f1
+                b, x2, f2, k2 = x2, x1, f1, k1
                 x1 = b - phi * (b - a)
-                f1, _ = beta_at_area(math.exp(x1), link, truncation)
-                x, fx = x1, f1
+                f1, k1 = beta_at_area(math.exp(x1), link, truncation)
+                x, fx, kx = x1, f1, k1
             else:
-                a, x1, f1 = x1, x2, f2
+                a, x1, f1, k1 = x1, x2, f2, k2
                 x2 = a + phi * (b - a)
-                f2, _ = beta_at_area(math.exp(x2), link, truncation)
-                x, fx = x2, f2
+                f2, k2 = beta_at_area(math.exp(x2), link, truncation)
+                x, fx, kx = x2, f2, k2
             if fx > best_beta:
-                best_beta = fx
-                best_area = math.exp(x)
+                best_area, best_beta, best_K = math.exp(x), fx, kx
             if b - a < 1.0e-4:
                 break
-    return best_area, best_beta
+    return best_area, best_beta, best_K
 
 
 def bounds_report(
-    link: LinkBudget,
-    area_S: float | None = None,
-    truncation: Truncation = DEFAULT_TRUNCATION,
-    grid_points: int = 32,
+    link: LinkBudget, area_S: float | None = None, truncation: Truncation = DEFAULT_TRUNCATION
 ) -> dict:
     """JSON-ready bounds record of a link, optimizing the disc area when none is given.
 
@@ -219,15 +192,10 @@ def bounds_report(
     closed form, None in the weak regime), K (active streams), best_area
     and eps0. The truncation applies to every area evaluated.
     """
-    derived = derive_link(link)
-    eps0 = solve_eps0()
-    snr = derived.received_snr
-    upper = upper_bound(snr, eps0)
-    regime = WEAK_SIGNAL if snr <= eps0 - 1.0 else STRONG_SIGNAL
+    snr = derive_link(link).received_snr
+    regime = WEAK_SIGNAL if snr <= EPS0 - 1.0 else STRONG_SIGNAL
     if area_S is None:
-        grid = default_area_grid(link, points=grid_points)
-        best_area, lower = optimize_disc_area(link, grid, truncation)
-        _, active = beta_at_area(best_area, link, truncation)
+        best_area, lower, active = optimize_disc_area(link, truncation=truncation)
     else:
         lower, active = beta_at_area(area_S, link, truncation)
         best_area = area_S
@@ -235,9 +203,9 @@ def bounds_report(
         "gamma_g": snr,
         "regime": regime,
         "lower": lower,
-        "upper": upper,
+        "upper": upper_bound(snr),
         "approx": corollary_approx(snr) if regime == STRONG_SIGNAL else None,
         "K": active,
         "best_area": best_area,
-        "eps0": eps0,
+        "eps0": EPS0,
     }

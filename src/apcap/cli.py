@@ -21,10 +21,9 @@ import math
 import sys
 import warnings
 
-from .bounds import bounds_report, corollary_approx
+from .bounds import EPS0, bounds_report, corollary_approx
 from .arrays import design_json, synthesize_array
 from .link import LinkBudget, ValidationError, derive_link, siso_efficiency
-from .numerics import solve_eps0
 from .spectrum import DiscGeometry, Truncation, assemble_spectrum, spectrum_report
 from .verification import CHECK_NAMES, DEFAULT_SEED, run_checks
 
@@ -212,7 +211,6 @@ def run_sweep(args: argparse.Namespace) -> int:
     base = _link(args)
     grid = _parse_grid(args.grid)
     received_snr = derive_link(base).received_snr
-    eps0 = solve_eps0()
     lam_d = base.wavelength_lambda * base.range_d
     rows = []
     for gamma_g in grid:
@@ -225,7 +223,7 @@ def run_sweep(args: argparse.Namespace) -> int:
                 "siso": siso_efficiency(gamma_g),
                 "lower": bounds["lower"],
                 "upper": bounds["upper"],
-                "approx": corollary_approx(gamma_g) if gamma_g >= eps0 - 1.0 else None,
+                "approx": corollary_approx(gamma_g) if gamma_g >= EPS0 - 1.0 else None,
                 "K": bounds["K"],
                 "best_area_ratio": (bounds["best_area"] / lam_d) ** 2,
             }
@@ -261,9 +259,8 @@ def run_array(args: argparse.Namespace) -> int:
     link = _link(args)
     if args.out_format != "json":
         raise ValidationError("array designs export as JSON only")
-    geometry = DiscGeometry(args.area, link.wavelength_lambda, link.range_d, link.loss_L)
-    spectrum = assemble_spectrum(geometry, *_truncation(args))
-    _emit(args, design_json(synthesize_array(spectrum, args.streams, args.cells, link)))
+    design = synthesize_array(link, args.area, args.streams, args.cells, _truncation(args))
+    _emit(args, design_json(design))
     return EXIT_OK
 
 

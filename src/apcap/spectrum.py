@@ -232,8 +232,7 @@ def assemble_spectrum(
     magnitude. nu_sq = (L / lambda^2 d^2) R^4 (2 pi beta)^2.
 
     keep_radial=False skips eigenvectors (faster, eigenvalues only); the
-    resulting spectrum has radial_samples None and cannot seed array
-    synthesis.
+    resulting spectrum has radial_samples None.
     """
     c = geometry.c_param
     if not (0.0 < c <= C_PARAM_MAX):
@@ -330,14 +329,29 @@ def assemble_spectrum(
 
 
 @functools.lru_cache(maxsize=SPECTRUM_MEMO_SIZE)
+def _recorded_solve(
+    geometry: DiscGeometry, truncation: Truncation
+) -> tuple[OperatorSpectrum, tuple[Warning, ...]]:
+    """The eigenvalue-only spectrum and every warning its solve raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spectrum = assemble_spectrum(geometry, *truncation, keep_radial=False)
+    return spectrum, tuple(w.message for w in caught)
+
+
 def eigenvalue_spectrum(geometry: DiscGeometry, truncation: Truncation) -> OperatorSpectrum:
     """assemble_spectrum(geometry, *truncation, keep_radial=False), memoized.
 
     The key is the exact geometry and truncation triple (None entries take
     the defaults), so a hit returns the spectrum a fresh solve gives. The
-    result is shared between callers; its columns are read-only.
+    result is shared between callers; its columns are read-only. Every
+    call raises again the warnings the solve raised, so what a call warns
+    does not depend on the calls before it.
     """
-    return assemble_spectrum(geometry, *truncation, keep_radial=False)
+    spectrum, caught = _recorded_solve(geometry, truncation)
+    for message in caught:
+        warnings.warn(message, stacklevel=2)
+    return spectrum
 
 
 def effective_rank(spectrum: OperatorSpectrum, fraction: float) -> int:

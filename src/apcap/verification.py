@@ -32,17 +32,11 @@ from .arrays import (
     lemma1_check,
     synthesize_array,
 )
-from .bounds import default_area_grid, lower_bound_beta, optimize_disc_area, upper_bound
+from .bounds import EPS0, beta_at_area, default_area_grid, optimize_disc_area, upper_bound
 from .link import LinkBudget, siso_efficiency
 from .numerics import solve_eps0
 from .oracles import greedy_waterfill
-from .spectrum import (
-    DEFAULT_TRUNCATION,
-    DiscGeometry,
-    assemble_spectrum,
-    effective_rank,
-    eigenvalue_spectrum,
-)
+from .spectrum import DiscGeometry, assemble_spectrum, effective_rank
 from .waterfill import ChannelGains, allocation_efficiency, waterfill
 
 DEFAULT_SEED = 20260822
@@ -135,8 +129,7 @@ def _check_eps0_constant(seed, golden):
 
 
 def _check_corollary_coefficient(seed, golden):
-    eps0 = solve_eps0()
-    coeff = math.log2(eps0) / math.sqrt(eps0 - 1.0)
+    coeff = math.log2(EPS0) / math.sqrt(EPS0 - 1.0)
     in_window = abs(coeff - 1.1610) <= 1.0e-3
     frozen_ok, frozen_msg = _match(coeff, golden, "corollary_coefficient")
     return (
@@ -147,12 +140,11 @@ def _check_corollary_coefficient(seed, golden):
 
 
 def _check_branch_continuity(seed, golden):
-    eps0 = solve_eps0()
-    x = eps0 - 1.0
+    x = EPS0 - 1.0
     weak = math.log1p(x) / math.log(2.0)
-    strong = math.sqrt(x / (eps0 - 1.0)) * math.log2(eps0)
+    strong = math.sqrt(x / (EPS0 - 1.0)) * math.log2(EPS0)
     gap = abs(weak - strong)
-    at_point = abs(upper_bound(x, eps0) - weak)
+    at_point = abs(upper_bound(x) - weak)
     return (
         gap <= 1.0e-9 and at_point <= 1.0e-12,
         f"|weak - strong| = {gap:.3e} at gamma_g = eps0 - 1; "
@@ -251,20 +243,17 @@ def _check_hand_allocation(seed, golden):
 
 
 def _check_bound_ordering(seed, golden):
-    eps0 = solve_eps0()
     worst_margin = -math.inf
     weak_err = 0.0
     for gamma_g in GAMMA_G_GRID:
         link = study_link(gamma_g)
-        upper = upper_bound(gamma_g, eps0)
+        upper = upper_bound(gamma_g)
         best_lower = -math.inf
         for area in default_area_grid(link, points=20):
-            geometry = DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
-            spectrum = eigenvalue_spectrum(geometry, DEFAULT_TRUNCATION)
-            beta, _ = lower_bound_beta(link, spectrum)
+            beta, _ = beta_at_area(area, link)
             best_lower = max(best_lower, beta)
             worst_margin = max(worst_margin, beta - upper)
-        if gamma_g <= eps0 - 1.0:
+        if gamma_g <= EPS0 - 1.0:
             weak_err = max(weak_err, abs(best_lower - siso_efficiency(gamma_g)))
     return (
         worst_margin <= 1.0e-12 and weak_err <= 1.0e-3,
@@ -275,11 +264,9 @@ def _check_bound_ordering(seed, golden):
 
 
 def _check_maximizer_location(seed, golden):
-    eps0 = solve_eps0()
-    link = study_link(100.0)
-    best_area, best_beta = optimize_disc_area(link, default_area_grid(link, points=32))
+    best_area, best_beta, _ = optimize_disc_area(study_link(100.0), points=32)
     ratio = (best_area / (STUDY_WAVELENGTH * STUDY_RANGE)) ** 2
-    center = math.sqrt(100.0 / (eps0 - 1.0))
+    center = math.sqrt(100.0 / (EPS0 - 1.0))
     lo, hi = 0.7 * center, 1.3 * center
     in_window = lo <= ratio <= hi
     frozen_ok, frozen_msg = _match(ratio, golden, "maximizer_area_ratio_snr100")
@@ -292,12 +279,10 @@ def _check_maximizer_location(seed, golden):
 
 
 def _check_asymptotic_ratio(seed, golden):
-    eps0 = solve_eps0()
     ratios = []
     for gamma_g in GAMMA_G_GRID:
-        link = study_link(gamma_g)
-        _, best_beta = optimize_disc_area(link, default_area_grid(link, points=24))
-        strong = math.sqrt(gamma_g / (eps0 - 1.0)) * math.log2(eps0)
+        _, best_beta, _ = optimize_disc_area(study_link(gamma_g), points=24)
+        strong = math.sqrt(gamma_g / (EPS0 - 1.0)) * math.log2(EPS0)
         ratios.append(best_beta / strong)
     nondecreasing = all(b >= a - 1.0e-12 for a, b in zip(ratios, ratios[1:]))
     at_1e4 = ratios[GAMMA_G_GRID.index(1.0e4)]
@@ -361,18 +346,17 @@ def _check_array_convergence(seed, golden):
     link = study_link(10.0)
     area = area_for_m0(4.0)
     geometry = DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
-    spectrum = assemble_spectrum(geometry)
     off_masses = []
     last_design = None
     for cells in (64, 256, 1024):
-        design = synthesize_array(spectrum, 4, cells, link)
+        design = synthesize_array(link, area, 4, cells)
         gram = finite_array_gram(design, geometry)
         off = gram - np.diag(np.diag(gram))
         off_masses.append(float(np.linalg.norm(off)))
         last_design = design
     ratios = [b / a for a, b in zip(off_masses, off_masses[1:])]
     eff = achieved_efficiency(last_design, geometry, link)
-    beta, _ = lower_bound_beta(link, spectrum)
+    beta, _ = beta_at_area(area, link)
     rel = abs(eff - beta) / beta
     elapsed = time.perf_counter() - t0
     frozen_ok = _allclose(off_masses, golden, "gram_offdiag_frobenius")
@@ -397,8 +381,7 @@ def _check_siso_construction(seed, golden):
     link = study_link(10.0)
     area = area_for_m0(1.0e-4)
     geometry = DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
-    spectrum = assemble_spectrum(geometry)
-    design = synthesize_array(spectrum, 1, 1, link)
+    design = synthesize_array(link, area, 1, 1)
     eff = achieved_efficiency(design, geometry, link)
     target = siso_efficiency(10.0)
     rel = abs(eff - target) / target

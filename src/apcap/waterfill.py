@@ -54,49 +54,35 @@ class PowerAllocation:
     water_level: float
 
 
-def _inverted_floors(gains: ChannelGains) -> np.ndarray:
-    """BN0/g_i over the leading gains whose inverted floor is finite.
-
-    The gains are sorted, so the rest (zero gains, and gains so small that
-    BN0/g overflows) form a suffix; none of those channels can be active.
-    """
-    positive = gains.gains_eta_sq[gains.gains_eta_sq > 0.0]
-    with np.errstate(over="ignore"):
-        floors = gains.noise_floor_BN0 / positive
-    return floors[np.isfinite(floors)]
-
-
-def select_active_K(gains: ChannelGains, total_power_P: float) -> int:
-    """Greatest K whose prefix water level clears the K-th inverted gain.
-
-    K is the largest integer with
-
-        (P + sum_{i<=K} BN0/g_i) / K >= BN0/g_K,
-
-    over the gains with a finite inverted floor, in sorted order, and among
-    the K whose prefix sum does not overflow. Channels sitting exactly at
-    the water level are counted active (they receive zero power, and the
-    efficiency is unaffected either way).
-    """
-    if not (total_power_P > 0.0 and math.isfinite(total_power_P)):
-        raise ValidationError(f"total power must be positive and finite, got {total_power_P!r}")
-    floors = _inverted_floors(gains)
-    with np.errstate(over="ignore"):
-        levels = (total_power_P + np.cumsum(floors)) / np.arange(1, floors.size + 1)
-    clears = np.flatnonzero((levels >= floors) & np.isfinite(levels))
-    return int(clears[-1]) + 1 if clears.size else 1
-
-
 def waterfill(gains: ChannelGains, total_power_P: float) -> PowerAllocation:
     """Waterfilling allocation of a total power budget over the channels.
 
-    The water level is (P + sum_{i<=K} BN0/g_i) / K with K the active
-    count; each active channel receives the level minus its own inverted
-    gain, and the powers telescope to P exactly. Channels past the active
-    ones, zero-gain channels among them, are reported with zero power.
+    The active count K is the largest integer with
+
+        (P + sum_{i<=K} BN0/g_i) / K >= BN0/g_K,
+
+    over the gains with a finite inverted floor BN0/g_i, in sorted order,
+    and among the K whose prefix sum does not overflow. The gains are
+    sorted, so the rest (zero gains, and gains so small that BN0/g
+    overflows) form a suffix, and none of those channels can be active.
+    Channels sitting exactly at the water level are counted active: they
+    receive zero power, and the efficiency is unaffected either way.
+
+    The water level is (P + sum_{i<=K} BN0/g_i) / K; each active channel
+    receives the level minus its own inverted gain, and the powers
+    telescope to P exactly. Channels past the active ones, zero-gain
+    channels among them, are reported with zero power.
     """
-    active = select_active_K(gains, total_power_P)
-    floors = _inverted_floors(gains)[:active]
+    if not (total_power_P > 0.0 and math.isfinite(total_power_P)):
+        raise ValidationError(f"total power must be positive and finite, got {total_power_P!r}")
+    positive = gains.gains_eta_sq[gains.gains_eta_sq > 0.0]
+    with np.errstate(over="ignore"):
+        floors = gains.noise_floor_BN0 / positive
+        floors = floors[np.isfinite(floors)]
+        levels = (total_power_P + np.cumsum(floors)) / np.arange(1, floors.size + 1)
+    clears = np.flatnonzero((levels >= floors) & np.isfinite(levels))
+    active = int(clears[-1]) + 1 if clears.size else 1
+    floors = floors[:active]
     level = (total_power_P + float(np.sum(floors))) / active
     powers = np.zeros(gains.gains_eta_sq.size)
     # a channel exactly at the level is active with zero power; tiny negative

@@ -12,8 +12,7 @@ import math
 
 import pytest
 
-from apcap.bounds import default_area_grid, optimize_disc_area
-from apcap.numerics import solve_eps0
+from apcap.bounds import EPS0, optimize_disc_area
 from apcap.verification import (
     CHECK_NAMES,
     GAMMA_G_GRID,
@@ -128,29 +127,25 @@ def test_15_sweep_determinism():
 
 @pytest.fixture(scope="module")
 def snr100_optimum():
-    link = study_link(100.0)
-    grid = default_area_grid(link, points=32)
-    return optimize_disc_area(link, grid)
+    return optimize_disc_area(study_link(100.0), points=32)
 
 
 def test_10_truth_maximizer_sits_below_window(snr100_optimum):
-    best_area, best_beta = snr100_optimum
+    best_area, best_beta, _ = snr100_optimum
     ratio = (best_area / (0.1 * 1.0e6)) ** 2
     assert ratio == pytest.approx(3.4851697132868833, rel=1e-6)
     assert best_beta == pytest.approx(10.580672572385934, rel=1e-6)
-    window_lo = 0.7 * math.sqrt(100.0 / (solve_eps0() - 1.0))
+    window_lo = 0.7 * math.sqrt(100.0 / (EPS0 - 1.0))
     assert ratio < window_lo
     # close miss: the measured ratio is within 2% of the window edge
     assert ratio > 0.98 * window_lo
 
 
 def test_11_truth_ratio_dips_after_threshold():
-    eps0 = solve_eps0()
     ratios = []
     for gamma_g in GAMMA_G_GRID:
-        link = study_link(gamma_g)
-        _, best_beta = optimize_disc_area(link, default_area_grid(link, points=24))
-        ratios.append(best_beta / (math.sqrt(gamma_g / (eps0 - 1.0)) * math.log2(eps0)))
+        _, best_beta, _ = optimize_disc_area(study_link(gamma_g), points=24)
+        ratios.append(best_beta / (math.sqrt(gamma_g / (EPS0 - 1.0)) * math.log2(EPS0)))
     # peaks at the threshold point gamma_g = eps0 - 1, where lower meets upper
     peak = GAMMA_G_GRID.index(3.9215)
     assert ratios[peak] == pytest.approx(1.0, abs=1e-5)

@@ -21,11 +21,9 @@ from apcap.arrays import (
     reduced_channel_matrix,
     synthesize_array,
 )
-from apcap.bounds import lower_bound_beta, upper_bound
+from apcap.bounds import beta_at_area, upper_bound
 from apcap.link import LinkBudget, ValidationError, siso_efficiency
-from apcap.numerics import solve_eps0
-from apcap.spectrum import DiscGeometry, assemble_spectrum
-from apcap.verification import STUDY_RANGE, STUDY_WAVELENGTH, area_for_m0, study_link
+from apcap.verification import area_for_m0
 
 STUDY_AREA = area_for_m0(4.0)
 # the disc and budget of `apcap array --area 4e5 --power 1e9 --streams 21`
@@ -43,19 +41,11 @@ WIDE_LINK = LinkBudget(
 
 
 @pytest.fixture(scope="module")
-def study_designs(m0_4_spectrum, snr10_link):
+def study_designs(snr10_link):
     # four streams: the fourth is inactive at this budget and draws zero
     # power, but its weights exercise the mode pairs whose Gram coupling
     # does not cancel by angular symmetry alone
-    return {
-        n: synthesize_array(m0_4_spectrum, 4, n, snr10_link)
-        for n in (64, 256, 1024)
-    }
-
-
-@pytest.fixture(scope="module")
-def wide_spectrum():
-    return assemble_spectrum(DiscGeometry(WIDE_AREA, 0.1, 1.0e6, 1.0))
+    return {n: synthesize_array(snr10_link, STUDY_AREA, 4, n) for n in (64, 256, 1024)}
 
 
 def design_to_dict(design):
@@ -244,34 +234,23 @@ class TestEqualAreaPartition:
 
 
 class TestSynthesizeArray:
-    def test_validation(self, m0_4_spectrum, snr10_link):
+    def test_validation(self, snr10_link):
         with pytest.raises(ValidationError, match="stream count"):
-            synthesize_array(m0_4_spectrum, 0, 16, snr10_link)
+            synthesize_array(snr10_link, STUDY_AREA, 0, 16)
         with pytest.raises(ValidationError, match="at least the stream count"):
-            synthesize_array(m0_4_spectrum, 8, 4, snr10_link)
+            synthesize_array(snr10_link, STUDY_AREA, 8, 4)
         with pytest.raises(ValidationError, match="available modes"):
-            synthesize_array(m0_4_spectrum, 1000, 2000, snr10_link)
-        farther = dataclasses.replace(snr10_link, range_d=2.0 * STUDY_RANGE)
-        with pytest.raises(ValidationError, match="spectrum range 1000000.0 does not match link"):
-            synthesize_array(m0_4_spectrum, 3, 64, farther)
-
-    def test_needs_radial_samples(self, snr10_link):
-        bare = assemble_spectrum(
-            DiscGeometry(STUDY_AREA, STUDY_WAVELENGTH, STUDY_RANGE, 1.0),
-            keep_radial=False,
-        )
-        with pytest.raises(ValidationError, match="radial samples"):
-            synthesize_array(bare, 3, 64, snr10_link)
+            synthesize_array(snr10_link, STUDY_AREA, 1000, 2000)
+        # sqrt(A_T A_R) / (lambda d) = 1 at a 1 km range, a hundred times the gate
+        near = dataclasses.replace(snr10_link, range_d=1.0e3)
+        with pytest.raises(ValidationError, match="far-field"):
+            synthesize_array(near, 200.0, 1, 64)
 
     def test_subaperture_must_fit_cell(self, snr10_link):
         # a synthesis disc barely larger than the aperture leaves no room
         # for four sub-aperture disks inside their cells
-        area = 120.0
-        tight = assemble_spectrum(
-            DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
-        )
         with pytest.raises(ValidationError, match="does not fit inside"):
-            synthesize_array(tight, 1, 4, snr10_link)
+            synthesize_array(snr10_link, 120.0, 1, 4)
 
     def test_weight_rows_unit_norm(self, study_designs, snr10_link):
         for n, design in study_designs.items():
@@ -328,18 +307,16 @@ class TestFiniteArrayGram:
 
 
 class TestAchievedEfficiency:
-    def test_single_element_matches_siso(self, m0_4_spectrum, m0_4_geometry, snr10_link):
-        design = synthesize_array(m0_4_spectrum, 1, 1, snr10_link)
+    def test_single_element_matches_siso(self, m0_4_geometry, snr10_link):
+        design = synthesize_array(snr10_link, STUDY_AREA, 1, 1)
         achieved = achieved_efficiency(design, m0_4_geometry, snr10_link)
         assert achieved == pytest.approx(siso_efficiency(10.0), rel=1e-12)
         # the lone weight is the inverse aperture-root, up to phase
         assert np.abs(design.stream_weights_tx[0, 0]) == pytest.approx(0.1, rel=1e-12)
 
-    def test_converges_to_waterfill_bound(
-        self, study_designs, m0_4_geometry, m0_4_spectrum, snr10_link
-    ):
-        lower, _ = lower_bound_beta(snr10_link, m0_4_spectrum)
-        upper = upper_bound(10.0, solve_eps0())
+    def test_converges_to_waterfill_bound(self, study_designs, m0_4_geometry, snr10_link):
+        lower, _ = beta_at_area(STUDY_AREA, snr10_link)
+        upper = upper_bound(10.0)
         effs = {
             n: achieved_efficiency(d, m0_4_geometry, snr10_link)
             for n, d in study_designs.items()
@@ -365,13 +342,11 @@ class TestDesignSerialization:
         assert len(record["elements_rx"]) == 64
         assert len(record["weights_rx"]) == 4
 
-    def test_bytes_match_json_dumps(
-        self, study_designs, m0_4_spectrum, snr10_link, wide_spectrum
-    ):
+    def test_bytes_match_json_dumps(self, study_designs, snr10_link):
         designs = (
-            synthesize_array(m0_4_spectrum, 1, 1, snr10_link),
+            synthesize_array(snr10_link, STUDY_AREA, 1, 1),
             study_designs[64],
-            synthesize_array(wide_spectrum, 21, 1024, WIDE_LINK),
+            synthesize_array(WIDE_LINK, WIDE_AREA, 21, 1024),
         )
         for design in designs:
             expected = json.dumps(design_to_dict(design), indent=2) + "\n"
@@ -399,7 +374,7 @@ class TestDesignSerialization:
 class TestPchip:
     """The numpy PCHIP against SciPy's PchipInterpolator, bit for bit."""
 
-    def test_radial_interpolants_of_the_wide_array(self, wide_spectrum, monkeypatch):
+    def test_radial_interpolants_of_the_wide_array(self, monkeypatch):
         built = []
         original = arrays_module._pchip
 
@@ -408,7 +383,7 @@ class TestPchip:
             return built[-1][2]
 
         monkeypatch.setattr(arrays_module, "_pchip", recording)
-        synthesize_array(wide_spectrum, 21, 4096, WIDE_LINK)
+        synthesize_array(WIDE_LINK, WIDE_AREA, 21, 4096)
         assert len(built) == 12  # the 21 streams pair +N with -N
         radii = np.array([c.centroid_r for c in equal_area_partition(4096)])
         dense = np.linspace(0.0, 1.0, 2049)

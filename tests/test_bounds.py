@@ -6,22 +6,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from apcap import spectrum as spectrum_module
 from apcap.bounds import (
+    EPS0,
     beta_at_area,
     bounds_report,
     corollary_approx,
     default_area_grid,
     effective_gains,
-    lower_bound_beta,
     optimize_disc_area,
     upper_bound,
 )
 from apcap.link import ValidationError, siso_efficiency
-from apcap.numerics import solve_eps0
-from apcap.spectrum import DiscGeometry, assemble_spectrum
 from apcap.verification import STUDY_RANGE, STUDY_WAVELENGTH, area_for_m0, study_link
-
-EPS0 = solve_eps0()
 
 # frozen from this implementation at M0 = 4, received SNR 10; the dense-grid
 # oracle agreement for the underlying eigenvalues lives in test_spectrum
@@ -30,19 +27,19 @@ LOWER_AT_M0_4_SNR10 = 2.3172404605164445
 
 def fresh_beta_at_area(area, link):
     """beta_at_area computed from a spectrum solved afresh for this call."""
-    geometry = DiscGeometry(area, link.wavelength_lambda, link.range_d, link.loss_L)
-    return lower_bound_beta(link, assemble_spectrum(geometry, keep_radial=False))
+    spectrum_module._recorded_solve.cache_clear()
+    return beta_at_area(area, link)
 
 
 class TestUpperBound:
     def test_weak_branch_is_siso(self):
         for snr in (1e-3, 0.5, EPS0 - 1.0):
-            assert upper_bound(snr, EPS0) == pytest.approx(siso_efficiency(snr), rel=1e-14)
+            assert upper_bound(snr) == pytest.approx(siso_efficiency(snr), rel=1e-14)
 
     def test_strong_branch_formula(self):
         snr = 100.0
         expected = math.sqrt(snr / (EPS0 - 1.0)) * math.log2(EPS0)
-        assert upper_bound(snr, EPS0) == pytest.approx(expected, rel=1e-14)
+        assert upper_bound(snr) == pytest.approx(expected, rel=1e-14)
 
     def test_branch_continuity(self):
         x = EPS0 - 1.0
@@ -52,11 +49,11 @@ class TestUpperBound:
 
     @given(st.floats(min_value=1e-6, max_value=1e8))
     def test_monotone(self, snr):
-        assert upper_bound(1.02 * snr, EPS0) > upper_bound(snr, EPS0)
+        assert upper_bound(1.02 * snr) > upper_bound(snr)
 
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
-            upper_bound(-1.0, EPS0)
+            upper_bound(-1.0)
 
 
 class TestCorollaryApprox:
@@ -66,7 +63,7 @@ class TestCorollaryApprox:
     def test_equals_strong_branch(self):
         for snr in (5.0, 100.0, 1e6):
             assert corollary_approx(snr) == pytest.approx(
-                upper_bound(snr, EPS0), rel=1e-14
+                upper_bound(snr), rel=1e-14
             )
 
     def test_weak_domain_rejected(self):
@@ -84,26 +81,24 @@ class TestEffectiveGains:
         assert gains[0] == pytest.approx(expected0, rel=1e-9)
         assert np.all(np.diff(gains) <= 1e-30)
 
-    def test_geometry_mismatch_rejected(self, m0_4_spectrum, snr10_link):
-        farther = dataclasses.replace(snr10_link, range_d=2.0 * STUDY_RANGE)
-        with pytest.raises(ValidationError, match="spectrum range 1000000.0 does not match link"):
-            lower_bound_beta(farther, m0_4_spectrum)
-
 
 class TestLowerBound:
-    def test_frozen_reference_value(self, m0_4_spectrum, snr10_link):
-        beta, active = lower_bound_beta(snr10_link, m0_4_spectrum)
+    def test_frozen_reference_value(self, snr10_link):
+        beta, active = beta_at_area(area_for_m0(4.0), snr10_link)
         assert beta == pytest.approx(LOWER_AT_M0_4_SNR10, rel=1e-12)
         assert active == 3
 
     def test_area_below_aperture_rejected(self, snr10_link):
-        geo = DiscGeometry(50.0, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
-        spectrum = assemble_spectrum(geo, keep_radial=False)
         with pytest.raises(ValidationError, match="max\\(A_T, A_R\\)"):
-            lower_bound_beta(snr10_link, spectrum)
+            beta_at_area(50.0, snr10_link)
+
+    def test_far_field_gate(self, snr10_link):
+        near = dataclasses.replace(snr10_link, range_d=1.0e3)
+        with pytest.raises(ValidationError, match="far-field"):
+            beta_at_area(200.0, near)
 
     def test_never_exceeds_upper(self, snr10_link):
-        upper = upper_bound(10.0, EPS0)
+        upper = upper_bound(10.0)
         for area in default_area_grid(snr10_link, points=12):
             beta, _ = beta_at_area(area, snr10_link)
             assert beta <= upper + 1e-12
@@ -124,16 +119,16 @@ class TestAreaOptimization:
 
     def test_optimum_beats_grid(self, snr10_link):
         grid = default_area_grid(snr10_link, points=12)
-        best_area, best_beta = optimize_disc_area(snr10_link, grid)
+        best_area, best_beta, best_K = optimize_disc_area(snr10_link, points=12)
         grid_betas = [beta_at_area(a, snr10_link)[0] for a in grid]
         assert best_beta >= max(grid_betas) - 1e-13
         assert grid[0] <= best_area <= grid[-1]
+        # the stream count is the one the best area's own evaluation gives
+        assert (best_beta, best_K) == beta_at_area(best_area, snr10_link)
 
     def test_grid_validation(self, snr10_link):
-        with pytest.raises(ValidationError):
-            optimize_disc_area(snr10_link, np.array([200.0]))
-        with pytest.raises(ValidationError):
-            optimize_disc_area(snr10_link, np.array([1.0, 200.0]))
+        with pytest.raises(ValidationError, match="at least two points"):
+            optimize_disc_area(snr10_link, points=1)
 
     def test_cache_reuse_consistent(self, snr10_link):
         area = area_for_m0(4.0)
@@ -160,7 +155,7 @@ class TestBoundsReport:
         assert record["regime"] == "strong_signal"
         assert record["lower"] == pytest.approx(LOWER_AT_M0_4_SNR10, rel=1e-12)
         assert record["K"] == 3
-        assert record["approx"] == pytest.approx(upper_bound(10.0, EPS0), rel=1e-14)
+        assert record["approx"] == pytest.approx(upper_bound(10.0), rel=1e-14)
 
     def test_weak_regime_record_has_no_approx(self):
         link = study_link(1.0)

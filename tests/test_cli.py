@@ -185,6 +185,18 @@ class TestBoundsCommand:
         assert starved.stdout == silenced.stdout
 
 
+    def test_warning_repeats_in_one_process(self, capsys):
+        # the second call reads the first call's spectrum from the memo
+        from apcap.cli import main
+
+        errs = []
+        for _ in range(2):
+            assert main([*STARVED, "--area", "2e5"]) == 0
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("apcap: warning: retained modes capture 24.3738% ")
+
+
 class TestSubnormalGain:
     @pytest.mark.parametrize("command", ["bounds", "link", "array"])
     def test_infinite_noise_floor_refused(self, command):
@@ -256,6 +268,16 @@ class TestArrayCommand:
         proc = run_cli("array", "--area", "2e5", "--format", "csv")
         assert proc.returncode == 1
         assert "JSON" in proc.stderr
+
+    def test_far_field_gate(self):
+        # sqrt(A_T A_R) / (lambda d) = 0.2, as `bounds` refuses for the same link
+        proc = run_cli(
+            "array", "--area", "3e5", "--aperture-tx", "2e3", "--aperture-rx", "2e3",
+            "--range", "1e5", "--cells", "4096", "--streams", "1",
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("apcap: error: far-field admissibility")
 
     def test_link_checked_before_format(self):
         proc = run_cli("array", "--format", "csv", "--loss", "2", "--area", "2e5")

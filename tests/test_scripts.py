@@ -1,0 +1,37 @@
+"""Smoke runs of the study scripts: each exits 0 and prints its header line.
+
+refresh_golden.py is left out: its dense 2-D oracle takes minutes.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "script, args, header",
+    [
+        ("area_landscape.py", ("--points", "8"), "gamma_g = 100, upper bound 11.6100 b/s/Hz"),
+        (
+            "array_convergence.py",
+            ("--cells", "64"),
+            "gamma_g = 10, M0 = 4, K = 4: mode bound 2.317240 b/s/Hz (3 active streams)",
+        ),
+        ("truncation_study.py", ("--c", "0.5"), "     c  N_hi  stop (stop-c)/c^1/3    Q Q_ref"),
+    ],
+)
+def test_script_runs(script, args, header):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0].startswith(header)

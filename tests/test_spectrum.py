@@ -187,6 +187,13 @@ class TestAssembleSpectrum:
             assert not column.flags.writeable
         assert eigenvalue_spectrum(m0_4_geometry, DEFAULT_TRUNCATION) is spectrum
 
+    def test_memo_hit_warns_as_the_solve_did(self):
+        # one angular order and one radial mode keep a quarter of the mass
+        geometry = DiscGeometry(2.0e5, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
+        for _ in range(2):  # a solve, then a memo hit
+            with pytest.warns(TruncationWarning, match="retained modes capture 24.3738%"):
+                eigenvalue_spectrum(geometry, (0, 0, 16))
+
     def test_mode_identities(self, m0_4_spectrum):
         # leading mode is radially fundamental and angularly symmetric at c = 4
         assert modes_of(m0_4_spectrum)[0] == (0, 0)
@@ -291,7 +298,7 @@ class TestAdaptiveTruncation:
             return table
 
         monkeypatch.setattr(spectrum_module, "bessel_j_table", recording)
-        eigenvalue_spectrum.cache_clear()
+        spectrum_module._recorded_solve.cache_clear()
         code = cli_main(["bounds", "--power", "1e14", "--area", "1.4e7"])
         out, err = capsys.readouterr()
         assert code == 0 and err == ""

@@ -7,12 +7,7 @@ from hypothesis import strategies as st
 
 from apcap.link import ValidationError
 from apcap.oracles import greedy_waterfill
-from apcap.waterfill import (
-    ChannelGains,
-    allocation_efficiency,
-    select_active_K,
-    waterfill,
-)
+from apcap.waterfill import ChannelGains, allocation_efficiency, waterfill
 from oracles import grid_two_channel_best
 
 
@@ -21,7 +16,7 @@ def channels(*gains, noise=1.0):
 
 
 def loop_active_K(gains, total_power_P):
-    """The scalar downward search select_active_K replaced, kept as its reference."""
+    """The scalar downward search for the active count that waterfill replaced, kept as its reference."""
     floors = gains.noise_floor_BN0 / gains.gains_eta_sq[gains.gains_eta_sq > 0.0]
     prefix = np.cumsum(floors)
     for k in range(floors.size, 0, -1):
@@ -61,7 +56,7 @@ class TestHandWorkedAllocation:
     """Gains {1, 0.5, 0.1} with P = 10: worked by hand from the level formula."""
 
     def test_active_count(self):
-        assert select_active_K(channels(1.0, 0.5, 0.1), 10.0) == 2
+        assert waterfill(channels(1.0, 0.5, 0.1), 10.0).active_K == 2
 
     def test_powers_and_level(self):
         alloc = waterfill(channels(1.0, 0.5, 0.1), 10.0)
@@ -115,9 +110,7 @@ class TestWaterfill:
     @pytest.mark.filterwarnings("error")
     def test_subnormal_gain_never_active(self):
         # BN0 / 1e-320 overflows; the third channel is dropped, not turned into NaN
-        ch = channels(1.0, 0.5, 1e-320)
-        assert select_active_K(ch, 10.0) == 2
-        alloc = waterfill(ch, 10.0)
+        alloc = waterfill(channels(1.0, 0.5, 1e-320), 10.0)
         assert alloc.active_K == 2 and alloc.water_level == 6.5
         assert alloc.powers_Pn.tolist() == [5.5, 4.5, 0.0]
 
@@ -136,11 +129,11 @@ class TestWaterfill:
     def test_matches_loop_reference(self, gains, zeros, total):
         gains = np.concatenate((np.sort(gains)[::-1], np.zeros(zeros)))
         ch = ChannelGains(gains_eta_sq=gains, noise_floor_BN0=0.7)
-        assert select_active_K(ch, total) == loop_active_K(ch, total)
+        assert waterfill(ch, total).active_K == loop_active_K(ch, total)
 
     def test_active_k_monotone_in_power(self):
         ch = channels(1.0, 0.5, 0.1)
-        ks = [select_active_K(ch, p) for p in (0.1, 1.0, 3.0, 10.0, 100.0)]
+        ks = [waterfill(ch, p).active_K for p in (0.1, 1.0, 3.0, 10.0, 100.0)]
         assert ks == sorted(ks)
 
     @given(
