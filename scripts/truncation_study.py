@@ -1,19 +1,20 @@
 """Convergence study behind spectrum.default_truncation.
 
-For each c it solves the default spectrum (quadrature order Q = max(64,
-ceil(c) + 40)) and the same disc at quadrature margins 24 and 32 and at a
-reference order well above the default, then prints:
+For each c it solves the default eigenvalue-only spectrum (quadrature order
+Q = ceil(c) + 40), the same disc at the fixed orders Q = 16, 24 and 32, at
+quadrature margins 24 and 32 (Q = ceil(c) + margin) and at a reference order
+well above the default, then prints:
 
 - stop: the angular order where the walk stopped (the first order whose
   top mode is below EPS of the strongest), the table bound N_hi, and
   (stop - c) / c^(1/3), the scaled distance that N_hi must cover;
-- for each margin, the largest nu_sq difference from the reference over
-  the modes both solves keep, relative to the top mode, and the relative
-  difference of the captured mass;
+- for each fixed order and each margin, the largest nu_sq difference from
+  the reference over the modes both solves keep, relative to the top mode,
+  and the relative difference of the captured mass;
 - kept: the number of modes the default keeps, and the largest Bessel
   block it holds in MB.
 
-Usage: PYTHONPATH=src python3 scripts/truncation_study.py [--c 0.5 4 16 64 128 280]
+Usage: PYTHONPATH=src python3 scripts/truncation_study.py [--c 0.05 0.5 4 9 16 64 128 280]
 """
 
 import argparse
@@ -24,16 +25,13 @@ import numpy as np
 
 from apcap import spectrum as spectrum_module
 from apcap.numerics import QUAD_MAX_ORDER
-from apcap.spectrum import (
-    QUADRATURE_FLOOR,
-    DiscGeometry,
-    assemble_spectrum,
-    default_truncation,
-)
+from apcap.spectrum import DiscGeometry, assemble_spectrum, default_truncation
 
 WAVELENGTH = 0.1
 RANGE = 1.0e6
 REFERENCE_EXTRA = 80  # reference quadrature order = default order + this, capped at 512
+FIXED_ORDERS = (16, 24, 32)
+MARGINS = (24, 32)
 
 
 def geometry_for_c(c):
@@ -75,10 +73,14 @@ def solve_recording_tables(geometry, quadrature_order=None):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--c", type=float, nargs="+", default=[0.5, 4.0, 16.0, 64.0, 128.0, 280.0])
+    parser.add_argument(
+        "--c", type=float, nargs="+", default=[0.05, 0.5, 4.0, 9.0, 16.0, 64.0, 128.0, 280.0]
+    )
     args = parser.parse_args()
+    trials = [f"Q {q}" for q in FIXED_ORDERS] + [f"margin {margin}" for margin in MARGINS]
     print(f"{'c':>6} {'N_hi':>5} {'stop':>5} {'(stop-c)/c^1/3':>14} {'Q':>4} {'Q_ref':>5} "
-          f"{'margin 24':>19} {'margin 32':>19} {'default':>19} {'kept':>6} {'block MB':>8} {'s':>6}")
+          + "".join(f" {name:>19}" for name in trials + ["default"])
+          + f" {'kept':>6} {'block MB':>8} {'s':>6}")
     for c in args.c:
         t0 = time.perf_counter()
         geometry = geometry_for_c(c)
@@ -88,15 +90,14 @@ def main():
         reference = assemble_spectrum(geometry, quadrature_order=q_ref, keep_radial=False)
         stop = default.angular_orders_solved - 1
         cells = []
-        for margin in (24, 32):
-            trial_q = max(QUADRATURE_FLOOR, math.ceil(c) + margin)
+        for trial_q in FIXED_ORDERS + tuple(math.ceil(c) + margin for margin in MARGINS):
             trial = assemble_spectrum(geometry, quadrature_order=trial_q, keep_radial=False)
             cells.append("{:.1e} / {:.1e}".format(*compare(trial, reference)))
         cells.append("{:.1e} / {:.1e}".format(*compare(default, reference)))
         print(
             f"{c:>6g} {bound_N:>5d} {stop:>5d} {(stop - c) / c ** (1.0 / 3.0):>14.2f} "
-            f"{q:>4d} {q_ref:>5d} {cells[0]:>19} {cells[1]:>19} {cells[2]:>19} "
-            f"{default.nu_sq.size:>6d} {block_bytes / 2**20:>8.1f} "
+            f"{q:>4d} {q_ref:>5d}" + "".join(f" {cell:>19}" for cell in cells)
+            + f" {default.nu_sq.size:>6d} {block_bytes / 2**20:>8.1f} "
             f"{time.perf_counter() - t0:>6.1f}",
             flush=True,
         )

@@ -324,19 +324,20 @@ def synthesize_array(
     too small and the call is rejected.
     """
     geometry = DiscGeometry(area_S, link.wavelength_lambda, link.range_d, link.loss_L)
-    spectrum = assemble_spectrum(geometry, *truncation)
     if stream_count_K < 1:
         raise ValidationError(f"stream count must be positive, got {stream_count_K}")
     if cell_count_N < stream_count_K:
         raise ValidationError(
             f"cell count {cell_count_N} must be at least the stream count {stream_count_K}"
         )
+    derive_link(link)  # enforces the far-field gate
+    # the radial solve is the costly step, so every check that does not need it comes first
+    spectrum = assemble_spectrum(geometry, *truncation)
     if stream_count_K > spectrum.nu_sq.size:
         raise ValidationError(
             f"stream count {stream_count_K} exceeds available modes {spectrum.nu_sq.size} "
             f"(the spectrum keeps only modes at or above EPS = {EPS:g} of the top one)"
         )
-    derive_link(link)  # enforces the far-field gate
     radius = geometry.radius_R
 
     cells = equal_area_partition(cell_count_N)

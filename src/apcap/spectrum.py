@@ -32,10 +32,14 @@ AREA_RATIO_MAX = 1.0e-4
 
 QUADRATURE_MIN = 16
 
-# Default quadrature order max(QUADRATURE_FLOOR, ceil(c) + QUADRATURE_MARGIN);
-# scripts/truncation_study.py measures the margin against larger orders.
-QUADRATURE_FLOOR = 64
+# Default quadrature order ceil(c) + QUADRATURE_MARGIN; scripts/truncation_study.py
+# measures the margin against larger orders.
 QUADRATURE_MARGIN = 40
+
+# Smallest default quadrature order of a solve that keeps radial samples. The
+# eigenvalues need no floor; the floor serves the monotone cubic interpolant
+# that arrays._radial_interpolator runs through the samples at the nodes.
+QUADRATURE_FLOOR = 64
 
 # The largest c whose default quadrature order fits in QUAD_MAX_ORDER.
 C_PARAM_MAX = float(QUAD_MAX_ORDER - QUADRATURE_MARGIN)
@@ -157,13 +161,15 @@ def default_truncation(c_param: float) -> tuple[int, int]:
     (scripts/truncation_study.py). N_hi = ceil(c + 8 c^(1/3)) + 8 bounds
     that with room to spare, or 2 ceil(c) + 10 where that is smaller (c
     below about 20), and the Bessel table is built up to N_hi. Q is
-    max(64, ceil(c) + 40): the study finds that 24 or more nodes past c
-    already reproduce every kept mode of a much larger Q to a few 1e-14 of
-    the top one.
+    ceil(c) + 40: the study finds that 24 or more nodes past c already
+    reproduce every kept mode of a much larger Q to a few 1e-14 of the top
+    one, and that 16 nodes suffice for c up to 9. This Q serves
+    eigenvalue-only solves; assemble_spectrum raises it to QUADRATURE_FLOOR
+    when it keeps radial samples.
     """
     c_ceil = int(math.ceil(c_param))
     angular = min(2 * c_ceil + 10, int(math.ceil(c_param + 8.0 * c_param ** (1.0 / 3.0))) + 8)
-    return angular, max(QUADRATURE_FLOOR, c_ceil + QUADRATURE_MARGIN)
+    return angular, c_ceil + QUADRATURE_MARGIN
 
 
 def _radial_eigensolve(
@@ -221,10 +227,12 @@ def assemble_spectrum(
     the radial modes at or above that cut are kept. max_angular_N and
     max_radial_m are ceilings on the walk and on the radial index (None
     takes default_truncation's bound N_hi and Q - 1); quadrature_order is
-    used as given. Reaching N_hi without the cut stopping the walk issues
-    a TruncationWarning, and so does capturing less than 99.9% of the
-    theoretical mass L |S|^2 / (lambda d)^2. A disc whose theoretical mass
-    is below the smallest normal double is refused: its modes underflow.
+    used as given, and None takes default_truncation's Q, raised to
+    QUADRATURE_FLOOR when keep_radial. Reaching N_hi without the cut
+    stopping the walk issues a TruncationWarning, and so does capturing
+    less than 99.9% of the theoretical mass L |S|^2 / (lambda d)^2. A disc
+    whose theoretical mass is below the smallest normal double is refused:
+    its modes underflow.
     The spectrum's truncation is what was kept: the largest |N| and m among
     its modes, and Q.
 
@@ -248,7 +256,8 @@ def assemble_spectrum(
             f"{sys.float_info.min:.6g}, so its modes underflow"
         )
     bound_N, default_q = default_truncation(c)
-    quadrature_order = default_q if quadrature_order is None else quadrature_order
+    if quadrature_order is None:
+        quadrature_order = max(QUADRATURE_FLOOR, default_q) if keep_radial else default_q
     if any(limit is not None and limit < 0 for limit in (max_angular_N, max_radial_m)):
         raise ValidationError("truncation orders must be nonnegative")
     if quadrature_order < QUADRATURE_MIN:

@@ -246,6 +246,28 @@ class TestSynthesizeArray:
         with pytest.raises(ValidationError, match="far-field"):
             synthesize_array(near, 200.0, 1, 64)
 
+    def test_cheap_refusals_skip_the_radial_solve(self, snr10_link, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            arrays_module, "assemble_spectrum", lambda *args, **kwargs: calls.append(args)
+        )
+        with pytest.raises(ValidationError, match="stream count"):
+            synthesize_array(snr10_link, STUDY_AREA, 0, 16)
+        with pytest.raises(ValidationError, match="at least the stream count"):
+            synthesize_array(snr10_link, STUDY_AREA, 8, 4)
+        # `apcap array --area 3e5 --aperture-tx 2e3 --aperture-rx 2e3 --range 1e5
+        # --cells 4096 --streams 1`: a c = 60 disc on a link that fails the gate
+        near = dataclasses.replace(
+            snr10_link, range_d=1.0e5, aperture_tx_AT=2.0e3, aperture_rx_AR=2.0e3
+        )
+        with pytest.raises(ValidationError, match="far-field"):
+            synthesize_array(near, 3.0e5, 1, 4096)
+        # two wrong inputs: the far-field gate wins over a c past C_PARAM_MAX
+        wide_c = dataclasses.replace(near, wavelength_lambda=1.0e-3, range_d=1.0e4)
+        with pytest.raises(ValidationError, match="far-field"):
+            synthesize_array(wide_c, 1.0e4, 1, 64)  # c = 2000
+        assert calls == []
+
     def test_subaperture_must_fit_cell(self, snr10_link):
         # a synthesis disc barely larger than the aperture leaves no room
         # for four sub-aperture disks inside their cells

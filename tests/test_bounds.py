@@ -17,7 +17,7 @@ from apcap.bounds import (
     optimize_disc_area,
     upper_bound,
 )
-from apcap.link import ValidationError, siso_efficiency
+from apcap.link import LinkBudget, ValidationError, siso_efficiency
 from apcap.verification import STUDY_RANGE, STUDY_WAVELENGTH, area_for_m0, study_link
 
 # frozen from this implementation at M0 = 4, received SNR 10; the dense-grid
@@ -163,3 +163,13 @@ class TestBoundsReport:
         assert record["regime"] == "weak_signal"
         assert record["approx"] is None
         assert record["lower"] <= record["upper"] + 1e-12
+
+    @pytest.mark.parametrize("power", [1.0e7, 1.0e8, 1.0e10])
+    def test_floor_free_quadrature_keeps_the_bounds(self, power):
+        # the CLI's default link; its eigenvalue-only solves take Q = ceil(c) + 40,
+        # not the old floor of 64
+        link = LinkBudget(power, 1.0, 1.0, 0.1, 1.0e6, 1.0, 100.0, 100.0)
+        floor = bounds_report(link, truncation=(None, None, 64))
+        record = bounds_report(link)
+        assert (record["K"], record["best_area"]) == (floor["K"], floor["best_area"])
+        assert record["lower"] == pytest.approx(floor["lower"], rel=1e-15, abs=0.0)

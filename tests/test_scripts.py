@@ -22,7 +22,11 @@ ROOT = Path(__file__).resolve().parents[1]
             ("--cells", "64"),
             "gamma_g = 10, M0 = 4, K = 4: mode bound 2.317240 b/s/Hz (3 active streams)",
         ),
-        ("truncation_study.py", ("--c", "0.5"), "     c  N_hi  stop (stop-c)/c^1/3    Q Q_ref"),
+        (
+            "truncation_study.py",
+            ("--c", "0.5"),
+            "     c  N_hi  stop (stop-c)/c^1/3    Q Q_ref                 Q 16                Q 24",
+        ),
     ],
 )
 def test_script_runs(script, args, header):

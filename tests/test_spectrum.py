@@ -16,6 +16,8 @@ from apcap.spectrum import (
     C_PARAM_MAX,
     DEFAULT_TRUNCATION,
     EPS,
+    QUADRATURE_FLOOR,
+    QUADRATURE_MARGIN,
     DiscGeometry,
     TruncationWarning,
     assemble_spectrum,
@@ -248,7 +250,28 @@ class TestAssembleSpectrum:
         n1, q1 = default_truncation(1.0)
         n2, q2 = default_truncation(30.0)
         assert n2 > n1 and q2 > q1
-        assert q1 >= 64
+        # eigenvalue-only solves take Q = ceil(c) + 40, with no floor
+        assert (q1, q2, default_truncation(0.05)[1]) == (41, 70, 41)
+
+    @pytest.mark.parametrize("c", [0.05, 1.0, 4.0, 9.0, 16.0])
+    def test_default_quadrature_matches_large_quadrature(self, c):
+        # the floor-free default reproduces a Q = 160 solve on every shared mode
+        geo = geometry_for_c(c)
+        default = assemble_spectrum(geo, keep_radial=False)
+        reference = assemble_spectrum(geo, quadrature_order=160, keep_radial=False)
+        assert default.truncation[2] == math.ceil(geo.c_param) + QUADRATURE_MARGIN
+        shared = min(default.nu_sq.size, reference.nu_sq.size)
+        assert modes_of(default)[:shared] == modes_of(reference)[:shared]
+        top = float(reference.nu_sq[0])
+        assert np.max(np.abs(default.nu_sq[:shared] - reference.nu_sq[:shared])) <= 1e-14 * top
+
+    def test_radial_samples_keep_quadrature_floor(self):
+        # the array path interpolates through the nodes and keeps Q >= 64
+        geo = geometry_for_c(4.0)
+        with_samples = assemble_spectrum(geo)
+        assert with_samples.truncation[2] == QUADRATURE_FLOOR == 64
+        assert with_samples.radial_samples[0].shape[0] == 64
+        assert assemble_spectrum(geo, keep_radial=False).truncation[2] == 44
 
 
 class TestAdaptiveTruncation:
@@ -279,7 +302,7 @@ class TestAdaptiveTruncation:
         report = spectrum_report(free)["truncation"]
         assert report["max_angular_N"] == free.angular_N.max()
         assert report["max_radial_m"] == free.radial_m.max()
-        assert report["quadrature_order"] == 64
+        assert report["quadrature_order"] == 56  # ceil(16) + QUADRATURE_MARGIN
         assert report["angular_orders_solved"] == report["max_angular_N"] + 2
         with pytest.warns(TruncationWarning, match="capture"):
             low = assemble_spectrum(geo, 3, 2, 48, keep_radial=False)
