@@ -166,8 +166,8 @@ class TestBoundsReport:
 
     @pytest.mark.parametrize("power", [1.0e7, 1.0e8, 1.0e10])
     def test_floor_free_quadrature_keeps_the_bounds(self, power):
-        # the CLI's default link; its eigenvalue-only solves take Q = ceil(c) + 40,
-        # not the old floor of 64
+        # the CLI's default link, solved at the default Q = ceil(c) + 40 and at
+        # Q = 64 on every disc the optimizer evaluates
         link = LinkBudget(power, 1.0, 1.0, 0.1, 1.0e6, 1.0, 100.0, 100.0)
         floor = bounds_report(link, truncation=(None, None, 64))
         record = bounds_report(link)

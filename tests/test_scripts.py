@@ -22,14 +22,25 @@ ROOT = Path(__file__).resolve().parents[1]
             ("--cells", "64"),
             "gamma_g = 10, M0 = 4, K = 4: mode bound 2.317240 b/s/Hz (3 active streams)",
         ),
-        (
-            "truncation_study.py",
-            ("--c", "0.5"),
-            "     c  N_hi  stop (stop-c)/c^1/3    Q Q_ref                 Q 16                Q 24",
-        ),
+        ("truncation_study.py", ("--c", "0.5"), "     c  N_hi  stop (stop-c)/c^1/3    Q Q_ref"),
     ],
 )
 def test_script_runs(script, args, header):
+    assert run_script(script, *args)[0].startswith(header)
+
+
+def test_truncation_study_columns():
+    # the fixed small orders sit beside the margins, and the default Q has no floor
+    header, row = run_script("truncation_study.py", "--c", "0.05")[:2]
+    assert header.split()[6:] == [
+        "Q", "16", "Q", "24", "Q", "32", "margin", "24", "margin", "32", "default",
+        "kept", "block", "MB", "s",
+    ]
+    assert row.split()[:6] == ["0.05", "11", "4", "10.72", "41", "121"]
+
+
+def run_script(script, *args):
+    """stdout lines of one run of scripts/SCRIPT, which must exit 0."""
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         capture_output=True,
@@ -38,4 +49,4 @@ def test_script_runs(script, args, header):
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0].startswith(header)
+    return proc.stdout.splitlines()
