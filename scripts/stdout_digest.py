@@ -12,8 +12,12 @@ tries, an array whose subnormal transmit aperture is refused, the CSV
 forms of link, sweep and bounds, invocations whose flags are wrong in two
 ways at once (which error wins is part of the output), a disc too small
 for its modes to be represented next to a tiny one that still works, an
---out path in a directory that does not exist, and an array on a link that
-fails the far-field gate.
+--out path in a directory that does not exist, an array on a link that
+fails the far-field gate, a bounds whose area grid reaches c = 160, a
+radial ceiling (a truncation override, so every disc walks to the EPS cut
+where the default truncation may stop at the water level), and a disc at
+c = 64 solved at an explicit quadrature order of 16, below the ceil(c) + 7
+its modes need, which warns.
 
 Two checkouts print the same lines exactly when these outputs are
 byte-identical, so a change that must not move any output is checked by a
@@ -48,6 +52,9 @@ EXTRA = (
         "array", "--area", "3e5", "--aperture-tx", "2e3", "--aperture-rx", "2e3",
         "--range", "1e5", "--cells", "4096", "--streams", "1",
     ),
+    ("bounds", "--power", "1e13"),
+    ("bounds", "--max-radial", "2"),
+    ("bounds", "--area", "3.2e6", "--power", "1e12", "--quadrature-order", "16"),
 )
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -83,10 +83,18 @@ def beta_at_area(
     at least max(A_T, A_R) so the apertures fit inside the disc, and the
     link must pass the far-field gate. The bound is the waterfilling
     efficiency over the effective gains h_k = (A_T A_R/|S|^2) |nu_k|^2
-    with budget P and noise floor B*N0.
+    with budget P and noise floor B*N0. It sums over the active modes only,
+    so under the default truncation the spectrum walk may stop at this
+    link's water level (see assemble_spectrum): the modes it leaves out get
+    no power. A truncation override walks to its own ceiling and warns as
+    it would without a bound.
     """
     geometry = DiscGeometry(area_S, link.wavelength_lambda, link.range_d, link.loss_L)
-    spectrum = eigenvalue_spectrum(geometry, truncation)
+    water = None
+    if truncation == DEFAULT_TRUNCATION:
+        gain_scale = link.aperture_tx_AT * link.aperture_rx_AR / area_S**2
+        water = (gain_scale, link.bandwidth_B * link.noise_psd_N0, link.power_P)
+    spectrum = eigenvalue_spectrum(geometry, truncation, water)
     min_area = max(link.aperture_tx_AT, link.aperture_rx_AR)
     if area_S < min_area * (1.0 - 1.0e-12):
         raise ValidationError(

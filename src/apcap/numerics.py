@@ -124,10 +124,18 @@ def bessel_j_table(
     Internal workhorse for kernel assembly, where the same arguments are
     needed at every angular order. Uses the normalized downward recurrence
     (below x = 1e-50, the leading series term); accuracy is a few ulps over
-    the assembly range (x up to ~1e3). The recurrence depends on max_order and x only, so a row has the
-    same bits whichever `orders` it is returned in: a caller can fetch the
-    rows in blocks and hold one block at a time. A negative max_order, or
-    an argument that is negative or NaN, raises ValidationError.
+    the assembly range (x up to ~1e3). The recurrence depends on max_order
+    and x only, so a row has the same bits whichever `orders` it is
+    returned in: a caller can fetch the rows in blocks and hold one block
+    at a time. A negative max_order, or an argument that is negative or
+    NaN, raises ValidationError.
+
+    Each step writes into one of two rotating buffers, and the overflow
+    test is one max over the iterate's magnitudes. A rescale by 1e-250
+    touches only the flagged arguments, and in the table only the rows
+    written so far, since the rest are still zeros. So the table has the
+    bits of the plain loop that rescales the whole table (kept as the
+    reference in the tests).
     """
     if orders is None:
         orders = range(max_order + 1)
@@ -147,21 +155,29 @@ def bessel_j_table(
             start += 1
         jp = np.zeros(xs.size)
         j = np.full(xs.size, 1.0e-30)
+        spare = np.empty(xs.size)  # receives the next iterate, then holds the oldest
+        scratch = np.empty(xs.size)
         norm = np.zeros(xs.size)
         inv_x = 1.0 / xs
+        filled = len(orders)  # rows acc[filled:] are written; the rest are still zeros
         for k in range(start, 0, -1):
-            jm = (2.0 * k) * inv_x * j - jp
-            jp = j
-            j = jm
+            # ((2k) * (1/x)) * j - jp, the grouping every table has used
+            np.multiply(2.0 * k, inv_x, out=spare)
+            spare *= j
+            spare -= jp
+            jp, j, spare = j, spare, jp
             if lo <= k - 1 < hi:
-                acc[k - 1 - lo] = j
+                filled = k - 1 - lo
+                acc[filled] = j
             if (k - 1) % 2 == 0 and k - 1 > 0:
                 norm += 2.0 * j
-            big = np.abs(j) > _MILLER_BIG
-            if big.any():
+            np.abs(j, out=scratch)
+            if scratch.max() > _MILLER_BIG:
+                # zeros stay zeros, so the unwritten rows need no rescale
+                big = np.flatnonzero(scratch > _MILLER_BIG)
                 j[big] *= 1.0e-250
                 jp[big] *= 1.0e-250
-                acc[:, big] *= 1.0e-250
+                acc[filled:, big] *= 1.0e-250
                 norm[big] *= 1.0e-250
         norm += j
         acc /= norm

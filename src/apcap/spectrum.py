@@ -16,7 +16,6 @@ and modes with N != 0 are doubly degenerate (+-N pairs).
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 import warnings
@@ -26,11 +25,18 @@ import numpy as np
 
 from .link import ValidationError
 from .numerics import QUAD_MAX_ORDER, QuadratureRule, bessel_j_table, gauss_quadrature
+from .waterfill import fill_level
 
 # The kernel model treats the disc as small compared with the range.
 AREA_RATIO_MAX = 1.0e-4
 
 QUADRATURE_MIN = 16
+
+# An explicit quadrature order below ceil(c) + QUADRATURE_WARN_MARGIN draws a
+# TruncationWarning: the sum rule cannot see an undersized order, and
+# scripts/truncation_study.py finds Q = 16 converged only up to c = 9 and
+# Q = 24 at c = 16.
+QUADRATURE_WARN_MARGIN = 7
 
 # Default quadrature order ceil(c) + QUADRATURE_MARGIN; scripts/truncation_study.py
 # measures the margin against larger orders.
@@ -59,6 +65,16 @@ SPECTRUM_MEMO_SIZE = 64
 # (max_angular_N, max_radial_m, quadrature_order); None takes the default
 Truncation = tuple[int | None, int | None, int | None]
 DEFAULT_TRUNCATION: Truncation = (None, None, None)
+
+# (gain scale A_T A_R / |S|^2, noise floor B N0, power P) of a bounds call: a
+# mode's channel gain is the scale times its nu_sq and its inverted floor is
+# B N0 over that gain, as bounds.effective_gains and waterfill form them.
+Water = tuple[float, float, float]
+
+# A water stop needs a top inverted floor above the running water level by this
+# relative margin, which covers the rounding of the level's prefix sum (at most
+# n unit roundoffs, about 1e-11 for 1e5 floors).
+WATER_MARGIN = 1.0e-9
 
 # Fraction of the theoretical spectral mass the retained modes must reach
 # before the truncation is considered adequate.
@@ -131,7 +147,9 @@ class OperatorSpectrum:
     is None when the spectrum was assembled for eigenvalues only.
     truncation is what was kept (largest |N|, largest m, quadrature order),
     and angular_orders_solved counts the orders N = 0, 1, ... the walk
-    solved.
+    solved. water_stop_nu_sq is None when the walk ran to the EPS cut; a
+    walk that stopped at a bounds call's water level records the top nu_sq
+    of the order it stopped on, and holds only the orders before it.
     """
 
     angular_N: np.ndarray
@@ -143,6 +161,7 @@ class OperatorSpectrum:
     quadrature: QuadratureRule
     radial_samples: dict[int, np.ndarray] | None = field(default=None)
     angular_orders_solved: int = 0
+    water_stop_nu_sq: float | None = None
 
     @property
     def captured_mass(self) -> float:
@@ -210,6 +229,7 @@ def assemble_spectrum(
     max_radial_m: int | None = None,
     quadrature_order: int | None = None,
     keep_radial: bool = True,
+    water: Water | None = None,
 ) -> OperatorSpectrum:
     """Solve the radial problems order by order and merge the modes.
 
@@ -230,11 +250,23 @@ def assemble_spectrum(
     used as given, and None takes default_truncation's Q, raised to
     QUADRATURE_FLOOR when keep_radial. Reaching N_hi without the cut
     stopping the walk issues a TruncationWarning, and so does capturing
-    less than 99.9% of the theoretical mass L |S|^2 / (lambda d)^2. A disc
-    whose theoretical mass is below the smallest normal double is refused:
-    its modes underflow.
+    less than 99.9% of the theoretical mass L |S|^2 / (lambda d)^2, and so
+    does a quadrature order below ceil(c) + QUADRATURE_WARN_MARGIN, which
+    the sum rule cannot see. A disc whose theoretical mass is below the
+    smallest normal double is refused: its modes underflow.
     The spectrum's truncation is what was kept: the largest |N| and m among
     its modes, and Q.
+
+    water, given by the bounds path only, also stops the walk at a bounds
+    call's water level. After each order the walk keeps the water level of
+    the budget P over the inverted floors BN0/h of the modes kept so far.
+    More channels can only lower a level, so it bounds the final one from
+    above, and the walk stops at the first order whose top floor lies above
+    it (by WATER_MARGIN): by the same monotone decay in N the EPS stop
+    relies on, no later order holds an active mode. A non-finite floor
+    never stops the walk. The spectrum records the stopping order's top
+    nu_sq in water_stop_nu_sq, and a water-stopped solve raises no sum-rule
+    warning, since it leaves out inactive modes on purpose.
 
     Each mode (N, m) with N != 0 enters twice (+N and -N) with the same
     magnitude. nu_sq = (L / lambda^2 d^2) R^4 (2 pi beta)^2.
@@ -264,6 +296,15 @@ def assemble_spectrum(
         raise ValidationError(
             f"quadrature order {quadrature_order} below minimum {QUADRATURE_MIN}"
         )
+    enough_q = math.ceil(c) + QUADRATURE_WARN_MARGIN
+    if quadrature_order < enough_q:
+        warnings.warn(
+            f"quadrature order {quadrature_order} is below ceil(c) + "
+            f"{QUADRATURE_WARN_MARGIN} = {enough_q} at c = {c:.6g}; the modes are not "
+            f"converged, and the sum rule cannot show it",
+            TruncationWarning,
+            stacklevel=2,
+        )
     walk_N = bound_N if max_angular_N is None else min(max_angular_N, bound_N)
     radial_m = quadrature_order - 1 if max_radial_m is None else max_radial_m
 
@@ -287,6 +328,9 @@ def assemble_spectrum(
     radial: dict[int, np.ndarray] | None = {} if keep_radial else None
     top = 0.0
     stopped = False
+    water_stop = None
+    level = math.inf  # the water level over the floors kept so far
+    below = np.empty(0)  # those floors at or below it, ascending
     for N in range(walk_N + 1):
         if N % block == 0:
             table = None  # let the previous block go before the next is built
@@ -299,6 +343,20 @@ def assemble_spectrum(
             stopped = True
             break
         kept = int(np.count_nonzero(nu_sq[: radial_m + 1] >= EPS * top))
+        if water is not None:
+            floors = _inverted_floors(water, nu_sq[:kept])  # ascending
+            if _above_water(floors[0], level):
+                water_stop = float(nu_sq[0])
+                stopped = True
+                break
+            # a floor above the level stays above it as more channels lower it
+            floors = floors[np.isfinite(floors) & (floors <= level)]
+            # +N and -N are two channels
+            below = np.concatenate((below, floors, floors) if N > 0 else (below, floors))
+            if below.size:
+                below.sort(kind="stable")
+                active, level = fill_level(below, water[2])
+                below = below[:active]
         indices = np.arange(kept)
         for signed_N in (N, -N) if N > 0 else (N,):
             pieces.append((np.full(kept, signed_N), indices, betas[:kept], nu_sq[:kept]))
@@ -326,8 +384,9 @@ def assemble_spectrum(
         quadrature=rule,
         radial_samples=radial,
         angular_orders_solved=solved,
+        water_stop_nu_sq=water_stop,
     )
-    if spectrum.captured_mass < SUM_RULE_CAPTURE_MIN * total:
+    if water_stop is None and spectrum.captured_mass < SUM_RULE_CAPTURE_MIN * total:
         warnings.warn(
             f"retained modes capture {spectrum.captured_mass / total:.4%} of the "
             f"theoretical spectral mass; increase the truncation orders",
@@ -337,30 +396,67 @@ def assemble_spectrum(
     return spectrum
 
 
-@functools.lru_cache(maxsize=SPECTRUM_MEMO_SIZE)
-def _recorded_solve(
-    geometry: DiscGeometry, truncation: Truncation
-) -> tuple[OperatorSpectrum, tuple[Warning, ...]]:
-    """The eigenvalue-only spectrum and every warning its solve raised."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        spectrum = assemble_spectrum(geometry, *truncation, keep_radial=False)
-    return spectrum, tuple(w.message for w in caught)
+def _inverted_floors(water: Water, nu_sq: np.ndarray) -> np.ndarray:
+    """B N0 / h for the gains h = (gain scale) * nu_sq; inf where h is 0 or B N0 / h overflows."""
+    gain_scale, noise, _ = water
+    with np.errstate(over="ignore", divide="ignore"):
+        return noise / (gain_scale * nu_sq)
 
 
-def eigenvalue_spectrum(geometry: DiscGeometry, truncation: Truncation) -> OperatorSpectrum:
+def _above_water(floor: float, level: float) -> bool:
+    """Whether a mode with this floor gets no power under a level that bounds the final one."""
+    return math.isfinite(floor) and floor > level * (1.0 + WATER_MARGIN)
+
+
+def _holds_active_modes(spectrum: OperatorSpectrum, water: Water | None) -> bool:
+    """Whether the spectrum holds every mode a bounds call with this water can make active."""
+    if spectrum.water_stop_nu_sq is None:
+        return True
+    if water is None:
+        return False
+    floors = _inverted_floors(water, spectrum.nu_sq)
+    floors = floors[np.isfinite(floors)]
+    level = fill_level(floors, water[2])[1] if floors.size else math.inf
+    stop_floor = _inverted_floors(water, np.float64(spectrum.water_stop_nu_sq))
+    return _above_water(stop_floor, level)
+
+
+# eigenvalue_spectrum's memo, least recently used first: (geometry, truncation)
+# -> (spectrum, the warnings its solve raised)
+_memo: dict[tuple[DiscGeometry, Truncation], tuple[OperatorSpectrum, tuple[Warning, ...]]] = {}
+
+
+def eigenvalue_spectrum(
+    geometry: DiscGeometry, truncation: Truncation, water: Water | None = None
+) -> OperatorSpectrum:
     """assemble_spectrum(geometry, *truncation, keep_radial=False), memoized.
 
-    The key is the exact geometry and truncation triple (None entries take
-    the defaults), so a hit returns the spectrum a fresh solve gives. The
-    result is shared between callers; its columns are read-only. Every
-    call raises again the warnings the solve raised, so what a call warns
-    does not depend on the calls before it.
+    The memo holds one entry per exact geometry and truncation triple (None
+    entries take the defaults). A miss with water (bounds.beta_at_area
+    under the default truncation) solves with the water-level stop. A hit
+    on a water-stopped entry whose stopping order could hold an active mode
+    under this call's water (any hit without water counts) walks the
+    spectrum again to the EPS cut and replaces the entry. So the spectrum
+    returned holds every mode the caller can use, and the modes it holds
+    have the bits a fresh solve gives. The result is shared between
+    callers; its columns are read-only. Every call raises again the
+    warnings the entry's solve raised.
     """
-    spectrum, caught = _recorded_solve(geometry, truncation)
-    for message in caught:
+    key = (geometry, truncation)
+    entry = _memo.pop(key, None)
+    if entry is None or not _holds_active_modes(entry[0], water):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            spectrum = assemble_spectrum(
+                geometry, *truncation, keep_radial=False, water=water if entry is None else None
+            )
+        entry = spectrum, tuple(w.message for w in caught)
+    _memo[key] = entry
+    if len(_memo) > SPECTRUM_MEMO_SIZE:
+        del _memo[next(iter(_memo))]
+    for message in entry[1]:
         warnings.warn(message, stacklevel=2)
-    return spectrum
+    return entry[0]
 
 
 def effective_rank(spectrum: OperatorSpectrum, fraction: float) -> int:

@@ -52,3 +52,54 @@ def grid_two_channel_best(
 def integrate(rule, values: np.ndarray) -> float:
     """Integrate samples taken at a quadrature rule's nodes."""
     return float(np.dot(rule.weights, values))
+
+
+def loop_bessel_j_table(max_order: int, x: np.ndarray, orders: range | None = None) -> np.ndarray:
+    """J_n(x) rows by the Miller recurrence written as a plain loop.
+
+    The arithmetic apcap.numerics.bessel_j_table must reproduce bit for bit:
+    the same start order, seed, grouping of each step, normalization sum and
+    1e-250 rescale, with the rescale applied to every row of the table and
+    a fresh array made at each step. Arguments below 1e-50 take the leading
+    series term (x/2)^n / n!.
+    """
+    if orders is None:
+        orders = range(max_order + 1)
+    lo, hi = orders.start, orders.stop
+    x = np.asarray(x, dtype=float).ravel()
+    recur = x >= 1.0e-50
+    xs = x[recur]
+    acc = np.zeros((len(orders), xs.size))
+    if xs.size:
+        start = max(max_order, int(math.ceil(float(xs.max())))) + 1
+        start += int(20 + 10 * math.sqrt(start))
+        if start % 2:
+            start += 1
+        jp = np.zeros(xs.size)
+        j = np.full(xs.size, 1.0e-30)
+        norm = np.zeros(xs.size)
+        inv_x = 1.0 / xs
+        for k in range(start, 0, -1):
+            jm = (2.0 * k) * inv_x * j - jp
+            jp = j
+            j = jm
+            if lo <= k - 1 < hi:
+                acc[k - 1 - lo] = j
+            if (k - 1) % 2 == 0 and k - 1 > 0:
+                norm += 2.0 * j
+            big = np.abs(j) > 1.0e250
+            if big.any():
+                j[big] *= 1.0e-250
+                jp[big] *= 1.0e-250
+                acc[:, big] *= 1.0e-250
+                norm[big] *= 1.0e-250
+        norm += j
+        acc /= norm
+    out = np.zeros((len(orders), x.size))
+    out[:, recur] = acc
+    term, half = np.ones(x.size - xs.size), x[~recur] / 2.0
+    for n in range(hi):
+        if n >= lo:
+            out[n - lo, ~recur] = term
+        term = term * half / (n + 1)
+    return out

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from apcap import spectrum as spectrum_module
+from apcap.cli import main as cli_main
 from apcap.bounds import (
     EPS0,
     beta_at_area,
@@ -18,6 +20,14 @@ from apcap.bounds import (
     upper_bound,
 )
 from apcap.link import LinkBudget, ValidationError, siso_efficiency
+from apcap.spectrum import (
+    DEFAULT_TRUNCATION,
+    DiscGeometry,
+    TruncationWarning,
+    assemble_spectrum,
+    eigenvalue_spectrum,
+)
+from apcap.waterfill import ChannelGains, allocation_efficiency, waterfill
 from apcap.verification import STUDY_RANGE, STUDY_WAVELENGTH, area_for_m0, study_link
 
 # frozen from this implementation at M0 = 4, received SNR 10; the dense-grid
@@ -27,8 +37,25 @@ LOWER_AT_M0_4_SNR10 = 2.3172404605164445
 
 def fresh_beta_at_area(area, link):
     """beta_at_area computed from a spectrum solved afresh for this call."""
-    spectrum_module._recorded_solve.cache_clear()
+    spectrum_module._memo.clear()
     return beta_at_area(area, link)
+
+
+def geometry_of(area, link):
+    return DiscGeometry(area, link.wavelength_lambda, link.range_d, link.loss_L)
+
+
+def full_walk_beta(area, link):
+    """(lower, K) of a waterfill over the gains of the spectrum walked to the EPS cut."""
+    spectrum = assemble_spectrum(geometry_of(area, link), keep_radial=False)
+    assert spectrum.water_stop_nu_sq is None
+    gains = ChannelGains(effective_gains(link, spectrum), link.bandwidth_B * link.noise_psd_N0)
+    alloc = waterfill(gains, link.power_P)
+    return allocation_efficiency(gains, alloc), alloc.active_K
+
+
+def memo_entry(area, link, truncation=DEFAULT_TRUNCATION):
+    return spectrum_module._memo[(geometry_of(area, link), truncation)][0]
 
 
 class TestUpperBound:
@@ -173,3 +200,77 @@ class TestBoundsReport:
         record = bounds_report(link)
         assert (record["K"], record["best_area"]) == (floor["K"], floor["best_area"])
         assert record["lower"] == pytest.approx(floor["lower"], rel=1e-15, abs=0.0)
+
+
+class TestWaterStop:
+    """Under the default truncation the walk stops at the link's water level."""
+
+    @pytest.mark.parametrize("snr", [0.1, EPS0 - 1.0, 10.0, 1.0e4, 1.0e6])
+    @pytest.mark.parametrize("end", [0, -1])
+    def test_matches_full_walk(self, snr, end):
+        link = study_link(snr)
+        area = float(default_area_grid(link)[end])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a water stop warns of nothing
+            assert fresh_beta_at_area(area, link) == full_walk_beta(area, link)
+
+    def test_stops_before_the_eps_cut(self):
+        link = study_link(10.0)
+        area = float(default_area_grid(link)[-1])
+        fresh_beta_at_area(area, link)
+        stopped = memo_entry(area, link)
+        full = assemble_spectrum(geometry_of(area, link), keep_radial=False)
+        assert stopped.water_stop_nu_sq is not None
+        assert stopped.angular_orders_solved < full.angular_orders_solved
+        # the orders it kept hold the full walk's modes, bit for bit
+        kept = np.abs(full.angular_N) < stopped.angular_orders_solved - 1
+        assert stopped.nu_sq.tobytes() == full.nu_sq[kept].tobytes()
+
+    def test_stopped_entry_then_a_call_needing_more_orders(self):
+        weak, strong = study_link(10.0), study_link(1.0e4)
+        area = float(default_area_grid(weak)[-1])
+        expected = full_walk_beta(area, strong)
+        fresh_beta_at_area(area, weak)
+        assert memo_entry(area, weak).water_stop_nu_sq is not None
+        assert beta_at_area(area, strong) == expected
+        # the entry was walked again to the EPS cut and replaced
+        assert memo_entry(area, strong).water_stop_nu_sq is None
+        assert beta_at_area(area, weak) == full_walk_beta(area, weak)
+
+    def test_full_entry_then_a_stopped_call(self):
+        link = study_link(10.0)
+        area = float(default_area_grid(link)[-1])
+        spectrum_module._memo.clear()
+        full = eigenvalue_spectrum(geometry_of(area, link), DEFAULT_TRUNCATION)
+        assert full.water_stop_nu_sq is None
+        assert beta_at_area(area, link) == full_walk_beta(area, link)
+        assert memo_entry(area, link) is full
+
+    def test_override_walks_to_its_ceiling_and_warns(self):
+        link = study_link(10.0)
+        area = float(default_area_grid(link)[-1])
+        spectrum_module._memo.clear()
+        beta_at_area(area, link, (None, 2, None))
+        spectrum = memo_entry(area, link, (None, 2, None))
+        assert spectrum.water_stop_nu_sq is None
+        ceiling = assemble_spectrum(geometry_of(area, link), max_radial_m=2, keep_radial=False)
+        assert spectrum.angular_orders_solved == ceiling.angular_orders_solved
+        with pytest.warns(TruncationWarning, match="retained modes capture"):
+            beta_at_area(area, link, (0, 0, 16))
+
+    def test_subnormal_gain_keeps_its_one_error_line(self, capsys):
+        # every inverted floor overflows, so none stops the walk
+        spectrum_module._memo.clear()
+        code = cli_main(["bounds", "--area", "2e5", "--aperture-tx", "1e-305"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("apcap: error: top gain ")
+        link = LinkBudget(1.0e7, 1.0, 1.0, 0.1, 1.0e6, 1.0, 1.0e-305, 100.0)
+        assert memo_entry(2.0e5, link).water_stop_nu_sq is None
+
+    def test_undersized_quadrature_warns(self):
+        link = LinkBudget(1.0e12, 1.0, 1.0, 0.1, 1.0e6, 1.0, 100.0, 100.0)
+        message = r"quadrature order 16 is below ceil\(c\) \+ 7 = 71 at c = 64"
+        with pytest.warns(TruncationWarning, match=message):
+            beta_at_area(3.2e6, link, (None, None, 16))

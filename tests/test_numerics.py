@@ -13,7 +13,8 @@ from apcap.numerics import (
     gauss_quadrature,
     solve_eps0,
 )
-from oracles import bisect_eps0, integrate, series_bessel_j
+from apcap.spectrum import default_truncation
+from oracles import bisect_eps0, integrate, loop_bessel_j_table, series_bessel_j
 
 # reference values computed independently: the quadrature pair from the
 # closed-form two-point rule on [0, 1], the Bessel value from the
@@ -205,6 +206,37 @@ class TestBesselJ:
             table_j(0, -0.5)
         with pytest.raises(ValidationError):
             table_j(0, float("nan"))
+
+
+def nystrom_arguments(c):
+    """c r_i r_j over the lower triangle of the default Nystrom kernel at c, and N_hi."""
+    bound_N, q = default_truncation(c)
+    nodes = gauss_quadrature(q).nodes
+    cols, rows = np.triu_indices(q)
+    return bound_N, c * (nodes[rows] * nodes[cols])
+
+
+class TestBesselTableBits:
+    """bessel_j_table against the plain-loop recurrence it replaced, to the bit."""
+
+    @pytest.mark.parametrize("c", [0.002, 4.0, 64.0, 280.0])
+    def test_whole_table(self, c):
+        bound_N, args = nystrom_arguments(c)
+        table = bessel_j_table(bound_N, args)
+        assert table.tobytes() == loop_bessel_j_table(bound_N, args).tobytes()
+
+    @pytest.mark.parametrize("c", [0.002, 4.0, 64.0])
+    def test_blocks(self, c):
+        bound_N, args = nystrom_arguments(c)
+        for orders in (range(0, 3), range(3, bound_N // 2), range(bound_N // 2, bound_N + 1)):
+            block = bessel_j_table(bound_N, args, orders)
+            assert block.tobytes() == loop_bessel_j_table(bound_N, args, orders).tobytes()
+
+    def test_arguments_below_recurrence_floor(self):
+        xs = np.array([0.0, 1.0e-300, 3.0e-51, 9.9e-51, 1.0e-50, 2.0e-50, 0.3, 7.5, 90.0])
+        for orders in (range(0, 41), range(5, 30)):
+            table = bessel_j_table(40, xs, orders)
+            assert table.tobytes() == loop_bessel_j_table(40, xs, orders).tobytes()
 
 
 class TestEps0:

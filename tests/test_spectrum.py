@@ -321,7 +321,7 @@ class TestAdaptiveTruncation:
             return table
 
         monkeypatch.setattr(spectrum_module, "bessel_j_table", recording)
-        spectrum_module._recorded_solve.cache_clear()
+        spectrum_module._memo.clear()
         code = cli_main(["bounds", "--power", "1e14", "--area", "1.4e7"])
         out, err = capsys.readouterr()
         assert code == 0 and err == ""
@@ -331,7 +331,8 @@ class TestAdaptiveTruncation:
         assert largest < 150 * 2**20
         geometry = DiscGeometry(1.4e7, 0.1, 1.0e6, 1.0)
         assert geometry.c_param == pytest.approx(280.0, rel=1e-12)
-        spectrum = eigenvalue_spectrum(geometry, DEFAULT_TRUNCATION)  # the memoized solve
+        # the bounds call stopped at the water level; this walks on to the EPS cut
+        spectrum = eigenvalue_spectrum(geometry, DEFAULT_TRUNCATION)
         assert spectrum.angular_orders_solved - 1 < default_truncation(280.0)[0]
 
     def test_walk_reaching_bound_warns(self, monkeypatch):
