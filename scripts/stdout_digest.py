@@ -15,9 +15,12 @@ for its modes to be represented next to a tiny one that still works, an
 --out path in a directory that does not exist, an array on a link that
 fails the far-field gate, a bounds whose area grid reaches c = 160, a
 radial ceiling (a truncation override, so every disc walks to the EPS cut
-where the default truncation may stop at the water level), and a disc at
+where the default truncation may stop at the water level), a disc at
 c = 64 solved at an explicit quadrature order of 16, below the ceil(c) + 7
-its modes need, which warns.
+its modes need, which warns, the same order under area optimization,
+which warns once, for the largest c it tries, and an array whose receive
+aperture differs from its transmit one, so its receive weights are
+formatted on their own rather than reusing the transmit text.
 
 Two checkouts print the same lines exactly when these outputs are
 byte-identical, so a change that must not move any output is checked by a
@@ -55,6 +58,11 @@ EXTRA = (
     ("bounds", "--power", "1e13"),
     ("bounds", "--max-radial", "2"),
     ("bounds", "--area", "3.2e6", "--power", "1e12", "--quadrature-order", "16"),
+    ("bounds", "--power", "1e12", "--quadrature-order", "16"),
+    (
+        "array", "--area", "4e5", "--power", "1e9", "--streams", "21", "--cells", "4096",
+        "--aperture-rx", "400",
+    ),
 )
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -443,18 +443,26 @@ _PAIR = "      [\n        %r,\n        %r\n      ]"
 _MODE = "    [\n      %d,\n      %d\n    ]"
 
 
-def _json_list(item: str, count: int, values: list) -> str:
-    return "[\n" + ",\n".join([item] * count) % tuple(values) + "\n  ]"
+def _json_list(items: list[str]) -> list[str]:
+    """The pieces of a record-level list whose items are already laid out."""
+    pieces = [",\n"] * (2 * len(items) - 1)
+    pieces[::2] = items
+    return ["[\n", *pieces, "\n  ]"]
 
 
-def design_json(design: ArrayDesign) -> str:
-    """The design record as the text json.dumps(record, indent=2) + "\n" writes.
+def design_json(design: ArrayDesign) -> list[str]:
+    """The design record as pieces that join to json.dumps(record, indent=2) + "\n".
 
     The record is {schema_version: 1, N, K, elements, weights, powers,
     elements_rx, weights_rx, modes}: transmit side first, the receive side
-    under the _rx suffix. Each element and [re, im] pair goes through one
-    repeated %r template, not the pure-Python indenting encoder. JSON has
-    no non-finite numbers, so one raises ValidationError naming its field.
+    under the _rx suffix. No piece is larger than one element or one weight
+    row, so the text is never held as one string. Each row goes through one
+    repeated %r template, not the pure-Python indenting encoder. The
+    receive weights are the transmit weights scaled by sqrt(A_T/A_R), which
+    their normalization cancels; when the two tables are bit-identical, as
+    when A_T = A_R, weights_rx reuses the transmit row strings. JSON has no
+    non-finite numbers, so one raises ValidationError naming its field
+    before any piece is formatted.
     """
     tables = {
         "elements": design.tx_elements,
@@ -469,21 +477,30 @@ def design_json(design: ArrayDesign) -> str:
     k, n = design.stream_weights_tx.shape
     row = "    [\n" + ",\n".join([_PAIR] * n) + "\n    ]"
 
-    def elements(table: np.ndarray) -> str:
-        return _json_list(_ELEMENT, len(table), table.ravel().tolist())
+    def elements(table: np.ndarray) -> list[str]:
+        return _json_list([_ELEMENT % (x, y, area) for x, y, area in table.tolist()])
 
-    def weights(table: np.ndarray) -> str:
-        return _json_list(row, k, np.stack((table.real, table.imag), axis=-1).ravel().tolist())
+    def weight_rows(table: np.ndarray) -> list[str]:
+        pairs = np.stack((table.real, table.imag), axis=-1).reshape(k, 2 * n)
+        return [row % tuple(values.tolist()) for values in pairs]
 
+    rows_tx = weight_rows(tables["weights"])
+    # compare the bits: 0.0 == -0.0, but their reprs differ
+    same = np.array_equal(tables["weights"].view(np.int64), tables["weights_rx"].view(np.int64))
+    rows_rx = rows_tx if same else weight_rows(tables["weights_rx"])
     fields = (
-        ("schema_version", "1"),
-        ("N", repr(design.cell_count_N)),
-        ("K", repr(k)),
+        ("schema_version", ["1"]),
+        ("N", [repr(design.cell_count_N)]),
+        ("K", [repr(k)]),
         ("elements", elements(tables["elements"])),
-        ("weights", weights(tables["weights"])),
-        ("powers", _json_list("    %r", k, tables["powers"].tolist())),
+        ("weights", _json_list(rows_tx)),
+        ("powers", _json_list(["    %r" % p for p in tables["powers"].tolist()])),
         ("elements_rx", elements(tables["elements_rx"])),
-        ("weights_rx", weights(tables["weights_rx"])),
-        ("modes", _json_list(_MODE, k, [i for mode in design.mode_indices for i in mode])),
+        ("weights_rx", _json_list(rows_rx)),
+        ("modes", _json_list([_MODE % mode for mode in design.mode_indices])),
     )
-    return "{\n" + ",\n".join(f'  "{key}": {text}' for key, text in fields) + "\n}\n"
+    pieces = ["{\n"]
+    for key, items in fields:
+        pieces += [f'  "{key}": ', *items, ",\n"]
+    pieces[-1] = "\n}\n"
+    return pieces

@@ -24,7 +24,7 @@ import warnings
 from .bounds import EPS0, bounds_report, corollary_approx
 from .arrays import design_json, synthesize_array
 from .link import LinkBudget, ValidationError, derive_link, siso_efficiency
-from .spectrum import DiscGeometry, Truncation, assemble_spectrum, spectrum_report
+from .spectrum import DiscGeometry, QuadratureWarning, Truncation, assemble_spectrum, spectrum_report
 from .verification import CHECK_NAMES, DEFAULT_SEED, run_checks
 
 EXIT_OK = 0
@@ -162,13 +162,14 @@ def _truncation(args: argparse.Namespace) -> Truncation:
     return (args.max_angular, args.max_radial, args.quadrature_order)
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _emit(args: argparse.Namespace, *pieces: str) -> None:
+    """Write the pieces of a command's output, in order, to stdout or to --out."""
     if args.out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(args.out_path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise ValidationError(f"cannot write --out {args.out_path!r}: {exc.strerror}") from None
 
@@ -260,7 +261,7 @@ def run_array(args: argparse.Namespace) -> int:
     if args.out_format != "json":
         raise ValidationError("array designs export as JSON only")
     design = synthesize_array(link, args.area, args.streams, args.cells, _truncation(args))
-    _emit(args, design_json(design))
+    _emit(args, *design_json(design))
     return EXIT_OK
 
 
@@ -310,8 +311,14 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
         finally:
-            # one stderr line per distinct warning message, not a raw Python warning
-            for message in dict.fromkeys(str(w.message) for w in caught):
+            # one stderr line per distinct warning message, not a raw Python warning;
+            # of the undersized-quadrature warnings, one per disc tried, only the
+            # largest c's, which names the largest order needed
+            messages = [w.message for w in caught]
+            undersized = [m for m in messages if isinstance(m, QuadratureWarning)]
+            worst = max(undersized, key=lambda m: m.c, default=None)
+            messages = [m for m in messages if m is worst or not isinstance(m, QuadratureWarning)]
+            for message in dict.fromkeys(map(str, messages)):
                 print(f"apcap: warning: {message}", file=sys.stderr)
 
 

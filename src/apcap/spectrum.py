@@ -85,6 +85,14 @@ class TruncationWarning(UserWarning):
     """Retained modes capture too little of the theoretical spectral mass."""
 
 
+class QuadratureWarning(TruncationWarning):
+    """An explicit quadrature order is below ceil(c) + QUADRATURE_WARN_MARGIN at this c."""
+
+    def __init__(self, message: str, c: float):
+        super().__init__(message)
+        self.c = c
+
+
 @dataclass(frozen=True)
 class DiscGeometry:
     """Synthesis disc: area |S|, wavelength lambda, range d and loss L.
@@ -299,10 +307,12 @@ def assemble_spectrum(
     enough_q = math.ceil(c) + QUADRATURE_WARN_MARGIN
     if quadrature_order < enough_q:
         warnings.warn(
-            f"quadrature order {quadrature_order} is below ceil(c) + "
-            f"{QUADRATURE_WARN_MARGIN} = {enough_q} at c = {c:.6g}; the modes are not "
-            f"converged, and the sum rule cannot show it",
-            TruncationWarning,
+            QuadratureWarning(
+                f"quadrature order {quadrature_order} is below ceil(c) + "
+                f"{QUADRATURE_WARN_MARGIN} = {enough_q} at c = {c:.6g}; the modes are not "
+                f"converged, and the sum rule cannot show it",
+                c,
+            ),
             stacklevel=2,
         )
     walk_N = bound_N if max_angular_N is None else min(max_angular_N, bound_N)

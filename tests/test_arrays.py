@@ -71,6 +71,13 @@ def design_to_dict(design):
     }
 
 
+def weight_rows(pieces, k):
+    """The K transmit and K receive weight-row pieces of design_json's output."""
+    tx = pieces.index('  "weights": ') + 2  # past the opening "[\n"
+    rx = pieces.index('  "weights_rx": ') + 2
+    return pieces[tx : tx + 2 * k : 2], pieces[rx : rx + 2 * k : 2]
+
+
 def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
@@ -351,7 +358,7 @@ class TestAchievedEfficiency:
 
 class TestDesignSerialization:
     def test_record_shapes(self, study_designs):
-        record = json.loads(design_json(study_designs[64]))
+        record = json.loads("".join(design_json(study_designs[64])))
         assert record["schema_version"] == 1
         assert record["N"] == 64 and record["K"] == 4
         assert len(record["elements"]) == 64
@@ -365,14 +372,42 @@ class TestDesignSerialization:
         assert len(record["weights_rx"]) == 4
 
     def test_bytes_match_json_dumps(self, study_designs, snr10_link):
+        asymmetric = dataclasses.replace(WIDE_LINK, aperture_rx_AR=4.0 * WIDE_LINK.aperture_tx_AT)
         designs = (
             synthesize_array(snr10_link, STUDY_AREA, 1, 1),
             study_designs[64],
             synthesize_array(WIDE_LINK, WIDE_AREA, 21, 1024),
+            synthesize_array(asymmetric, WIDE_AREA, 21, 1024),
         )
         for design in designs:
             expected = json.dumps(design_to_dict(design), indent=2) + "\n"
-            assert design_json(design) == expected
+            assert "".join(design_json(design)) == expected
+
+    def test_receive_rows_reused_only_when_bit_identical(self):
+        design = synthesize_array(WIDE_LINK, WIDE_AREA, 21, 1024)
+        rows_tx, rows_rx = weight_rows(design_json(design), 21)
+        assert all(tx is rx for tx, rx in zip(rows_tx, rows_rx))
+        asymmetric = dataclasses.replace(WIDE_LINK, aperture_rx_AR=4.0 * WIDE_LINK.aperture_tx_AT)
+        pieces = design_json(synthesize_array(asymmetric, WIDE_AREA, 21, 1024))
+        rows_tx, rows_rx = weight_rows(pieces, 21)
+        assert not any(tx is rx for tx, rx in zip(rows_tx, rows_rx))
+
+        # 0.0 == -0.0, so only a comparison of the bits tells the two tables apart
+        table = design.stream_weights_rx.copy()
+        zero = np.flatnonzero(table.imag.view(np.int64) == 0)[0]
+        table.imag.flat[zero] = -0.0
+        flipped = dataclasses.replace(design, stream_weights_rx=table)
+        assert np.array_equal(flipped.stream_weights_rx, flipped.stream_weights_tx)
+        pieces = design_json(flipped)
+        assert "".join(pieces) == json.dumps(design_to_dict(flipped), indent=2) + "\n"
+        rows_tx, rows_rx = weight_rows(pieces, 21)
+        assert not any(tx is rx for tx, rx in zip(rows_tx, rows_rx))
+        assert "".join(rows_rx).count("-0.0\n") == "".join(rows_tx).count("-0.0\n") + 1
+
+    def test_no_piece_exceeds_one_weight_row(self):
+        pieces = design_json(synthesize_array(WIDE_LINK, WIDE_AREA, 21, 1024))
+        rows_tx, _ = weight_rows(pieces, 21)
+        assert max(map(len, pieces)) == max(map(len, rows_tx))
 
     @pytest.mark.parametrize(
         "field, attribute, value",

@@ -185,6 +185,15 @@ class TestBoundsCommand:
         assert starved.stdout == silenced.stdout
 
 
+    def test_undersized_quadrature_warns_once_for_the_largest_c(self):
+        # every disc the optimizer tries past c = 9 is undersized at Q = 16
+        proc = run_cli("bounds", "--quadrature-order", "16", "--power", "1e12")
+        assert proc.returncode == 0
+        assert proc.stderr.splitlines() == [
+            "apcap: warning: quadrature order 16 is below ceil(c) + 7 = 97 at c = 89.8867; "
+            "the modes are not converged, and the sum rule cannot show it"
+        ]
+
     def test_warning_repeats_in_one_process(self, capsys):
         # the second call reads the first call's spectrum from the memo
         from apcap.cli import main
@@ -253,16 +262,26 @@ class TestArrayCommand:
         assert proc.returncode == 1 and proc.stdout == ""
         assert f"exceeds available modes {len(kept)} (the spectrum keeps only" in proc.stderr
 
-    def test_non_finite_weights_refused(self):
+    def test_non_finite_weights_refused(self, tmp_path):
         # area / aperture-tx overflows, so the weights would be NaN, which JSON lacks;
         # the low noise PSD keeps the waterfill's inverted floors finite
-        proc = run_cli(
-            "array", "--area", "2e5", "--cells", "64", "--aperture-tx", "1e-305",
-            "--noise-psd", "1e-10",
-        )
-        assert proc.returncode == 1 and proc.stdout == ""
-        errors = [line for line in proc.stderr.splitlines() if line.startswith("apcap: error:")]
-        assert errors == ["apcap: error: array design field 'weights' holds a non-finite value"]
+        target = tmp_path / "d.json"
+        for out in ((), ("--out", str(target))):
+            proc = run_cli(
+                "array", "--area", "2e5", "--cells", "64", "--aperture-tx", "1e-305",
+                "--noise-psd", "1e-10", *out,
+            )
+            assert proc.returncode == 1 and proc.stdout == ""
+            errors = [line for line in proc.stderr.splitlines() if line.startswith("apcap: error:")]
+            assert errors == ["apcap: error: array design field 'weights' holds a non-finite value"]
+        # the refusal comes before --out is opened
+        assert not target.exists()
+
+    def test_out_file_matches_stdout(self, tmp_path):
+        args = ("array", "--area", "2e5", "--streams", "3", "--cells", "64")
+        target = tmp_path / "d.json"
+        assert run_cli(*args, "--out", str(target)).returncode == 0
+        assert target.read_text() == run_cli(*args).stdout
 
     def test_csv_refused(self):
         proc = run_cli("array", "--area", "2e5", "--format", "csv")
