@@ -184,7 +184,6 @@ class TestBoundsCommand:
         assert silenced.returncode == 0 and silenced.stderr == ""
         assert starved.stdout == silenced.stdout
 
-
     def test_undersized_quadrature_warns_once_for_the_largest_c(self):
         # every disc the optimizer tries past c = 9 is undersized at Q = 16
         proc = run_cli("bounds", "--quadrature-order", "16", "--power", "1e12")
