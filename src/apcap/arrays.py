@@ -1,13 +1,15 @@
 """Far-field channel matrices and constructive distributed-array synthesis.
 
-Two layers live here. The first builds explicit channel matrices from 3-D
-element positions: the exact matrix from pairwise distances and the
-reduced matrix from projected transverse coordinates, whose singular
-values agree in the far field. The second approximates the leading
-operator eigenfunctions by simple functions on an equal-area partition of
-the synthesis disc, yielding a finite K-stream array whose Gram matrix
-approaches the diagonal operator limit and whose efficiency approaches
-the waterfilled lower bound as the cell count grows.
+Two layers live here. The first builds explicit channel matrices from
+element positions, a wavelength and a range: the exact matrix from
+pairwise 3-D distances and the reduced matrix from projected transverse
+coordinates, whose singular values agree in the far field. Nothing here
+gates the range against the cluster radius: lemma1_check measures the gap
+between the two, and it shrinks as the range grows. The second
+approximates the leading operator eigenfunctions by simple functions on
+an equal-area partition of the synthesis disc, yielding a finite K-stream
+array whose Gram matrix approaches the diagonal operator limit and whose
+efficiency approaches the waterfilled lower bound as the cell count grows.
 """
 
 from __future__ import annotations
@@ -30,79 +32,35 @@ from .spectrum import (
 )
 from .waterfill import ChannelGains, waterfill
 
-FAR_FIELD_RANGE_FACTOR = 1.0e3
 
-
-@dataclass(frozen=True)
-class FarFieldScene:
-    """Explicit 3-D element positions for the two ends of a link.
-
-    Transmit positions cluster around the origin, receive positions around
-    (d, 0, 0). The far-field regime wants the range to dwarf both cluster
-    radii; construction enforces d >= 1000 * max(r_T, r_R) unless
-    enforce_far_field is False, which convergence sweeps use to reach
-    deliberately marginal ranges.
-    """
-
-    tx_positions: np.ndarray
-    rx_positions: np.ndarray
-    wavelength_lambda: float
-    nominal_range_d: float
-    enforce_far_field: bool = True
-
-    def __post_init__(self):
-        tx = np.atleast_2d(np.asarray(self.tx_positions, dtype=float))
-        rx = np.atleast_2d(np.asarray(self.rx_positions, dtype=float))
-        if tx.shape[1] != 3 or rx.shape[1] != 3:
-            raise ValidationError("element positions must be 3-D points")
-        object.__setattr__(self, "tx_positions", tx)
-        object.__setattr__(self, "rx_positions", rx)
-        if not (self.wavelength_lambda > 0.0 and self.nominal_range_d > 0.0):
-            raise ValidationError("wavelength and range must be positive")
-        if self.enforce_far_field:
-            ratio = self.nominal_range_d / max(self.cluster_radii + (1e-300,))
-            if ratio < FAR_FIELD_RANGE_FACTOR:
-                raise ValidationError(
-                    f"range over cluster radius {ratio:.3g} is below "
-                    f"{FAR_FIELD_RANGE_FACTOR:g}; the scene is not in the far field"
-                )
-
-    @property
-    def cluster_radii(self) -> tuple[float, float]:
-        """(r_T, r_R): element cluster radii about the two origins."""
-        r_t = float(np.max(np.linalg.norm(self.tx_positions, axis=1), initial=0.0))
-        rx_local = self.rx_positions - np.array([self.nominal_range_d, 0.0, 0.0])
-        r_r = float(np.max(np.linalg.norm(rx_local, axis=1), initial=0.0))
-        return r_t, r_r
-
-
-@dataclass(frozen=True)
-class ChannelMatrixPair:
-    """Exact and reduced channel matrices for one scene; entries unit modulus."""
-
-    exact_H: np.ndarray
-    reduced_H: np.ndarray
-
-
-def exact_channel_matrix(scene: FarFieldScene) -> np.ndarray:
+def exact_channel_matrix(
+    tx_positions: np.ndarray, rx_positions: np.ndarray, wavelength_lambda: float, range_d: float
+) -> np.ndarray:
     """Channel matrix h_ij = exp(-i 2 pi d_ij / lambda) from exact distances.
 
-    The phase is evaluated as a single global factor exp(-i 2 pi d/lambda)
-    times exp(-i 2 pi (d_ij - d)/lambda), with the difference computed
-    from coordinates directly. That keeps the entry-to-entry phases
-    accurate even when d spans millions of wavelengths, where forming
+    Transmit positions cluster around the origin, receive positions around
+    (d, 0, 0), both as rows of 3-D points. The phase is evaluated as a
+    single global factor exp(-i 2 pi d/lambda) times
+    exp(-i 2 pi (d_ij - d)/lambda), with the difference computed from
+    coordinates directly. That keeps the entry-to-entry phases accurate
+    even when d spans millions of wavelengths, where forming
     2 pi d_ij / lambda first would lose the sub-wavelength structure to
     roundoff; the global factor is common to all entries and leaves the
     singular values untouched.
     """
-    d = scene.nominal_range_d
-    lam = scene.wavelength_lambda
-    tx = scene.tx_positions
-    rx_local = scene.rx_positions - np.array([d, 0.0, 0.0])
+    tx = np.atleast_2d(np.asarray(tx_positions, dtype=float))
+    rx = np.atleast_2d(np.asarray(rx_positions, dtype=float))
+    if tx.shape[1] != 3 or rx.shape[1] != 3:
+        raise ValidationError("element positions must be 3-D points")
+    if not (wavelength_lambda > 0.0 and range_d > 0.0):
+        raise ValidationError("wavelength and range must be positive")
+    d = range_d
+    lam = wavelength_lambda
+    rx_local = rx - np.array([d, 0.0, 0.0])
     # d_ij^2 = d^2 + 2 d (vx - tx) + |v - t|^2, with v, t the local offsets
     dx = rx_local[:, 0][:, None] - tx[:, 0][None, :]
     diff_sq = (
-        (rx_local[:, 0][:, None] - tx[:, 0][None, :]) ** 2
+        dx**2
         + (rx_local[:, 1][:, None] - tx[:, 1][None, :]) ** 2
         + (rx_local[:, 2][:, None] - tx[:, 2][None, :]) ** 2
     )
@@ -131,28 +89,21 @@ def reduced_channel_matrix(
     return np.exp(2j * math.pi * phase)
 
 
-def channel_matrix_pair(scene: FarFieldScene) -> ChannelMatrixPair:
-    """Exact and reduced matrices for the same scene."""
-    d = scene.nominal_range_d
-    rx_local = scene.rx_positions - np.array([d, 0.0, 0.0])
-    return ChannelMatrixPair(
-        exact_H=exact_channel_matrix(scene),
-        reduced_H=reduced_channel_matrix(
-            scene.tx_positions[:, 1:], rx_local[:, 1:], scene.wavelength_lambda, d
-        ),
-    )
-
-
-def lemma1_check(scene: FarFieldScene) -> float:
+def lemma1_check(
+    tx_positions: np.ndarray, rx_positions: np.ndarray, wavelength_lambda: float, range_d: float
+) -> float:
     """Largest relative gap between sorted singular values of the two matrices.
 
-    Gaps are measured against the largest singular value. The gap shrinks
-    as the range grows at fixed transverse layout, since the neglected
-    longitudinal and quartic phase terms die off.
+    The exact matrix takes the 3-D positions, the reduced one their (y, z)
+    coordinates. Gaps are measured against the largest singular value. The
+    gap shrinks as the range grows at fixed transverse layout, since the
+    neglected longitudinal and quartic phase terms die off.
     """
-    pair = channel_matrix_pair(scene)
-    sv_exact = np.linalg.svd(pair.exact_H, compute_uv=False)
-    sv_reduced = np.linalg.svd(pair.reduced_H, compute_uv=False)
+    exact = exact_channel_matrix(tx_positions, rx_positions, wavelength_lambda, range_d)
+    tx, rx = np.atleast_2d(tx_positions, rx_positions)
+    reduced = reduced_channel_matrix(tx[:, 1:], rx[:, 1:], wavelength_lambda, range_d)
+    sv_exact = np.linalg.svd(exact, compute_uv=False)
+    sv_reduced = np.linalg.svd(reduced, compute_uv=False)
     return float(np.max(np.abs(sv_exact - sv_reduced)) / sv_exact[0])
 
 
@@ -460,7 +411,8 @@ def design_json(design: ArrayDesign) -> list[str]:
     repeated %r template, not the pure-Python indenting encoder. The
     receive weights are the transmit weights scaled by sqrt(A_T/A_R), which
     their normalization cancels; when the two tables are bit-identical, as
-    when A_T = A_R, weights_rx reuses the transmit row strings. JSON has no
+    when A_T = A_R, weights_rx reuses the transmit row strings, and
+    elements_rx the transmit element strings likewise. JSON has no
     non-finite numbers, so one raises ValidationError naming its field
     before any piece is formatted.
     """
@@ -484,19 +436,23 @@ def design_json(design: ArrayDesign) -> list[str]:
         pairs = np.stack((table.real, table.imag), axis=-1).reshape(k, 2 * n)
         return [row % tuple(values.tolist()) for values in pairs]
 
+    def receive(name: str, format_table, transmit_text: list[str]) -> list[str]:
+        # compare the bits: 0.0 == -0.0, but their reprs differ
+        tx, rx = tables[name], tables[name + "_rx"]
+        same = np.array_equal(tx.view(np.int64), rx.view(np.int64))
+        return transmit_text if same else format_table(rx)
+
+    elements_tx = elements(tables["elements"])
     rows_tx = weight_rows(tables["weights"])
-    # compare the bits: 0.0 == -0.0, but their reprs differ
-    same = np.array_equal(tables["weights"].view(np.int64), tables["weights_rx"].view(np.int64))
-    rows_rx = rows_tx if same else weight_rows(tables["weights_rx"])
     fields = (
         ("schema_version", ["1"]),
         ("N", [repr(design.cell_count_N)]),
         ("K", [repr(k)]),
-        ("elements", elements(tables["elements"])),
+        ("elements", elements_tx),
         ("weights", _json_list(rows_tx)),
         ("powers", _json_list(["    %r" % p for p in tables["powers"].tolist()])),
-        ("elements_rx", elements(tables["elements_rx"])),
-        ("weights_rx", _json_list(rows_rx)),
+        ("elements_rx", receive("elements", elements, elements_tx)),
+        ("weights_rx", _json_list(receive("weights", weight_rows, rows_tx))),
         ("modes", _json_list([_MODE % mode for mode in design.mode_indices])),
     )
     pieces = ["{\n"]

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .link import LinkBudget, ValidationError, derive_link
+from .link import LinkBudget, ValidationError, derive_link, siso_efficiency
 from .numerics import solve_eps0
 from .spectrum import (
     AREA_RATIO_MAX,
@@ -37,15 +37,14 @@ EPS0 = solve_eps0()
 def upper_bound(received_snr: float) -> float:
     """Upper bound on spectral efficiency in bits/s/Hz.
 
-    log2(1 + gamma*g) up to the threshold eps0 - 1, then
-    sqrt(gamma*g/(eps0-1)) * log2(eps0). The two branches agree at the
-    threshold by construction of eps0.
+    siso_efficiency, log2(1 + gamma*g), up to the threshold eps0 - 1, then
+    corollary_approx, sqrt(gamma*g/(eps0-1)) * log2(eps0). The two branches
+    agree at the threshold by construction of eps0. siso_efficiency refuses
+    a negative SNR.
     """
-    if received_snr < 0.0:
-        raise ValidationError(f"received SNR must be nonnegative, got {received_snr!r}")
     if received_snr <= EPS0 - 1.0:
-        return math.log1p(received_snr) / math.log(2.0)
-    return math.sqrt(received_snr / (EPS0 - 1.0)) * math.log2(EPS0)
+        return siso_efficiency(received_snr)
+    return corollary_approx(received_snr)
 
 
 def corollary_approx(received_snr: float) -> float:

@@ -174,8 +174,6 @@ def _emit(args: argparse.Namespace, *pieces: str) -> None:
         raise ValidationError(f"cannot write --out {args.out_path!r}: {exc.strerror}") from None
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def _csv_text(rows: list[dict]) -> str:
@@ -186,6 +184,14 @@ def _csv_text(rows: list[dict]) -> str:
     for row in rows:
         writer.writerow(["" if v is None else repr(v) if isinstance(v, float) else v for v in row.values()])
     return buf.getvalue()
+
+
+def _report(args: argparse.Namespace, payload: dict, rows: list[dict]) -> None:
+    """Write the payload as indented JSON, or the rows as CSV under --format csv."""
+    if args.out_format == "json":
+        _emit(args, json.dumps(payload, indent=2) + "\n")
+    else:
+        _emit(args, _csv_text(rows))
 
 
 def run_link(args: argparse.Namespace) -> int:
@@ -200,11 +206,8 @@ def run_link(args: argparse.Namespace) -> int:
         "siso_bits": siso,
         "capacity_bps": link.bandwidth_B * siso,
     }
-    if args.out_format == "json":
-        _emit(args, _json_text({"schema_version": SCHEMA_VERSION, **record, "bounds": bounds}))
-    else:
-        # the bounds' gamma_g is the same number; the key keeps its place in record
-        _emit(args, _csv_text([{**record, **bounds}]))
+    # the bounds' gamma_g is the same number; the key keeps its place in record
+    _report(args, {"schema_version": SCHEMA_VERSION, **record, "bounds": bounds}, [{**record, **bounds}])
     return EXIT_OK
 
 
@@ -229,10 +232,7 @@ def run_sweep(args: argparse.Namespace) -> int:
                 "best_area_ratio": (bounds["best_area"] / lam_d) ** 2,
             }
         )
-    if args.out_format == "json":
-        _emit(args, _json_text({"schema_version": SCHEMA_VERSION, "rows": rows}))
-    else:
-        _emit(args, _csv_text(rows))
+    _report(args, {"schema_version": SCHEMA_VERSION, "rows": rows}, rows)
     return EXIT_OK
 
 
@@ -240,19 +240,13 @@ def run_spectrum(args: argparse.Namespace) -> int:
     geometry = DiscGeometry(args.area, args.wavelength, args.range_d, args.loss)
     spectrum = assemble_spectrum(geometry, *_truncation(args), keep_radial=False)
     report = spectrum_report(spectrum)
-    if args.out_format == "json":
-        _emit(args, _json_text(report))
-    else:
-        _emit(args, _csv_text(report["modes"]))
+    _report(args, report, report["modes"])
     return EXIT_OK
 
 
 def run_bounds(args: argparse.Namespace) -> int:
     record = bounds_report(_link(args), args.area, _truncation(args))
-    if args.out_format == "json":
-        _emit(args, _json_text({"schema_version": SCHEMA_VERSION, **record}))
-    else:
-        _emit(args, _csv_text([record]))
+    _report(args, {"schema_version": SCHEMA_VERSION, **record}, [record])
     return EXIT_OK
 
 

@@ -25,13 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import (
-    FarFieldScene,
-    achieved_efficiency,
-    finite_array_gram,
-    lemma1_check,
-    synthesize_array,
-)
+from .arrays import achieved_efficiency, finite_array_gram, lemma1_check, synthesize_array
 from .bounds import EPS0, beta_at_area, default_area_grid, optimize_disc_area, upper_bound
 from .link import LinkBudget, siso_efficiency
 from .numerics import solve_eps0
@@ -312,14 +306,7 @@ def _lemma1_transverse_gaps(seed: int) -> list[tuple[float, float]]:
         d = d_over_lambda * STUDY_WAVELENGTH
         tx = np.column_stack((np.zeros(8), tx_yz[:, 0], tx_yz[:, 1]))
         rx = np.column_stack((np.full(8, d), rx_yz[:, 0], rx_yz[:, 1]))
-        scene = FarFieldScene(
-            tx_positions=tx,
-            rx_positions=rx,
-            wavelength_lambda=STUDY_WAVELENGTH,
-            nominal_range_d=d,
-            enforce_far_field=d / radius >= 1.0e3,
-        )
-        gaps.append((d_over_lambda, lemma1_check(scene)))
+        gaps.append((d_over_lambda, lemma1_check(tx, rx, STUDY_WAVELENGTH, d)))
     return gaps
 
 

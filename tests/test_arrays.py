@@ -10,9 +10,7 @@ from scipy.interpolate import PchipInterpolator
 
 import apcap.arrays as arrays_module
 from apcap.arrays import (
-    FarFieldScene,
     achieved_efficiency,
-    channel_matrix_pair,
     design_json,
     equal_area_partition,
     exact_channel_matrix,
@@ -71,86 +69,57 @@ def design_to_dict(design):
     }
 
 
-def weight_rows(pieces, k):
-    """The K transmit and K receive weight-row pieces of design_json's output."""
-    tx = pieces.index('  "weights": ') + 2  # past the opening "[\n"
-    rx = pieces.index('  "weights_rx": ') + 2
-    return pieces[tx : tx + 2 * k : 2], pieces[rx : rx + 2 * k : 2]
+def field_items(pieces, field, count):
+    """The transmit and receive item pieces (weight rows or elements) of design_json's output."""
+    tx = pieces.index(f'  "{field}": ') + 2  # past the opening "[\n"
+    rx = pieces.index(f'  "{field}_rx": ') + 2
+    return pieces[tx : tx + 2 * count : 2], pieces[rx : rx + 2 * count : 2]
 
 
 def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-class TestFarFieldScene:
-    def test_cluster_radii(self):
-        scene = FarFieldScene(
-            tx_positions=np.array([[0.0, 3.0, 4.0]]),
-            rx_positions=np.array([[1.0e5, 0.0, 7.0]]),
-            wavelength_lambda=0.1,
-            nominal_range_d=1.0e5,
-        )
-        assert scene.cluster_radii == (5.0, 7.0)
-
-    def test_range_gate(self):
-        tx = np.array([[0.0, 10.0, 0.0]])
-        rx = np.array([[9.0e3, 0.0, 0.0]])
-        with pytest.raises(ValidationError, match="far field"):
-            FarFieldScene(tx, rx, 0.1, 9.0e3)
-        # the same marginal layout is allowed when the gate is waived
-        scene = FarFieldScene(tx, rx, 0.1, 9.0e3, enforce_far_field=False)
-        assert scene.cluster_radii[0] == 10.0
-
+class TestExactChannelMatrix:
     def test_positions_must_be_3d(self):
         with pytest.raises(ValidationError, match="3-D"):
-            FarFieldScene(np.zeros((2, 2)), np.zeros((1, 3)), 0.1, 1.0e5)
+            exact_channel_matrix(np.zeros((2, 2)), np.zeros((1, 3)), 0.1, 1.0e5)
 
-
-class TestExactChannelMatrix:
     def test_whole_wavelength_range_is_unity(self):
-        scene = FarFieldScene(
-            tx_positions=np.zeros((1, 3)),
-            rx_positions=np.array([[5.0e3, 0.0, 0.0]]),
-            wavelength_lambda=0.5,
-            nominal_range_d=5.0e3,
-        )
-        h = exact_channel_matrix(scene)
+        h = exact_channel_matrix(np.zeros((1, 3)), np.array([[5.0e3, 0.0, 0.0]]), 0.5, 5.0e3)
         assert h[0, 0] == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
     def test_colocated_elements_give_identical_columns(self):
-        scene = FarFieldScene(
-            tx_positions=np.array([[0.0, 2.0, 1.0], [0.0, 2.0, 1.0]]),
-            rx_positions=np.array([[1.0e5, 3.0, 0.0], [1.0e5, 0.0, -4.0]]),
-            wavelength_lambda=0.25,
-            nominal_range_d=1.0e5,
+        h = exact_channel_matrix(
+            np.array([[0.0, 2.0, 1.0], [0.0, 2.0, 1.0]]),
+            np.array([[1.0e5, 3.0, 0.0], [1.0e5, 0.0, -4.0]]),
+            0.25,
+            1.0e5,
         )
-        h = exact_channel_matrix(scene)
         assert np.array_equal(h[:, 0], h[:, 1])
 
     def test_transverse_pair_stays_near_unity(self):
         # two aligned pairs, 10 m apart transversely, a million wavelengths
         # deep: the only surviving phase is the quadratic offset term
         # |delta|^2 / (2d) = 5e-5 wavelengths, about 3.14e-4 radians
-        scene = FarFieldScene(
-            tx_positions=np.array([[0.0, 0.0, 0.0], [0.0, 10.0, 0.0]]),
-            rx_positions=np.array([[1.0e6, 0.0, 0.0], [1.0e6, 10.0, 0.0]]),
-            wavelength_lambda=1.0,
-            nominal_range_d=1.0e6,
+        h = exact_channel_matrix(
+            np.array([[0.0, 0.0, 0.0], [0.0, 10.0, 0.0]]),
+            np.array([[1.0e6, 0.0, 0.0], [1.0e6, 10.0, 0.0]]),
+            1.0,
+            1.0e6,
         )
-        h = exact_channel_matrix(scene)
         deviation = np.max(np.abs(h - np.ones((2, 2))))
         assert deviation == pytest.approx(3.1415926e-4, rel=1e-5)
         assert deviation < 1e-3
         assert h[0, 0] == 1.0 + 0.0j
 
     def test_entries_unit_modulus(self):
-        scene = FarFieldScene(
-            tx_positions=np.array([[0.0, -4.0, 1.0], [0.2, 3.0, -2.0]]),
-            rx_positions=np.array([[2.0e5, 5.0, 2.0], [2.0e5, -1.0, 6.0]]),
-            wavelength_lambda=0.1,
-            nominal_range_d=2.0e5,
+        h = exact_channel_matrix(
+            np.array([[0.0, -4.0, 1.0], [0.2, 3.0, -2.0]]),
+            np.array([[2.0e5, 5.0, 2.0], [2.0e5, -1.0, 6.0]]),
+            0.1,
+            2.0e5,
         )
-        h = exact_channel_matrix(scene)
         assert np.abs(h) == pytest.approx(np.ones((2, 2)), abs=1e-14)
 
 
@@ -186,30 +155,22 @@ class TestReducedChannelMatrix:
 
 class TestLemma1Check:
     def test_single_pair_gap_is_zero(self):
-        scene = FarFieldScene(
-            tx_positions=np.array([[0.0, 1.0, 0.0]]),
-            rx_positions=np.array([[1.0e5, 0.0, 2.0]]),
-            wavelength_lambda=0.1,
-            nominal_range_d=1.0e5,
-        )
-        assert lemma1_check(scene) == 0.0
+        gap = lemma1_check(np.array([[0.0, 1.0, 0.0]]), np.array([[1.0e5, 0.0, 2.0]]), 0.1, 1.0e5)
+        assert gap == 0.0
 
     def test_gap_shrinks_with_range(self):
         rng = np.random.Generator(np.random.Philox(7))
         tx_t = rng.uniform(-10.0, 10.0, size=(6, 2))
         rx_t = rng.uniform(-10.0, 10.0, size=(6, 2))
+        tx = np.column_stack((np.zeros(6), tx_t))
         gaps = []
         for d in (2.0e4, 2.0e6):
-            scene = FarFieldScene(
-                tx_positions=np.column_stack((np.zeros(6), tx_t)),
-                rx_positions=np.column_stack((np.full(6, d), rx_t)),
-                wavelength_lambda=0.1,
-                nominal_range_d=d,
-            )
-            gaps.append(lemma1_check(scene))
+            rx = np.column_stack((np.full(6, d), rx_t))
+            gaps.append(lemma1_check(tx, rx, 0.1, d))
         assert gaps[1] < gaps[0] * 1e-2
-        pair = channel_matrix_pair(scene)
-        assert pair.exact_H.shape == pair.reduced_H.shape == (6, 6)
+        exact = exact_channel_matrix(tx, rx, 0.1, d)
+        reduced = reduced_channel_matrix(tx_t, rx_t, 0.1, d)
+        assert exact.shape == reduced.shape == (6, 6)
 
 
 class TestEqualAreaPartition:
@@ -384,13 +345,17 @@ class TestDesignSerialization:
             assert "".join(design_json(design)) == expected
 
     def test_receive_rows_reused_only_when_bit_identical(self):
+        # the weight rows and the elements: the receive text is the transmit text
+        # under A_T = A_R, and formatted on its own when the areas differ
         design = synthesize_array(WIDE_LINK, WIDE_AREA, 21, 1024)
-        rows_tx, rows_rx = weight_rows(design_json(design), 21)
-        assert all(tx is rx for tx, rx in zip(rows_tx, rows_rx))
+        symmetric = design_json(design)
         asymmetric = dataclasses.replace(WIDE_LINK, aperture_rx_AR=4.0 * WIDE_LINK.aperture_tx_AT)
         pieces = design_json(synthesize_array(asymmetric, WIDE_AREA, 21, 1024))
-        rows_tx, rows_rx = weight_rows(pieces, 21)
-        assert not any(tx is rx for tx, rx in zip(rows_tx, rows_rx))
+        for field, count in (("weights", 21), ("elements", 1024)):
+            items_tx, items_rx = field_items(symmetric, field, count)
+            assert all(tx is rx for tx, rx in zip(items_tx, items_rx))
+            items_tx, items_rx = field_items(pieces, field, count)
+            assert not any(tx is rx for tx, rx in zip(items_tx, items_rx))
 
         # 0.0 == -0.0, so only a comparison of the bits tells the two tables apart
         table = design.stream_weights_rx.copy()
@@ -400,13 +365,13 @@ class TestDesignSerialization:
         assert np.array_equal(flipped.stream_weights_rx, flipped.stream_weights_tx)
         pieces = design_json(flipped)
         assert "".join(pieces) == json.dumps(design_to_dict(flipped), indent=2) + "\n"
-        rows_tx, rows_rx = weight_rows(pieces, 21)
+        rows_tx, rows_rx = field_items(pieces, "weights", 21)
         assert not any(tx is rx for tx, rx in zip(rows_tx, rows_rx))
         assert "".join(rows_rx).count("-0.0\n") == "".join(rows_tx).count("-0.0\n") + 1
 
     def test_no_piece_exceeds_one_weight_row(self):
         pieces = design_json(synthesize_array(WIDE_LINK, WIDE_AREA, 21, 1024))
-        rows_tx, _ = weight_rows(pieces, 21)
+        rows_tx, _ = field_items(pieces, "weights", 21)
         assert max(map(len, pieces)) == max(map(len, rows_tx))
 
     @pytest.mark.parametrize(

@@ -79,7 +79,7 @@ class TestUpperBound:
         assert upper_bound(1.02 * snr) > upper_bound(snr)
 
     def test_rejects_negative(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="received SNR must be nonnegative"):
             upper_bound(-1.0)
 
 
