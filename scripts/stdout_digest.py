@@ -20,7 +20,9 @@ c = 64 solved at an explicit quadrature order of 16, below the ceil(c) + 7
 its modes need, which warns, the same order under area optimization,
 which warns once, for the largest c it tries, and an array whose receive
 aperture differs from its transmit one, so its receive weights are
-formatted on their own rather than reusing the transmit text.
+formatted on their own rather than reusing the transmit text, and an
+optimized strong-regime sweep up to gamma*g = 1e7, whose rising powers hit
+the memo on the discs they share.
 
 Two checkouts print the same lines exactly when these outputs are
 byte-identical, so a change that must not move any output is checked by a
@@ -63,6 +65,7 @@ EXTRA = (
         "array", "--area", "4e5", "--power", "1e9", "--streams", "21", "--cells", "4096",
         "--aperture-rx", "400",
     ),
+    ("sweep", "--grid", "1e3:1e7:5:log"),
 )
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

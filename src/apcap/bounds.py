@@ -83,10 +83,12 @@ def beta_at_area(
     link must pass the far-field gate. The bound is the waterfilling
     efficiency over the effective gains h_k = (A_T A_R/|S|^2) |nu_k|^2
     with budget P and noise floor B*N0. It sums over the active modes only,
-    so under the default truncation the spectrum walk may stop at this
-    link's water level (see assemble_spectrum): the modes it leaves out get
-    no power. A truncation override walks to its own ceiling and warns as
-    it would without a bound.
+    so under the default truncation the spectrum walk may stop at the first
+    angular order whose top inverted floor B*N0/h lies above this link's
+    one-channel water level P + B*N0/h_top, which no waterfill level
+    exceeds (see assemble_spectrum): the modes it leaves out get no power.
+    A truncation override walks to its own ceiling and warns as it would
+    without a bound.
     """
     geometry = DiscGeometry(area_S, link.wavelength_lambda, link.range_d, link.loss_L)
     water = None

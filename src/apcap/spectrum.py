@@ -25,7 +25,6 @@ import numpy as np
 
 from .link import ValidationError
 from .numerics import QUAD_MAX_ORDER, QuadratureRule, bessel_j_table, gauss_quadrature
-from .waterfill import fill_level
 
 # The kernel model treats the disc as small compared with the range.
 AREA_RATIO_MAX = 1.0e-4
@@ -71,9 +70,9 @@ DEFAULT_TRUNCATION: Truncation = (None, None, None)
 # B N0 over that gain, as bounds.effective_gains and waterfill form them.
 Water = tuple[float, float, float]
 
-# A water stop needs a top inverted floor above the running water level by this
-# relative margin, which covers the rounding of the level's prefix sum (at most
-# n unit roundoffs, about 1e-11 for 1e5 floors).
+# A water stop needs a top inverted floor above the one-channel level P + BN0/h_top
+# by this relative margin. It covers the rounding of that one sum and of the
+# waterfill's prefix sums (at most n unit roundoffs, about 1e-11 for 1e5 floors).
 WATER_MARGIN = 1.0e-9
 
 # Fraction of the theoretical spectral mass the retained modes must reach
@@ -156,8 +155,8 @@ class OperatorSpectrum:
     truncation is what was kept (largest |N|, largest m, quadrature order),
     and angular_orders_solved counts the orders N = 0, 1, ... the walk
     solved. water_stop_nu_sq is None when the walk ran to the EPS cut; a
-    walk that stopped at a bounds call's water level records the top nu_sq
-    of the order it stopped on, and holds only the orders before it.
+    walk that stopped above a bounds call's water level records the top
+    nu_sq of the order it stopped on, and holds only the orders before it.
     """
 
     angular_N: np.ndarray
@@ -265,16 +264,17 @@ def assemble_spectrum(
     The spectrum's truncation is what was kept: the largest |N| and m among
     its modes, and Q.
 
-    water, given by the bounds path only, also stops the walk at a bounds
-    call's water level. After each order the walk keeps the water level of
-    the budget P over the inverted floors BN0/h of the modes kept so far.
-    More channels can only lower a level, so it bounds the final one from
-    above, and the walk stops at the first order whose top floor lies above
-    it (by WATER_MARGIN): by the same monotone decay in N the EPS stop
-    relies on, no later order holds an active mode. A non-finite floor
-    never stops the walk. The spectrum records the stopping order's top
-    nu_sq in water_stop_nu_sq, and a water-stopped solve raises no sum-rule
-    warning, since it leaves out inactive modes on purpose.
+    water, given by the bounds path only, also stops the walk above a bounds
+    call's water level. A waterfill's level never exceeds its one-channel
+    value P + BN0/h_top (Cover & Thomas, Elements of Information Theory,
+    9.4), with h_top the strongest gain, which the walk's running top
+    bounds from below. So the walk stops at the first order whose top
+    inverted floor BN0/h lies above (P + BN0/h_top) (1 + WATER_MARGIN): by
+    the same monotone decay in N the EPS stop relies on, no later order
+    holds an active mode. A non-finite floor never stops the walk. The
+    spectrum records the stopping order's top nu_sq in water_stop_nu_sq,
+    and a water-stopped solve raises no sum-rule warning, since it leaves
+    out inactive modes on purpose.
 
     Each mode (N, m) with N != 0 enters twice (+N and -N) with the same
     magnitude. nu_sq = (L / lambda^2 d^2) R^4 (2 pi beta)^2.
@@ -339,8 +339,6 @@ def assemble_spectrum(
     top = 0.0
     stopped = False
     water_stop = None
-    level = math.inf  # the water level over the floors kept so far
-    below = np.empty(0)  # those floors at or below it, ascending
     for N in range(walk_N + 1):
         if N % block == 0:
             table = None  # let the previous block go before the next is built
@@ -352,21 +350,11 @@ def assemble_spectrum(
         if nu_sq[0] < EPS * top:
             stopped = True
             break
+        if water is not None and _dry(water, nu_sq[0], top):
+            water_stop = float(nu_sq[0])
+            stopped = True
+            break
         kept = int(np.count_nonzero(nu_sq[: radial_m + 1] >= EPS * top))
-        if water is not None:
-            floors = _inverted_floors(water, nu_sq[:kept])  # ascending
-            if _above_water(floors[0], level):
-                water_stop = float(nu_sq[0])
-                stopped = True
-                break
-            # a floor above the level stays above it as more channels lower it
-            floors = floors[np.isfinite(floors) & (floors <= level)]
-            # +N and -N are two channels
-            below = np.concatenate((below, floors, floors) if N > 0 else (below, floors))
-            if below.size:
-                below.sort(kind="stable")
-                active, level = fill_level(below, water[2])
-                below = below[:active]
         indices = np.arange(kept)
         for signed_N in (N, -N) if N > 0 else (N,):
             pieces.append((np.full(kept, signed_N), indices, betas[:kept], nu_sq[:kept]))
@@ -406,29 +394,12 @@ def assemble_spectrum(
     return spectrum
 
 
-def _inverted_floors(water: Water, nu_sq: np.ndarray) -> np.ndarray:
-    """B N0 / h for the gains h = (gain scale) * nu_sq; inf where h is 0 or B N0 / h overflows."""
-    gain_scale, noise, _ = water
+def _dry(water: Water, nu_sq: float, top: float) -> bool:
+    """Whether this nu_sq's inverted floor is finite and above the one-channel level over top."""
+    gain_scale, noise, power = water
     with np.errstate(over="ignore", divide="ignore"):
-        return noise / (gain_scale * nu_sq)
-
-
-def _above_water(floor: float, level: float) -> bool:
-    """Whether a mode with this floor gets no power under a level that bounds the final one."""
-    return math.isfinite(floor) and floor > level * (1.0 + WATER_MARGIN)
-
-
-def _holds_active_modes(spectrum: OperatorSpectrum, water: Water | None) -> bool:
-    """Whether the spectrum holds every mode a bounds call with this water can make active."""
-    if spectrum.water_stop_nu_sq is None:
-        return True
-    if water is None:
-        return False
-    floors = _inverted_floors(water, spectrum.nu_sq)
-    floors = floors[np.isfinite(floors)]
-    level = fill_level(floors, water[2])[1] if floors.size else math.inf
-    stop_floor = _inverted_floors(water, np.float64(spectrum.water_stop_nu_sq))
-    return _above_water(stop_floor, level)
+        floor, top_floor = noise / (gain_scale * np.array([nu_sq, top]))
+    return math.isfinite(floor) and floor > (power + top_floor) * (1.0 + WATER_MARGIN)
 
 
 # eigenvalue_spectrum's memo, least recently used first: (geometry, truncation)
@@ -443,18 +414,23 @@ def eigenvalue_spectrum(
 
     The memo holds one entry per exact geometry and truncation triple (None
     entries take the defaults). A miss with water (bounds.beta_at_area
-    under the default truncation) solves with the water-level stop. A hit
-    on a water-stopped entry whose stopping order could hold an active mode
-    under this call's water (any hit without water counts) walks the
-    spectrum again to the EPS cut and replaces the entry. So the spectrum
-    returned holds every mode the caller can use, and the modes it holds
-    have the bits a fresh solve gives. The result is shared between
-    callers; its columns are read-only. Every call raises again the
-    warnings the entry's solve raised.
+    under the default truncation) solves with the water stop. A hit on a
+    water-stopped entry puts the stop's own test to the entry: is the
+    stopping order's top floor, under this call's water, above the
+    one-channel level P + BN0/h_top of the entry's top mode? If not, or if
+    the call has no water, the spectrum is walked again to the EPS cut and
+    replaces the entry. So the spectrum returned holds every mode the
+    caller can use, and the modes it holds have the bits a fresh solve
+    gives. The result is shared between callers; its columns are
+    read-only. Every call raises again the warnings the entry's solve
+    raised.
     """
     key = (geometry, truncation)
     entry = _memo.pop(key, None)
-    if entry is None or not _holds_active_modes(entry[0], water):
+    stop = None if entry is None else entry[0].water_stop_nu_sq
+    if entry is None or (
+        stop is not None and (water is None or not _dry(water, stop, entry[0].nu_sq[0]))
+    ):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             spectrum = assemble_spectrum(

@@ -424,9 +424,6 @@ CHECKS = (
 
 CHECK_NAMES = tuple(name for name, _ in CHECKS)
 
-# checks whose stated windows exclude the measured truth; kept failing on purpose
-EXPECTED_FAILURES = ("optimal_area_location", "asymptotic_ratio_trend")
-
 
 def run_checks(
     names: list[str] | None = None,

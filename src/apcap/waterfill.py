@@ -78,28 +78,17 @@ def waterfill(gains: ChannelGains, total_power_P: float) -> PowerAllocation:
     positive = gains.gains_eta_sq[gains.gains_eta_sq > 0.0]
     with np.errstate(over="ignore"):
         floors = gains.noise_floor_BN0 / positive
-    floors = floors[np.isfinite(floors)]
-    active, level = fill_level(floors, total_power_P)
-    powers = np.zeros(gains.gains_eta_sq.size)
-    # a channel exactly at the level is active with zero power; tiny negative
-    # residues from roundoff are clipped as well
-    powers[:active] = np.maximum(level - floors[:active], 0.0)
-    return PowerAllocation(powers_Pn=powers, active_K=active, water_level=level)
-
-
-def fill_level(floors: np.ndarray, total_power_P: float) -> tuple[int, float]:
-    """Active count K and water level of a budget over ascending finite inverted floors.
-
-    K is the largest k with (P + sum_{i<=k} f_i) / k >= f_k among the k whose
-    prefix sum does not overflow (1 when none clears), and the level is
-    (P + sum_{i<=K} f_i) / K. waterfill allocates with it, and the bounds
-    path's spectrum walk keeps a running level with it.
-    """
-    with np.errstate(over="ignore"):
+        floors = floors[np.isfinite(floors)]
         levels = (total_power_P + np.cumsum(floors)) / np.arange(1, floors.size + 1)
     clears = np.flatnonzero((levels >= floors) & np.isfinite(levels))
     active = int(clears[-1]) + 1 if clears.size else 1
-    return active, (total_power_P + float(np.sum(floors[:active]))) / active
+    floors = floors[:active]
+    level = (total_power_P + float(np.sum(floors))) / active
+    powers = np.zeros(gains.gains_eta_sq.size)
+    # a channel exactly at the level is active with zero power; tiny negative
+    # residues from roundoff are clipped as well
+    powers[:active] = np.maximum(level - floors, 0.0)
+    return PowerAllocation(powers_Pn=powers, active_K=active, water_level=level)
 
 
 def allocation_efficiency(gains: ChannelGains, alloc: PowerAllocation) -> float:

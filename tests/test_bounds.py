@@ -203,9 +203,10 @@ class TestBoundsReport:
 
 
 class TestWaterStop:
-    """Under the default truncation the walk stops at the link's water level."""
+    """Under the default truncation the walk stops at the first order whose top
+    inverted floor lies above the link's one-channel water level P + BN0/h_top."""
 
-    @pytest.mark.parametrize("snr", [0.1, EPS0 - 1.0, 10.0, 1.0e4, 1.0e6])
+    @pytest.mark.parametrize("snr", [0.1, EPS0 - 1.0, 10.0, 1.0e4, 1.0e6, 1.0e7])
     @pytest.mark.parametrize("end", [0, -1])
     def test_matches_full_walk(self, snr, end):
         link = study_link(snr)

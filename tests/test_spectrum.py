@@ -331,7 +331,7 @@ class TestAdaptiveTruncation:
         assert largest < 150 * 2**20
         geometry = DiscGeometry(1.4e7, 0.1, 1.0e6, 1.0)
         assert geometry.c_param == pytest.approx(280.0, rel=1e-12)
-        # the bounds call stopped at the water level; this walks on to the EPS cut
+        # the bounds call stopped at its water cut; this walks on to the EPS cut
         spectrum = eigenvalue_spectrum(geometry, DEFAULT_TRUNCATION)
         assert spectrum.angular_orders_solved - 1 < default_truncation(280.0)[0]
 

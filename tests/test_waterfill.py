@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from apcap.link import ValidationError
 from apcap.oracles import greedy_waterfill
+from apcap.spectrum import WATER_MARGIN
 from apcap.waterfill import ChannelGains, allocation_efficiency, waterfill
 from oracles import grid_two_channel_best
 
@@ -130,6 +131,19 @@ class TestWaterfill:
         gains = np.concatenate((np.sort(gains)[::-1], np.zeros(zeros)))
         ch = ChannelGains(gains_eta_sq=gains, noise_floor_BN0=0.7)
         assert waterfill(ch, total).active_K == loop_active_K(ch, total)
+
+    @given(
+        st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=1, max_size=60),
+        st.floats(min_value=1e-6, max_value=1e9),
+    )
+    def test_level_never_exceeds_one_channel_value(self, floors, total):
+        # the bound the bounds path's spectrum walk stops on: no level tops P + f_1
+        ch = ChannelGains(gains_eta_sq=1.0 / np.sort(floors), noise_floor_BN0=1.0)
+        floors = ch.noise_floor_BN0 / ch.gains_eta_sq
+        alloc = waterfill(ch, total)
+        cut = (total + floors[0]) * (1.0 + WATER_MARGIN)
+        assert alloc.water_level <= cut
+        assert np.all(alloc.powers_Pn[floors > cut] == 0.0)
 
     def test_active_k_monotone_in_power(self):
         ch = channels(1.0, 0.5, 0.1)
