@@ -1,7 +1,9 @@
 """Regenerate the frozen golden values shipped inside the package.
 
-Runs the independent oracles (dense 2-D kernel SVD, bisection constant)
-and the deterministic study computations, then rewrites golden.json.
+Runs the dense 2-D kernel oracle and the study quantities, then rewrites
+golden.json. Each study quantity comes from the function in
+apcap.verification that the verify check reading it calls, so the value
+frozen here is the value verify measures.
 Run from the repository root after any change that legitimately moves a
 golden value, and eyeball the diff before committing it. Both modes print
 the numpy version, its BLAS and the BLAS thread settings first, since the
@@ -9,15 +11,15 @@ last digits of the dense oracle depend on them.
 
 With --check nothing is written: each key's recomputed value is compared
 with the committed file, and its largest difference is printed beside the
-tolerance of the verify check that reads it (verification.GOLDEN_TOLERANCES).
-The exit code is 1 when a key moved past its tolerance.
+tolerance of the verify check that reads it (verification.GOLDEN_TOLERANCES),
+judged by the comparison verify makes. The exit code is 1 when a key moved
+past its tolerance.
 
 Usage: python3 scripts/refresh_golden.py [--out src/apcap/golden.json] [--check]
 """
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -25,21 +27,19 @@ from pathlib import Path
 
 import numpy as np
 
-from apcap import beta_at_area, finite_array_gram, optimize_disc_area, synthesize_array, waterfill
 from apcap.bounds import EPS0
 from apcap.oracles import dense_disc_gain_fractions
-from apcap.spectrum import DiscGeometry
 from apcap.verification import (
+    COROLLARY_COEFFICIENT,
     DEFAULT_SEED,
-    GAMMA_G_GRID,
     GOLDEN_TOLERANCES,
-    STUDY_RANGE,
-    STUDY_WAVELENGTH,
-    _lemma1_transverse_gaps,
-    area_for_m0,
-    study_link,
+    _golden,
+    asymptotic_ratios,
+    gram_study,
+    hand_allocation,
+    lemma1_gaps,
+    maximizer_snr100,
 )
-from apcap.waterfill import ChannelGains, allocation_efficiency
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -69,7 +69,7 @@ def check(fresh: dict, committed: dict) -> bool:
         rel = float(np.max(diff / np.maximum(np.abs(old), 1e-300)))
         if key in GOLDEN_TOLERANCES:
             rtol, atol = GOLDEN_TOLERANCES[key]
-            within = bool(np.all(diff <= atol + rtol * np.abs(old)))
+            within = _golden(fresh[key], committed, key)[0]
             verdict = f"({rtol:g}, {atol:g})  {'ok' if within else 'MOVED PAST'}"
             ok = ok and within
         else:
@@ -97,12 +97,10 @@ def main():
 
     print("constants ...")
     golden["eps0"] = EPS0
-    golden["corollary_coefficient"] = math.log2(EPS0) / math.sqrt(EPS0 - 1.0)
+    golden["corollary_coefficient"] = COROLLARY_COEFFICIENT
 
     print("hand allocation ...")
-    channels = ChannelGains(gains_eta_sq=np.array([1.0, 0.5, 0.1]), noise_floor_BN0=1.0)
-    alloc = waterfill(channels, 10.0)
-    golden["hand_allocation_efficiency"] = allocation_efficiency(channels, alloc)
+    golden["hand_allocation_efficiency"] = hand_allocation()[1]
 
     for c in (1.0, 2.0, 4.0):
         t0 = time.time()
@@ -111,37 +109,16 @@ def main():
         print(f"dense 2-D oracle c={c:g} done in {time.time() - t0:.0f} s")
 
     print("lemma 1 gap sequence ...")
-    golden["lemma1_gap_sequence"] = [g for _, g in _lemma1_transverse_gaps(DEFAULT_SEED)]
+    golden["lemma1_gap_sequence"] = [g for _, g in lemma1_gaps(DEFAULT_SEED)]
 
     print("array gram convergence ...")
-    link = study_link(10.0)
-    area = area_for_m0(4.0)
-    geometry = DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
-    masses = []
-    for cells in (64, 256, 1024):
-        design = synthesize_array(link, area, 4, cells)
-        gram = finite_array_gram(design, geometry)
-        masses.append(float(np.linalg.norm(gram - np.diag(np.diag(gram)))))
-    golden["gram_offdiag_frobenius"] = masses
-    beta, _ = beta_at_area(area, link)
-    golden["array_study_lower_bound"] = beta
+    golden["gram_offdiag_frobenius"], _, golden["array_study_lower_bound"] = gram_study()
 
     print("area maximizer at gamma_g = 100 ...")
-    best_area, best_beta, _ = optimize_disc_area(study_link(100.0), points=32)
-    golden["maximizer_area_ratio_snr100"] = (
-        best_area / (STUDY_WAVELENGTH * STUDY_RANGE)
-    ) ** 2
-    golden["maximizer_beta_snr100"] = best_beta
+    golden["maximizer_area_ratio_snr100"], golden["maximizer_beta_snr100"] = maximizer_snr100()
 
     print("asymptotic ratio sequence ...")
-    ratios = []
-    for gamma_g in GAMMA_G_GRID:
-        t0 = time.time()
-        _, row_beta, _ = optimize_disc_area(study_link(gamma_g), points=24)
-        strong = math.sqrt(gamma_g / (EPS0 - 1.0)) * math.log2(EPS0)
-        ratios.append(row_beta / strong)
-        print(f"  gamma_g={gamma_g:g}: ratio {ratios[-1]:.6f} in {time.time() - t0:.0f} s")
-    golden["asymptotic_ratio_sequence"] = ratios
+    golden["asymptotic_ratio_sequence"] = asymptotic_ratios()
 
     if args.check:
         ok = check(golden, json.loads(Path(args.out).read_text()))

@@ -251,7 +251,7 @@ def _radial_interpolator(spectrum: OperatorSpectrum, index: int):
         value_0 = float(np.sum(weighted)) / beta  # J_0(0) = 1
     else:
         value_0 = 0.0
-    bessel_at_1 = bessel_j_table(order, c * rule.nodes)[order]
+    bessel_at_1 = bessel_j_table(order, c * rule.nodes, range(order, order + 1))[0]
     value_1 = float(np.sum(bessel_at_1 * weighted)) / beta
     knots = np.concatenate(([0.0], rule.nodes, [1.0]))
     values = np.concatenate(([value_0], samples, [value_1]))

@@ -6,6 +6,10 @@ one exists (golden.json ships inside the package; --golden overrides the
 path, which is how tamper detection is exercised). Checks report measured
 values either way; failures are enumerated, never short-circuited.
 
+Each golden-pinned study quantity has one function here, which the
+checks, scripts/refresh_golden.py and the acceptance tests all call, and
+_golden is the one comparison against a frozen value.
+
 Two checks are expected to fail on this implementation; their stated
 windows do not contain the values the mathematics actually produces.
 optimal_area_location measures the optimized area ratio at received SNR
@@ -31,7 +35,7 @@ from .link import LinkBudget, siso_efficiency
 from .numerics import solve_eps0
 from .oracles import greedy_waterfill
 from .spectrum import DiscGeometry, assemble_spectrum, effective_rank
-from .waterfill import ChannelGains, allocation_efficiency, waterfill
+from .waterfill import ChannelGains, PowerAllocation, allocation_efficiency, waterfill
 
 DEFAULT_SEED = 20260822
 
@@ -41,6 +45,9 @@ STUDY_RANGE = 1.0e6
 STUDY_APERTURE = 100.0
 
 GAMMA_G_GRID = (1.0e-2, 1.0, 3.9215, 10.0, 1.0e2, 1.0e4, 1.0e6)
+
+# the sqrt(gamma_g) coefficient of the strong-regime upper bound, about 1.1610
+COROLLARY_COEFFICIENT = math.log2(EPS0) / math.sqrt(EPS0 - 1.0)
 
 # (rtol, atol) each check allows between a measured value and its golden key;
 # a key no check reads is absent
@@ -95,18 +102,84 @@ def area_for_m0(m0: float) -> float:
     return math.sqrt(m0) * STUDY_WAVELENGTH * STUDY_RANGE
 
 
-def _match(value: float, golden: dict, key: str) -> tuple[bool, str]:
+def _golden(values, golden: dict, key: str) -> tuple[bool, float]:
+    """(pass, worst relative error) of values against their frozen golden[key].
+
+    A value v passes when |v - g| <= atol + rtol |g|, with (rtol, atol) the
+    key's GOLDEN_TOLERANCES. A missing key raises, naming it.
+    """
     if key not in golden:
-        return False, f"golden file missing key {key!r}"
-    ref = golden[key]
-    err = abs(value - ref) / max(abs(ref), 1e-300)
-    return err <= GOLDEN_TOLERANCES[key][0], f"golden rel err {err:.2e}"
-
-
-def _allclose(values, golden: dict, key: str) -> bool:
-    frozen = golden.get(key)
+        raise LookupError(f"golden file missing key {key!r}")
+    new = np.atleast_1d(np.asarray(values, dtype=float))
+    ref = np.atleast_1d(np.asarray(golden[key], dtype=float))
+    if new.shape != ref.shape:
+        return False, math.inf
     rtol, atol = GOLDEN_TOLERANCES[key]
-    return frozen is not None and np.allclose(values, frozen, rtol=rtol, atol=atol)
+    diff = np.abs(new - ref)
+    passed = bool(np.all(diff <= atol + rtol * np.abs(ref)))
+    return passed, float(np.max(diff / np.maximum(np.abs(ref), 1e-300)))
+
+
+def hand_allocation() -> tuple[PowerAllocation, float]:
+    """Waterfill of the gains (1, 0.5, 0.1) over BN0 = 1 at P = 10, and its efficiency."""
+    channels = ChannelGains(gains_eta_sq=np.array([1.0, 0.5, 0.1]), noise_floor_BN0=1.0)
+    alloc = waterfill(channels, 10.0)
+    return alloc, allocation_efficiency(channels, alloc)
+
+
+def gram_study() -> tuple[list[float], float, float]:
+    """Off-diagonal Gram masses, achieved efficiency and beta(|S|) of the study array.
+
+    K = 4 streams at M0 = 4 and gamma_g = 10; the Frobenius masses at 64,
+    256 and 1024 cells, and the efficiency of the 1024-cell design.
+    """
+    link = study_link(10.0)
+    area = area_for_m0(4.0)
+    geometry = DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
+    masses = []
+    for cells in (64, 256, 1024):
+        design = synthesize_array(link, area, 4, cells)
+        gram = finite_array_gram(design, geometry)
+        masses.append(float(np.linalg.norm(gram - np.diag(np.diag(gram)))))
+    beta, _ = beta_at_area(area, link)
+    return masses, achieved_efficiency(design, geometry, link), beta
+
+
+def maximizer_snr100() -> tuple[float, float]:
+    """Optimal area ratio |S|^2/(lambda d)^2 at gamma_g = 100 (32 grid points), and its beta."""
+    best_area, best_beta, _ = optimize_disc_area(study_link(100.0), points=32)
+    return (best_area / (STUDY_WAVELENGTH * STUDY_RANGE)) ** 2, best_beta
+
+
+def asymptotic_ratios() -> list[float]:
+    """Best-area lower bound over the strong-branch upper bound, at each GAMMA_G_GRID point."""
+    ratios = []
+    for gamma_g in GAMMA_G_GRID:
+        _, best_beta, _ = optimize_disc_area(study_link(gamma_g), points=24)
+        strong = math.sqrt(gamma_g / (EPS0 - 1.0)) * math.log2(EPS0)
+        ratios.append(best_beta / strong)
+    return ratios
+
+
+def lemma1_gaps(seed: int) -> list[tuple[float, float]]:
+    """Seeded fixed transverse layout, swept over range; (range, gap) pairs."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    radius = 1.0e2 * STUDY_WAVELENGTH
+
+    def disk_points(count):
+        rr = radius * np.sqrt(rng.uniform(size=count))
+        th = 2.0 * math.pi * rng.uniform(size=count)
+        return np.column_stack((rr * np.cos(th), rr * np.sin(th)))
+
+    tx_yz = disk_points(8)
+    rx_yz = disk_points(8)
+    gaps = []
+    for d_over_lambda in (1.0e4, 1.0e5, 1.0e6, 1.0e7):
+        d = d_over_lambda * STUDY_WAVELENGTH
+        tx = np.column_stack((np.zeros(8), tx_yz[:, 0], tx_yz[:, 1]))
+        rx = np.column_stack((np.full(8, d), rx_yz[:, 0], rx_yz[:, 1]))
+        gaps.append((d_over_lambda, lemma1_check(tx, rx, STUDY_WAVELENGTH, d)))
+    return gaps
 
 
 def _check_eps0_constant(seed, golden):
@@ -114,21 +187,21 @@ def _check_eps0_constant(seed, golden):
     value = solve_eps0()
     elapsed = time.perf_counter() - t0
     in_window = abs(value - 4.9215) <= 5.0e-4 and elapsed < 1.0e-3
-    frozen_ok, frozen_msg = _match(value, golden, "eps0")
+    frozen_ok, err = _golden(value, golden, "eps0")
     return (
         in_window and frozen_ok,
-        f"eps0 = {value:.12f} in {elapsed * 1e6:.0f} us; {frozen_msg}",
+        f"eps0 = {value:.12f} in {elapsed * 1e6:.0f} us; golden rel err {err:.2e}",
         "4.9215 +/- 5e-4, < 1 ms",
     )
 
 
 def _check_corollary_coefficient(seed, golden):
-    coeff = math.log2(EPS0) / math.sqrt(EPS0 - 1.0)
+    coeff = COROLLARY_COEFFICIENT
     in_window = abs(coeff - 1.1610) <= 1.0e-3
-    frozen_ok, frozen_msg = _match(coeff, golden, "corollary_coefficient")
+    frozen_ok, err = _golden(coeff, golden, "corollary_coefficient")
     return (
         in_window and frozen_ok,
-        f"log2(eps0)/sqrt(eps0-1) = {coeff:.12f}; {frozen_msg}",
+        f"log2(eps0)/sqrt(eps0-1) = {coeff:.12f}; golden rel err {err:.2e}",
         "1.1610 +/- 1e-3",
     )
 
@@ -183,17 +256,13 @@ def _check_spectrum_oracle(seed, golden):
     worst = 0.0
     ok = True
     for c in (1.0, 2.0, 4.0):
-        key = f"dense_oracle_gain_fractions_c{c:g}"
-        if key not in golden:
-            return False, f"golden file missing key {key!r}", "rel err <= 1e-5"
-        oracle = np.asarray(golden[key])
         area = c * STUDY_WAVELENGTH * STUDY_RANGE / 2.0
         geometry = DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
         spectrum = assemble_spectrum(geometry, keep_radial=False)
-        fractions = np.array([4.0 * beta**2 for beta in spectrum.beta[:5].tolist()])
-        rel = float(np.max(np.abs(fractions - oracle) / oracle))
+        fractions = [4.0 * beta**2 for beta in spectrum.beta[:5].tolist()]
+        frozen_ok, rel = _golden(fractions, golden, f"dense_oracle_gain_fractions_c{c:g}")
         worst = max(worst, rel)
-        ok = ok and rel <= GOLDEN_TOLERANCES[key][0]
+        ok = ok and frozen_ok
     return ok, f"worst top-5 rel err vs dense 2-D oracle {worst:.2e}", "<= 1e-5"
 
 
@@ -223,15 +292,13 @@ def _check_waterfill_oracle(seed, golden):
 
 
 def _check_hand_allocation(seed, golden):
-    channels = ChannelGains(gains_eta_sq=np.array([1.0, 0.5, 0.1]), noise_floor_BN0=1.0)
-    alloc = waterfill(channels, 10.0)
-    eff = allocation_efficiency(channels, alloc)
+    alloc, eff = hand_allocation()
     powers_ok = np.allclose(alloc.powers_Pn, [5.5, 4.5, 0.0], atol=1.0e-9)
-    frozen_ok, frozen_msg = _match(eff, golden, "hand_allocation_efficiency")
+    frozen_ok, err = _golden(eff, golden, "hand_allocation_efficiency")
     return (
         alloc.active_K == 2 and powers_ok and abs(eff - 4.4009) <= 1.0e-4 and frozen_ok,
         f"K = {alloc.active_K}, powers = {np.round(alloc.powers_Pn, 9).tolist()}, "
-        f"efficiency = {eff:.6f}; {frozen_msg}",
+        f"efficiency = {eff:.6f}; golden rel err {err:.2e}",
         "K=2, powers {5.5, 4.5, 0}, 4.4009 +/- 1e-4",
     )
 
@@ -258,29 +325,24 @@ def _check_bound_ordering(seed, golden):
 
 
 def _check_maximizer_location(seed, golden):
-    best_area, best_beta, _ = optimize_disc_area(study_link(100.0), points=32)
-    ratio = (best_area / (STUDY_WAVELENGTH * STUDY_RANGE)) ** 2
+    ratio, best_beta = maximizer_snr100()
     center = math.sqrt(100.0 / (EPS0 - 1.0))
     lo, hi = 0.7 * center, 1.3 * center
     in_window = lo <= ratio <= hi
-    frozen_ok, frozen_msg = _match(ratio, golden, "maximizer_area_ratio_snr100")
+    frozen_ok, err = _golden(ratio, golden, "maximizer_area_ratio_snr100")
     return (
         in_window and frozen_ok,
         f"|S|^2/(lambda d)^2 = {ratio:.5f} at gamma_g = 100 "
-        f"(window [{lo:.5f}, {hi:.5f}], beta = {best_beta:.4f}); {frozen_msg}",
+        f"(window [{lo:.5f}, {hi:.5f}], beta = {best_beta:.4f}); golden rel err {err:.2e}",
         "within [0.7, 1.3] sqrt(100/(eps0-1))",
     )
 
 
 def _check_asymptotic_ratio(seed, golden):
-    ratios = []
-    for gamma_g in GAMMA_G_GRID:
-        _, best_beta, _ = optimize_disc_area(study_link(gamma_g), points=24)
-        strong = math.sqrt(gamma_g / (EPS0 - 1.0)) * math.log2(EPS0)
-        ratios.append(best_beta / strong)
+    ratios = asymptotic_ratios()
     nondecreasing = all(b >= a - 1.0e-12 for a, b in zip(ratios, ratios[1:]))
     at_1e4 = ratios[GAMMA_G_GRID.index(1.0e4)]
-    frozen_ok = _allclose(ratios, golden, "asymptotic_ratio_sequence")
+    frozen_ok, _ = _golden(ratios, golden, "asymptotic_ratio_sequence")
     text = ", ".join(f"{r:.4f}" for r in ratios)
     return (
         nondecreasing and at_1e4 >= 0.9 and frozen_ok,
@@ -289,36 +351,15 @@ def _check_asymptotic_ratio(seed, golden):
     )
 
 
-def _lemma1_transverse_gaps(seed: int) -> list[tuple[float, float]]:
-    """Seeded fixed transverse layout, swept over range; (range, gap) pairs."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    radius = 1.0e2 * STUDY_WAVELENGTH
-
-    def disk_points(count):
-        rr = radius * np.sqrt(rng.uniform(size=count))
-        th = 2.0 * math.pi * rng.uniform(size=count)
-        return np.column_stack((rr * np.cos(th), rr * np.sin(th)))
-
-    tx_yz = disk_points(8)
-    rx_yz = disk_points(8)
-    gaps = []
-    for d_over_lambda in (1.0e4, 1.0e5, 1.0e6, 1.0e7):
-        d = d_over_lambda * STUDY_WAVELENGTH
-        tx = np.column_stack((np.zeros(8), tx_yz[:, 0], tx_yz[:, 1]))
-        rx = np.column_stack((np.full(8, d), rx_yz[:, 0], rx_yz[:, 1]))
-        gaps.append((d_over_lambda, lemma1_check(tx, rx, STUDY_WAVELENGTH, d)))
-    return gaps
-
-
 def _check_lemma1_gap(seed, golden):
-    gaps = _lemma1_transverse_gaps(seed)
+    gaps = lemma1_gaps(seed)
     values = [g for _, g in gaps]
     decreasing = all(b < a for a, b in zip(values, values[1:]))
     final_ok = values[-1] <= 1.0e-3
     frozen_msg = "golden skipped (non-default seed)"
     frozen_ok = True
     if seed == DEFAULT_SEED:
-        frozen_ok = _allclose(values, golden, "lemma1_gap_sequence")
+        frozen_ok, _ = _golden(values, golden, "lemma1_gap_sequence")
         frozen_msg = f"golden match {frozen_ok}"
     text = ", ".join(f"{d:g}: {g:.3e}" for d, g in gaps)
     return (
@@ -330,23 +371,11 @@ def _check_lemma1_gap(seed, golden):
 
 def _check_array_convergence(seed, golden):
     t0 = time.perf_counter()
-    link = study_link(10.0)
-    area = area_for_m0(4.0)
-    geometry = DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
-    off_masses = []
-    last_design = None
-    for cells in (64, 256, 1024):
-        design = synthesize_array(link, area, 4, cells)
-        gram = finite_array_gram(design, geometry)
-        off = gram - np.diag(np.diag(gram))
-        off_masses.append(float(np.linalg.norm(off)))
-        last_design = design
+    off_masses, eff, beta = gram_study()
     ratios = [b / a for a, b in zip(off_masses, off_masses[1:])]
-    eff = achieved_efficiency(last_design, geometry, link)
-    beta, _ = beta_at_area(area, link)
     rel = abs(eff - beta) / beta
     elapsed = time.perf_counter() - t0
-    frozen_ok = _allclose(off_masses, golden, "gram_offdiag_frobenius")
+    frozen_ok, _ = _golden(off_masses, golden, "gram_offdiag_frobenius")
     ok = (
         all(r <= 0.7 for r in ratios)
         and all(b < a for a, b in zip(off_masses, off_masses[1:]))

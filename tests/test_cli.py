@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from apcap.verification import GOLDEN_TOLERANCES
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN = SRC / "apcap" / "golden.json"
 STARVED = ("bounds", "--max-angular", "0", "--max-radial", "0", "--quadrature-order", "16")
@@ -336,6 +338,29 @@ class TestVerifyCommand:
         proc = run_cli("verify", "eps0_constant", "--golden", str(bad))
         assert proc.returncode == 2
         assert "FAIL" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "key, check",
+        [
+            ("eps0", "eps0_constant"),
+            ("gram_offdiag_frobenius", "array_gram_convergence"),
+            ("dense_oracle_gain_fractions_c2", "spectrum_vs_dense_oracle"),
+        ],
+    )
+    def test_missing_golden_key_fails(self, tmp_path, key, check):
+        golden = json.loads(GOLDEN.read_text())
+        del golden[key]
+        bad = tmp_path / "golden.json"
+        bad.write_text(json.dumps(golden))
+        proc = run_cli("verify", check, "--golden", str(bad))
+        assert proc.returncode == 2
+        assert f"golden file missing key {key!r}" in proc.stdout
+
+    def test_golden_keys(self):
+        # every key a check reads is shipped; the rest are refresh-only records
+        keys = set(json.loads(GOLDEN.read_text()))
+        assert set(GOLDEN_TOLERANCES) <= keys
+        assert keys - set(GOLDEN_TOLERANCES) == {"array_study_lower_bound", "maximizer_beta_snr100"}
 
     def test_small_golden_drift_fails(self, tmp_path):
         # the smallest off-diagonal mass is below 1e-9, so only a purely
