@@ -22,7 +22,9 @@ which warns once, for the largest c it tries, and an array whose receive
 aperture differs from its transmit one, so its receive weights are
 formatted on their own rather than reusing the transmit text, and an
 optimized strong-regime sweep up to gamma*g = 1e7, whose rising powers hit
-the memo on the discs they share.
+the memo on the discs they share, and a bounds on one fixed disc at c = 280,
+whose Nystrom solve builds the largest Bessel table, from the highest start
+order, of all these invocations.
 
 Two checkouts print the same lines exactly when these outputs are
 byte-identical, so a change that must not move any output is checked by a
@@ -66,6 +68,7 @@ EXTRA = (
         "--aperture-rx", "400",
     ),
     ("sweep", "--grid", "1e3:1e7:5:log"),
+    ("bounds", "--power", "1e14", "--area", "1.4e7"),
 )
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

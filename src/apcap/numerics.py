@@ -16,11 +16,10 @@ QUAD_MAX_ORDER = 512
 # distinct quadrature orders kept by the gauss_quadrature memo
 QUAD_MEMO_SIZE = 64
 
-# Rescaling guard for the downward recurrence; values beyond this are scaled
-# back to keep the unnormalized iterates finite.
-_MILLER_BIG = 1.0e250
-# Smallest argument the recurrence takes: a step multiplies an iterate of up
-# to _MILLER_BIG by 2k/x, which stays finite for x >= 1e-50 while k < 1e7.
+# Smallest argument the recurrence takes. Below it the leading series term
+# (x/2)^n / n! is J_n(x) to rounding, since the next term is (x/2)^2 < 1e-100
+# of it. At it, bessel_j_table's step budget is still 5 steps for any start
+# order up to 1e9.
 _MILLER_MIN_X = 1.0e-50
 
 
@@ -130,12 +129,20 @@ def bessel_j_table(
     at a time. A negative max_order, or an argument that is negative or
     NaN, raises ValidationError.
 
-    Each step writes into one of two rotating buffers, and the overflow
-    test is one max over the iterate's magnitudes. A rescale by 1e-250
-    touches only the flagged arguments, and in the table only the rows
-    written so far, since the rest are still zeros. So the table has the
-    bits of the plain loop that rescales the whole table (kept as the
-    reference in the tests).
+    The unnormalized iterates grow, so they are rescaled on a step budget
+    rather than tested at every step. A step gives
+    |j_{k-1}| <= (2k/x + 1) max(|j_k|, |j_{k+1}|), so from iterates below
+    2 no run of floor(999 / log2(2 start / min(x) + 1)) steps leaves 2^1000
+    (5 steps at x = 1e-50, a few dozen at the Nystrom tables' smallest
+    arguments). After each such run every argument's iterates, its
+    normalization sum and its rows written so far are scaled by 2^-e, e
+    the exponent of max(|j_k|, |j_{k+1}|), which brings that maximum into
+    [1/2, 1). Scaling by a power of two is exact, and the normalization
+    divides the common factor out, so a result that is a normal double has
+    the same bits whichever steps the rescales fall on; only a subnormal
+    one, where a shift rounds, can differ. The tests keep a plain loop on
+    the same budget as the bit-for-bit reference, and one on another
+    schedule as the check of that independence.
     """
     if orders is None:
         orders = range(max_order + 1)
@@ -153,10 +160,11 @@ def bessel_j_table(
         start += int(20 + 10 * math.sqrt(start))
         if start % 2:
             start += 1
+        # a step multiplies max(|j|, |jp|) by at most 2 start / min(x) + 1
+        budget = int(999.0 / math.log2(2.0 * start / float(xs.min()) + 1.0))
         jp = np.zeros(xs.size)
         j = np.full(xs.size, 1.0e-30)
         spare = np.empty(xs.size)  # receives the next iterate, then holds the oldest
-        scratch = np.empty(xs.size)
         norm = np.zeros(xs.size)
         inv_x = 1.0 / xs
         filled = len(orders)  # rows acc[filled:] are written; the rest are still zeros
@@ -171,14 +179,12 @@ def bessel_j_table(
                 acc[filled] = j
             if (k - 1) % 2 == 0 and k - 1 > 0:
                 norm += 2.0 * j
-            np.abs(j, out=scratch)
-            if scratch.max() > _MILLER_BIG:
-                # zeros stay zeros, so the unwritten rows need no rescale
-                big = np.flatnonzero(scratch > _MILLER_BIG)
-                j[big] *= 1.0e-250
-                jp[big] *= 1.0e-250
-                acc[filled:, big] *= 1.0e-250
-                norm[big] *= 1.0e-250
+            if (start + 1 - k) % budget == 0:
+                # zeros stay zeros, so the unwritten rows need no shift
+                np.maximum(np.abs(j), np.abs(jp), out=spare)
+                shift = -np.frexp(spare)[1]
+                for values in (j, jp, norm, acc[filled:]):
+                    np.ldexp(values, shift, out=values)
         norm += j
         acc /= norm
     if recur.all():

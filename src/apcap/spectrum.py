@@ -237,6 +237,7 @@ def assemble_spectrum(
     quadrature_order: int | None = None,
     keep_radial: bool = True,
     water: Water | None = None,
+    resume: OperatorSpectrum | None = None,
 ) -> OperatorSpectrum:
     """Solve the radial problems order by order and merge the modes.
 
@@ -275,6 +276,13 @@ def assemble_spectrum(
     spectrum records the stopping order's top nu_sq in water_stop_nu_sq,
     and a water-stopped solve raises no sum-rule warning, since it leaves
     out inactive modes on purpose.
+
+    resume, a water-stopped eigenvalue-only spectrum of the same geometry
+    and truncation (eigenvalue_spectrum passes it), carries that walk on:
+    its modes and top nu_sq are taken as they are, and the walk goes on
+    from its stopping order, fetching the Bessel rows from that order with
+    the same N_hi. Each order's modes depend only on the order and the
+    running top, so the result has the bits of a walk from N = 0.
 
     Each mode (N, m) with N != 0 enters twice (+N and -N) with the same
     magnitude. nu_sq = (L / lambda^2 d^2) R^4 (2 pi beta)^2.
@@ -337,13 +345,20 @@ def assemble_spectrum(
     pieces: list[tuple[np.ndarray, ...]] = []  # (N, m, beta, nu_sq) per order and sign
     radial: dict[int, np.ndarray] | None = {} if keep_radial else None
     top = 0.0
+    first_N = 0
+    if resume is not None:
+        pieces.append((resume.angular_N, resume.radial_m, resume.beta, resume.nu_sq))
+        top = float(resume.nu_sq[0])
+        first_N = resume.angular_orders_solved - 1
     stopped = False
     water_stop = None
-    for N in range(walk_N + 1):
-        if N % block == 0:
+    for N in range(first_N, walk_N + 1):
+        if N == first_N or N % block == 0:
             table = None  # let the previous block go before the next is built
-            table = bessel_j_table(walk_N, args, range(N, min(N + block, walk_N + 1)))
-        matrix[rows, cols] = left * (table[N % block] * nodes_term) * right
+            table_lo = N
+            block_end = min((N // block + 1) * block, walk_N + 1)
+            table = bessel_j_table(walk_N, args, range(N, block_end))
+        matrix[rows, cols] = left * (table[N - table_lo] * nodes_term) * right
         betas, vectors = _radial_eigensolve(matrix, N, c, keep_radial)
         nu_sq = scale_nu * betas * betas
         top = max(top, float(nu_sq[0]))
@@ -418,10 +433,11 @@ def eigenvalue_spectrum(
     water-stopped entry puts the stop's own test to the entry: is the
     stopping order's top floor, under this call's water, above the
     one-channel level P + BN0/h_top of the entry's top mode? If not, or if
-    the call has no water, the spectrum is walked again to the EPS cut and
-    replaces the entry. So the spectrum returned holds every mode the
-    caller can use, and the modes it holds have the bits a fresh solve
-    gives. The result is shared between callers; its columns are
+    the call has no water, the entry's walk is carried on from its
+    stopping order to the EPS cut (assemble_spectrum's resume), and the
+    result replaces the entry. So the spectrum returned holds every mode
+    the caller can use, and the modes it holds have the bits a fresh
+    solve gives. The result is shared between callers; its columns are
     read-only. Every call raises again the warnings the entry's solve
     raised.
     """
@@ -433,9 +449,12 @@ def eigenvalue_spectrum(
     ):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            spectrum = assemble_spectrum(
-                geometry, *truncation, keep_radial=False, water=water if entry is None else None
-            )
+            if entry is None:
+                spectrum = assemble_spectrum(geometry, *truncation, keep_radial=False, water=water)
+            else:
+                spectrum = assemble_spectrum(
+                    geometry, *truncation, keep_radial=False, resume=entry[0]
+                )
         entry = spectrum, tuple(w.message for w in caught)
     _memo[key] = entry
     if len(_memo) > SPECTRUM_MEMO_SIZE:

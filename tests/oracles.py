@@ -54,13 +54,19 @@ def integrate(rule, values: np.ndarray) -> float:
     return float(np.dot(rule.weights, values))
 
 
-def loop_bessel_j_table(max_order: int, x: np.ndarray, orders: range | None = None) -> np.ndarray:
+def loop_bessel_j_table(
+    max_order: int, x: np.ndarray, orders: range | None = None, over: float | None = None
+) -> np.ndarray:
     """J_n(x) rows by the Miller recurrence written as a plain loop.
 
     The arithmetic apcap.numerics.bessel_j_table must reproduce bit for bit:
-    the same start order, seed, grouping of each step, normalization sum and
-    1e-250 rescale, with the rescale applied to every row of the table and
-    a fresh array made at each step. Arguments below 1e-50 take the leading
+    the same start order, seed, grouping of each step and normalization
+    sum, with a fresh array made at each step. Every
+    floor(999 / log2(2 start / min(x) + 1)) steps, each argument's iterates,
+    normalization sum and whole table column are scaled by 2^-e, e the
+    exponent of its larger iterate. With `over` given, the shifts run on
+    another schedule instead: after every step, on each argument whose
+    larger iterate exceeds `over`. Arguments below 1e-50 take the leading
     series term (x/2)^n / n!.
     """
     if orders is None:
@@ -75,11 +81,12 @@ def loop_bessel_j_table(max_order: int, x: np.ndarray, orders: range | None = No
         start += int(20 + 10 * math.sqrt(start))
         if start % 2:
             start += 1
+        budget = int(999.0 / math.log2(2.0 * start / float(xs.min()) + 1.0))
         jp = np.zeros(xs.size)
         j = np.full(xs.size, 1.0e-30)
         norm = np.zeros(xs.size)
         inv_x = 1.0 / xs
-        for k in range(start, 0, -1):
+        for step, k in enumerate(range(start, 0, -1), 1):
             jm = (2.0 * k) * inv_x * j - jp
             jp = j
             j = jm
@@ -87,12 +94,20 @@ def loop_bessel_j_table(max_order: int, x: np.ndarray, orders: range | None = No
                 acc[k - 1 - lo] = j
             if (k - 1) % 2 == 0 and k - 1 > 0:
                 norm += 2.0 * j
-            big = np.abs(j) > 1.0e250
-            if big.any():
-                j[big] *= 1.0e-250
-                jp[big] *= 1.0e-250
-                acc[:, big] *= 1.0e-250
-                norm[big] *= 1.0e-250
+            larger = np.maximum(np.abs(j), np.abs(jp))
+            if over is None and step % budget == 0:
+                shift = -np.frexp(larger)[1]
+                j = np.ldexp(j, shift)
+                jp = np.ldexp(jp, shift)
+                norm = np.ldexp(norm, shift)
+                acc = np.ldexp(acc, shift)
+            elif over is not None and np.any(larger > over):
+                big = larger > over
+                shift = -np.frexp(larger[big])[1]
+                j[big] = np.ldexp(j[big], shift)
+                jp[big] = np.ldexp(jp[big], shift)
+                norm[big] = np.ldexp(norm[big], shift)
+                acc[:, big] = np.ldexp(acc[:, big], shift)
         norm += j
         acc /= norm
     out = np.zeros((len(orders), x.size))

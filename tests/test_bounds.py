@@ -234,9 +234,38 @@ class TestWaterStop:
         fresh_beta_at_area(area, weak)
         assert memo_entry(area, weak).water_stop_nu_sq is not None
         assert beta_at_area(area, strong) == expected
-        # the entry was walked again to the EPS cut and replaced
+        # the entry was walked on to the EPS cut and replaced
         assert memo_entry(area, strong).water_stop_nu_sq is None
         assert beta_at_area(area, weak) == full_walk_beta(area, weak)
+
+    @pytest.mark.parametrize("block_orders", [1, 2, None])
+    def test_rewalk_resumes_at_the_stopping_order(self, monkeypatch, block_orders):
+        weak, strong = study_link(10.0), study_link(1.0e4)
+        area = float(default_area_grid(weak)[-1])
+        if block_orders is not None:
+            # Bessel blocks of this many orders, so the resumed walk starts mid-block
+            q = spectrum_module.default_truncation(geometry_of(area, weak).c_param)[1]
+            block_bytes = 8 * (q * (q + 1) // 2) * block_orders
+            monkeypatch.setattr(spectrum_module, "BESSEL_BLOCK_BYTES", block_bytes)
+        full = assemble_spectrum(geometry_of(area, weak), keep_radial=False)
+        fresh_beta_at_area(area, weak)
+        stop_N = memo_entry(area, weak).angular_orders_solved - 1
+        solved = []
+        solve = spectrum_module._radial_eigensolve
+
+        def counted(matrix, angular_N, c_param, keep_radial):
+            solved.append(angular_N)
+            return solve(matrix, angular_N, c_param, keep_radial)
+
+        monkeypatch.setattr(spectrum_module, "_radial_eigensolve", counted)
+        beta_at_area(area, strong)
+        assert solved == list(range(stop_N, full.angular_orders_solved))
+        resumed = memo_entry(area, strong)
+        for name in ("angular_N", "radial_m", "beta", "nu_sq"):
+            assert getattr(resumed, name).tobytes() == getattr(full, name).tobytes()
+        assert resumed.truncation == full.truncation
+        assert resumed.angular_orders_solved == full.angular_orders_solved
+        assert resumed.water_stop_nu_sq is None
 
     def test_full_entry_then_a_stopped_call(self):
         link = study_link(10.0)

@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 
 import numpy as np
@@ -199,6 +200,15 @@ class TestBesselJ:
     def test_bounded_by_one(self, order, x):
         assert abs(table_j(order, x)) <= 1.0 + 1e-12
 
+    def test_rescale_budget_at_extreme_arguments(self):
+        # the smallest recurrence argument takes a rescale every 5 steps of a
+        # start past 1400, next to an argument far into the oscillatory range
+        xs = [1.0e-50, 1.0e-20, 1.0e-3, 400.0]
+        table = bessel_j_table(1100, np.array(xs))
+        assert np.all(np.isfinite(table))
+        for i, x in enumerate(xs[:3]):
+            assert table[0, i] == pytest.approx(series_bessel_j(0, x), rel=2e-16)
+
     def test_argument_validation(self):
         with pytest.raises(ValidationError):
             table_j(-1, 1.0)
@@ -217,7 +227,7 @@ def nystrom_arguments(c):
 
 
 class TestBesselTableBits:
-    """bessel_j_table against the plain-loop recurrence it replaced, to the bit."""
+    """bessel_j_table against the plain-loop recurrence, to the bit."""
 
     @pytest.mark.parametrize("c", [0.002, 4.0, 64.0, 280.0])
     def test_whole_table(self, c):
@@ -231,6 +241,30 @@ class TestBesselTableBits:
         for orders in (range(0, 3), range(3, bound_N // 2), range(bound_N // 2, bound_N + 1)):
             block = bessel_j_table(bound_N, args, orders)
             assert block.tobytes() == loop_bessel_j_table(bound_N, args, orders).tobytes()
+
+    @pytest.mark.parametrize("c", [0.002, 4.0, 64.0, 280.0])
+    def test_rescale_schedule_does_not_move_normal_results(self, c):
+        # power-of-two shifts are exact, so shifting each argument after every
+        # step where its larger iterate passes 2^800 gives the same normal
+        # doubles; only subnormal results, where a shift rounds, may differ
+        bound_N, args = nystrom_arguments(c)
+        table = bessel_j_table(bound_N, args)
+        other = loop_bessel_j_table(bound_N, args, over=2.0**800)
+        normal = np.abs(table) >= sys.float_info.min
+        # on normal doubles equal values are equal bits
+        assert np.all((table == other)[normal])
+        assert np.all(np.abs(other[~normal]) < 2.3e-308)
+
+    @pytest.mark.parametrize("c, worst", [(4.0, 3.8e-14), (64.0, 4.6e-11)])
+    def test_relative_accuracy_against_scipy(self, c, worst):
+        # worst is the error the table had under a rescale by 1e-250, rounded up:
+        # 3.70e-14, scipy's own error there by mpmath, and 4.593e-11, at
+        # J_4(43.01) = 1e-5 next to a zero
+        bound_N, args = nystrom_arguments(c)
+        table = bessel_j_table(bound_N, args)
+        ref = scipy.special.jv(np.arange(bound_N + 1)[:, None], args[None, :])
+        big = np.abs(table) > 1e-250
+        assert np.max(np.abs(table[big] - ref[big]) / np.abs(ref[big])) < worst
 
     def test_arguments_below_recurrence_floor(self):
         xs = np.array([0.0, 1.0e-300, 3.0e-51, 9.9e-51, 1.0e-50, 2.0e-50, 0.3, 7.5, 90.0])
