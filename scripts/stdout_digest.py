@@ -24,7 +24,8 @@ formatted on their own rather than reusing the transmit text, and an
 optimized strong-regime sweep up to gamma*g = 1e7, whose rising powers hit
 the memo on the discs they share, and a bounds on one fixed disc at c = 280,
 whose Nystrom solve builds the largest Bessel table, from the highest start
-order, of all these invocations.
+order, of all these invocations, and a bounds on a disc smaller than
+max(A_T, A_R), which is refused before any solve.
 
 Two checkouts print the same lines exactly when these outputs are
 byte-identical, so a change that must not move any output is checked by a
@@ -69,6 +70,7 @@ EXTRA = (
     ),
     ("sweep", "--grid", "1e3:1e7:5:log"),
     ("bounds", "--power", "1e14", "--area", "1.4e7"),
+    ("bounds", "--area", "50"),
 )
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -408,13 +408,13 @@ def design_json(design: ArrayDesign) -> list[str]:
     elements_rx, weights_rx, modes}: transmit side first, the receive side
     under the _rx suffix. No piece is larger than one element or one weight
     row, so the text is never held as one string. Each row goes through one
-    repeated %r template, not the pure-Python indenting encoder. The
-    receive weights are the transmit weights scaled by sqrt(A_T/A_R), which
-    their normalization cancels; when the two tables are bit-identical, as
-    when A_T = A_R, weights_rx reuses the transmit row strings, and
-    elements_rx the transmit element strings likewise. JSON has no
-    non-finite numbers, so one raises ValidationError naming its field
-    before any piece is formatted.
+    repeated %r template, not the pure-Python indenting encoder. Each side
+    is normalized under its own sub-aperture measure, so the receive
+    weights are the transmit weights times sqrt(A_T/A_R). When the two
+    tables are bit-identical, as when A_T = A_R, weights_rx reuses the
+    transmit row strings, and elements_rx the transmit element strings
+    likewise. JSON has no non-finite numbers, so one raises
+    ValidationError naming its field before any piece is formatted.
     """
     tables = {
         "elements": design.tx_elements,

@@ -80,28 +80,26 @@ def beta_at_area(
     The disc of area |S| takes the link's wavelength, range and loss, and
     its spectrum comes from the memoized eigenvalue_spectrum. |S| must be
     at least max(A_T, A_R) so the apertures fit inside the disc, and the
-    link must pass the far-field gate. The bound is the waterfilling
-    efficiency over the effective gains h_k = (A_T A_R/|S|^2) |nu_k|^2
-    with budget P and noise floor B*N0. It sums over the active modes only,
-    so under the default truncation the spectrum walk may stop at the first
-    angular order whose top inverted floor B*N0/h lies above this link's
-    one-channel water level P + B*N0/h_top, which no waterfill level
-    exceeds (see assemble_spectrum): the modes it leaves out get no power.
-    A truncation override walks to its own ceiling and warns as it would
-    without a bound.
+    link must pass the far-field gate; both are checked before the solve.
+    The bound is the waterfilling efficiency over the effective gains
+    h_k = (A_T A_R/|S|^2) |nu_k|^2 with budget P and noise floor B*N0. It
+    sums over the active modes only, so under the default truncation the
+    spectrum walk may stop at the first angular order whose top inverted
+    floor B*N0/h lies above this link's one-channel water level
+    P + B*N0/h_top, which no waterfill level exceeds (see
+    assemble_spectrum, which takes the received SNR gamma*g for it): the
+    modes it leaves out get no power. A truncation override walks to its
+    own ceiling and warns as it would without a bound.
     """
     geometry = DiscGeometry(area_S, link.wavelength_lambda, link.range_d, link.loss_L)
-    water = None
-    if truncation == DEFAULT_TRUNCATION:
-        gain_scale = link.aperture_tx_AT * link.aperture_rx_AR / area_S**2
-        water = (gain_scale, link.bandwidth_B * link.noise_psd_N0, link.power_P)
-    spectrum = eigenvalue_spectrum(geometry, truncation, water)
     min_area = max(link.aperture_tx_AT, link.aperture_rx_AR)
     if area_S < min_area * (1.0 - 1.0e-12):
         raise ValidationError(
             f"synthesis area {area_S:.6g} is below max(A_T, A_R) = {min_area:.6g}"
         )
-    derive_link(link)  # enforces the far-field gate
+    snr = derive_link(link).received_snr  # enforces the far-field gate
+    water = snr if truncation == DEFAULT_TRUNCATION else math.inf
+    spectrum = eigenvalue_spectrum(geometry, truncation, water)
     gains = ChannelGains(
         gains_eta_sq=effective_gains(link, spectrum),
         noise_floor_BN0=link.bandwidth_B * link.noise_psd_N0,
@@ -153,43 +151,42 @@ def optimize_disc_area(
 
     Evaluates beta over default_area_grid(link, points), then runs a
     golden-section refinement stage between the neighbors of the best grid
-    point. The refinement only ever improves on the best grid value since
-    every evaluated point is tracked.
+    point. Every evaluated (area, beta, K) goes into one list, and the
+    first one with the largest beta is returned, so the refinement only
+    ever improves on the best grid value.
     """
     if points < 2:
         raise ValidationError("area grid needs at least two points")
-    grid = default_area_grid(link, points)
-    evaluated = [beta_at_area(a, link, truncation) for a in grid]
-    best_idx = int(np.argmax([beta for beta, _ in evaluated]))
-    best_area = float(grid[best_idx])
-    best_beta, best_K = evaluated[best_idx]
+    # Python floats: a numpy scalar's repr would reach the CSV through best_area
+    grid = default_area_grid(link, points).tolist()
+    evaluated: list[tuple[float, float, int]] = []
+
+    def beta_at(area: float) -> float:
+        evaluated.append((area, *beta_at_area(area, link, truncation)))
+        return evaluated[-1][1]
+
+    for area in grid:
+        beta_at(area)
+    best = max(range(points), key=lambda i: evaluated[i][1])
 
     # one golden-section stage between the bracketing neighbors, in log-area
-    lo = grid[max(best_idx - 1, 0)]
-    hi = grid[min(best_idx + 1, points - 1)]
-    if hi > lo:
-        phi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = math.log(lo), math.log(hi)
-        x1 = b - phi * (b - a)
-        x2 = a + phi * (b - a)
-        f1, k1 = beta_at_area(math.exp(x1), link, truncation)
-        f2, k2 = beta_at_area(math.exp(x2), link, truncation)
-        for _ in range(24):
-            if f1 >= f2:
-                b, x2, f2, k2 = x2, x1, f1, k1
-                x1 = b - phi * (b - a)
-                f1, k1 = beta_at_area(math.exp(x1), link, truncation)
-                x, fx, kx = x1, f1, k1
-            else:
-                a, x1, f1, k1 = x1, x2, f2, k2
-                x2 = a + phi * (b - a)
-                f2, k2 = beta_at_area(math.exp(x2), link, truncation)
-                x, fx, kx = x2, f2, k2
-            if fx > best_beta:
-                best_area, best_beta, best_K = math.exp(x), fx, kx
-            if b - a < 1.0e-4:
-                break
-    return best_area, best_beta, best_K
+    a, b = math.log(grid[max(best - 1, 0)]), math.log(grid[min(best + 1, points - 1)])
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - phi * (b - a)
+    x2 = a + phi * (b - a)
+    f1, f2 = beta_at(math.exp(x1)), beta_at(math.exp(x2))
+    for _ in range(24):
+        if f1 >= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - phi * (b - a)
+            f1 = beta_at(math.exp(x1))
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + phi * (b - a)
+            f2 = beta_at(math.exp(x2))
+        if b - a < 1.0e-4:
+            break
+    return max(evaluated, key=lambda point: point[1])
 
 
 def bounds_report(

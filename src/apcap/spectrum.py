@@ -65,11 +65,6 @@ SPECTRUM_MEMO_SIZE = 64
 Truncation = tuple[int | None, int | None, int | None]
 DEFAULT_TRUNCATION: Truncation = (None, None, None)
 
-# (gain scale A_T A_R / |S|^2, noise floor B N0, power P) of a bounds call: a
-# mode's channel gain is the scale times its nu_sq and its inverted floor is
-# B N0 over that gain, as bounds.effective_gains and waterfill form them.
-Water = tuple[float, float, float]
-
 # A water stop needs a top inverted floor above the one-channel level P + BN0/h_top
 # by this relative margin. It covers the rounding of that one sum and of the
 # waterfill's prefix sums (at most n unit roundoffs, about 1e-11 for 1e5 floors).
@@ -155,8 +150,8 @@ class OperatorSpectrum:
     truncation is what was kept (largest |N|, largest m, quadrature order),
     and angular_orders_solved counts the orders N = 0, 1, ... the walk
     solved. water_stop_nu_sq is None when the walk ran to the EPS cut; a
-    walk that stopped above a bounds call's water level records the top
-    nu_sq of the order it stopped on, and holds only the orders before it.
+    walk that stopped at a bounds call's water cut records the top nu_sq of
+    the order it stopped on, and holds only the orders before it.
     """
 
     angular_N: np.ndarray
@@ -236,7 +231,7 @@ def assemble_spectrum(
     max_radial_m: int | None = None,
     quadrature_order: int | None = None,
     keep_radial: bool = True,
-    water: Water | None = None,
+    water: float = math.inf,
     resume: OperatorSpectrum | None = None,
 ) -> OperatorSpectrum:
     """Solve the radial problems order by order and merge the modes.
@@ -265,17 +260,17 @@ def assemble_spectrum(
     The spectrum's truncation is what was kept: the largest |N| and m among
     its modes, and Q.
 
-    water, given by the bounds path only, also stops the walk above a bounds
-    call's water level. A waterfill's level never exceeds its one-channel
-    value P + BN0/h_top (Cover & Thomas, Elements of Information Theory,
-    9.4), with h_top the strongest gain, which the walk's running top
-    bounds from below. So the walk stops at the first order whose top
-    inverted floor BN0/h lies above (P + BN0/h_top) (1 + WATER_MARGIN): by
-    the same monotone decay in N the EPS stop relies on, no later order
-    holds an active mode. A non-finite floor never stops the walk. The
-    spectrum records the stopping order's top nu_sq in water_stop_nu_sq,
-    and a water-stopped solve raises no sum-rule warning, since it leaves
-    out inactive modes on purpose.
+    water, the received SNR gamma*g of a bounds call, also stops the walk
+    at that call's water cut; the default math.inf never stops it. A
+    waterfill's level never exceeds its one-channel value P + BN0/h_top
+    (Cover & Thomas, Elements of Information Theory, 9.4), with h_top the
+    strongest gain, which the walk's running top bounds from below. So the
+    walk stops at the first order whose top inverted floor BN0/h lies above
+    (P + BN0/h_top) (1 + WATER_MARGIN) (see _dry): by the same monotone
+    decay in N the EPS stop relies on, no later order holds an active mode.
+    The spectrum records the stopping order's top nu_sq in
+    water_stop_nu_sq, and a water-stopped solve raises no sum-rule
+    warning, since it leaves out inactive modes on purpose.
 
     resume, a water-stopped eigenvalue-only spectrum of the same geometry
     and truncation (eigenvalue_spectrum passes it), carries that walk on:
@@ -365,7 +360,7 @@ def assemble_spectrum(
         if nu_sq[0] < EPS * top:
             stopped = True
             break
-        if water is not None and _dry(water, nu_sq[0], top):
+        if _dry(water, total, float(nu_sq[0]), top):
             water_stop = float(nu_sq[0])
             stopped = True
             break
@@ -409,12 +404,15 @@ def assemble_spectrum(
     return spectrum
 
 
-def _dry(water: Water, nu_sq: float, top: float) -> bool:
-    """Whether this nu_sq's inverted floor is finite and above the one-channel level over top."""
-    gain_scale, noise, power = water
-    with np.errstate(over="ignore", divide="ignore"):
-        floor, top_floor = noise / (gain_scale * np.array([nu_sq, top]))
-    return math.isfinite(floor) and floor > (power + top_floor) * (1.0 + WATER_MARGIN)
+def _dry(water: float, mass: float, nu_sq: float, top: float) -> bool:
+    """Whether nu_sq's inverted floor lies above the one-channel level over top.
+
+    A mode's gain is h = (A_T A_R/|S|^2) nu_sq, and P (A_T A_R/|S|^2)/BN0 is
+    the received SNR gamma*g over the disc's spectral mass L |S|^2/(lambda d)^2.
+    So BN0/h > (P + BN0/h_top) (1 + WATER_MARGIN) reads as below, free of P,
+    BN0 and the apertures. An infinite SNR never stops the walk.
+    """
+    return nu_sq * (water / mass + 1.0 / top) * (1.0 + WATER_MARGIN) < 1.0
 
 
 # eigenvalue_spectrum's memo, least recently used first: (geometry, truncation)
@@ -423,38 +421,39 @@ _memo: dict[tuple[DiscGeometry, Truncation], tuple[OperatorSpectrum, tuple[Warni
 
 
 def eigenvalue_spectrum(
-    geometry: DiscGeometry, truncation: Truncation, water: Water | None = None
+    geometry: DiscGeometry, truncation: Truncation, water: float = math.inf
 ) -> OperatorSpectrum:
     """assemble_spectrum(geometry, *truncation, keep_radial=False), memoized.
 
     The memo holds one entry per exact geometry and truncation triple (None
-    entries take the defaults). A miss with water (bounds.beta_at_area
-    under the default truncation) solves with the water stop. A hit on a
-    water-stopped entry puts the stop's own test to the entry: is the
-    stopping order's top floor, under this call's water, above the
-    one-channel level P + BN0/h_top of the entry's top mode? If not, or if
-    the call has no water, the entry's walk is carried on from its
-    stopping order to the EPS cut (assemble_spectrum's resume), and the
-    result replaces the entry. So the spectrum returned holds every mode
-    the caller can use, and the modes it holds have the bits a fresh
-    solve gives. The result is shared between callers; its columns are
+    entries take the defaults). A miss solves with the water stop at the
+    received SNR water, which bounds.beta_at_area passes under the default
+    truncation. A hit on a water-stopped entry puts the stop's own test to
+    the entry: is the stopping order's top floor, under this call's water,
+    above the one-channel level P + BN0/h_top of the entry's top mode? If
+    not, and always under the default math.inf, the entry's walk is
+    carried on from its stopping order to the EPS cut (assemble_spectrum's
+    resume), and the result replaces the entry. So the spectrum returned
+    holds every mode the caller can use, and the modes it holds have the
+    bits a fresh solve gives. The result is shared between callers; its columns are
     read-only. Every call raises again the warnings the entry's solve
     raised.
     """
     key = (geometry, truncation)
     entry = _memo.pop(key, None)
-    stop = None if entry is None else entry[0].water_stop_nu_sq
-    if entry is None or (
-        stop is not None and (water is None or not _dry(water, stop, entry[0].nu_sq[0]))
+    resume = None if entry is None else entry[0]
+    stop = None if resume is None else resume.water_stop_nu_sq
+    if resume is None or (
+        stop is not None
+        and not _dry(water, geometry.spectral_mass, stop, float(resume.nu_sq[0]))
     ):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            if entry is None:
-                spectrum = assemble_spectrum(geometry, *truncation, keep_radial=False, water=water)
-            else:
-                spectrum = assemble_spectrum(
-                    geometry, *truncation, keep_radial=False, resume=entry[0]
-                )
+            # a miss stops at this call's water cut, a re-walk runs on to the EPS cut
+            cut = water if resume is None else math.inf
+            spectrum = assemble_spectrum(
+                geometry, *truncation, keep_radial=False, water=cut, resume=resume
+            )
         entry = spectrum, tuple(w.message for w in caught)
     _memo[key] = entry
     if len(_memo) > SPECTRUM_MEMO_SIZE:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from apcap import bounds as bounds_module
 from apcap import spectrum as spectrum_module
 from apcap.cli import main as cli_main
 from apcap.bounds import (
@@ -56,6 +57,20 @@ def full_walk_beta(area, link):
 
 def memo_entry(area, link, truncation=DEFAULT_TRUNCATION):
     return spectrum_module._memo[(geometry_of(area, link), truncation)][0]
+
+
+@pytest.fixture
+def solved_orders(monkeypatch):
+    """The angular orders _radial_eigensolve is called on, in call order."""
+    solved = []
+    solve = spectrum_module._radial_eigensolve
+
+    def counted(matrix, angular_N, c_param, keep_radial):
+        solved.append(angular_N)
+        return solve(matrix, angular_N, c_param, keep_radial)
+
+    monkeypatch.setattr(spectrum_module, "_radial_eigensolve", counted)
+    return solved
 
 
 class TestUpperBound:
@@ -115,14 +130,20 @@ class TestLowerBound:
         assert beta == pytest.approx(LOWER_AT_M0_4_SNR10, rel=1e-12)
         assert active == 3
 
-    def test_area_below_aperture_rejected(self, snr10_link):
+    def test_area_below_aperture_rejected(self, snr10_link, solved_orders):
+        spectrum_module._memo.clear()
         with pytest.raises(ValidationError, match="max\\(A_T, A_R\\)"):
             beta_at_area(50.0, snr10_link)
+        # refused before the solve
+        assert solved_orders == [] and spectrum_module._memo == {}
 
-    def test_far_field_gate(self, snr10_link):
+    def test_far_field_gate(self, snr10_link, solved_orders):
+        # a disc DiscGeometry accepts, on a link the far-field gate refuses
         near = dataclasses.replace(snr10_link, range_d=1.0e3)
+        spectrum_module._memo.clear()
         with pytest.raises(ValidationError, match="far-field"):
             beta_at_area(200.0, near)
+        assert solved_orders == [] and spectrum_module._memo == {}
 
     def test_never_exceeds_upper(self, snr10_link):
         upper = upper_bound(10.0)
@@ -152,6 +173,18 @@ class TestAreaOptimization:
         assert grid[0] <= best_area <= grid[-1]
         # the stream count is the one the best area's own evaluation gives
         assert (best_beta, best_K) == beta_at_area(best_area, snr10_link)
+
+    def test_opening_points_are_compared(self, monkeypatch, snr10_link):
+        # zero on the grid, 1.0 on the first golden-section point only
+        calls = []
+
+        def stub(area, link, truncation):
+            calls.append(area)
+            return (1.0 if len(calls) == 33 else 0.0), len(calls)
+
+        monkeypatch.setattr(bounds_module, "beta_at_area", stub)
+        best_area, best_beta, best_K = optimize_disc_area(snr10_link)
+        assert (best_area, best_beta, best_K) == (calls[32], 1.0, 33)
 
     def test_grid_validation(self, snr10_link):
         with pytest.raises(ValidationError, match="at least two points"):
@@ -239,7 +272,7 @@ class TestWaterStop:
         assert beta_at_area(area, weak) == full_walk_beta(area, weak)
 
     @pytest.mark.parametrize("block_orders", [1, 2, None])
-    def test_rewalk_resumes_at_the_stopping_order(self, monkeypatch, block_orders):
+    def test_rewalk_resumes_at_the_stopping_order(self, monkeypatch, solved_orders, block_orders):
         weak, strong = study_link(10.0), study_link(1.0e4)
         area = float(default_area_grid(weak)[-1])
         if block_orders is not None:
@@ -250,16 +283,9 @@ class TestWaterStop:
         full = assemble_spectrum(geometry_of(area, weak), keep_radial=False)
         fresh_beta_at_area(area, weak)
         stop_N = memo_entry(area, weak).angular_orders_solved - 1
-        solved = []
-        solve = spectrum_module._radial_eigensolve
-
-        def counted(matrix, angular_N, c_param, keep_radial):
-            solved.append(angular_N)
-            return solve(matrix, angular_N, c_param, keep_radial)
-
-        monkeypatch.setattr(spectrum_module, "_radial_eigensolve", counted)
+        solved_orders.clear()
         beta_at_area(area, strong)
-        assert solved == list(range(stop_N, full.angular_orders_solved))
+        assert solved_orders == list(range(stop_N, full.angular_orders_solved))
         resumed = memo_entry(area, strong)
         for name in ("angular_N", "radial_m", "beta", "nu_sq"):
             assert getattr(resumed, name).tobytes() == getattr(full, name).tobytes()
@@ -289,7 +315,7 @@ class TestWaterStop:
             beta_at_area(area, link, (0, 0, 16))
 
     def test_subnormal_gain_keeps_its_one_error_line(self, capsys):
-        # every inverted floor overflows, so none stops the walk
+        # at gamma*g of about 1e-306 only the top mode can be active
         spectrum_module._memo.clear()
         code = cli_main(["bounds", "--area", "2e5", "--aperture-tx", "1e-305"])
         out, err = capsys.readouterr()
@@ -297,7 +323,11 @@ class TestWaterStop:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("apcap: error: top gain ")
         link = LinkBudget(1.0e7, 1.0, 1.0, 0.1, 1.0e6, 1.0, 1.0e-305, 100.0)
-        assert memo_entry(2.0e5, link).water_stop_nu_sq is None
+        stopped = memo_entry(2.0e5, link)
+        # the walk stopped on order 1 and holds order 0 only
+        assert stopped.water_stop_nu_sq is not None
+        assert stopped.angular_orders_solved == 2
+        assert not stopped.angular_N.any()
 
     def test_undersized_quadrature_warns(self):
         link = LinkBudget(1.0e12, 1.0, 1.0, 0.1, 1.0e6, 1.0, 100.0, 100.0)
