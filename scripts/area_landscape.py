@@ -8,7 +8,7 @@ M0 = sqrt(gamma_g/(eps0-1)) = 5.05 it is only 2.4% down. The argmax
 itself lands at M0 = 3.485, below that scale; the scale marks where
 the bound saturates, not where the finite-SNR maximum sits.
 
-Usage: python3 scripts/area_landscape.py [--gamma-g 100] [--points 41]
+Usage: PYTHONPATH=src python3 scripts/area_landscape.py [--gamma-g 100] [--points 41]
        [--csv landscape.csv]
 """
 

@@ -9,7 +9,7 @@ above; the excess shrinks like the cell diameter squared (about 1/4
 per quadrupling of N) while the off-diagonal mass falls two orders per
 step, far past the 0.7 factor the verify check demands.
 
-Usage: python3 scripts/array_convergence.py [--cells 64 256 1024 4096]
+Usage: PYTHONPATH=src python3 scripts/array_convergence.py [--cells 64 256 1024 4096]
 """
 
 import argparse

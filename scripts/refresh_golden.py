@@ -15,7 +15,7 @@ tolerance of the verify check that reads it (verification.GOLDEN_TOLERANCES),
 judged by the comparison verify makes. The exit code is 1 when a key moved
 past its tolerance.
 
-Usage: python3 scripts/refresh_golden.py [--out src/apcap/golden.json] [--check]
+Usage: PYTHONPATH=src python3 scripts/refresh_golden.py [--out src/apcap/golden.json] [--check]
 """
 
 import argparse

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,36 +194,62 @@ def default_truncation(c_param: float) -> tuple[int, int]:
     return angular, c_ceil + QUADRATURE_MARGIN
 
 
-def _radial_eigensolve(
-    matrix: np.ndarray, angular_N: int, c_param: float, keep_radial: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eigenpairs of one order's Nystrom matrix, read from its lower triangle.
+def _order_solves(
+    c: float, rule: QuadratureRule, walk_N: int, first_N: int, keep_radial: bool
+) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
+    """Each order's radial solve, lazily for N = first_N, first_N + 1, ..., walk_N.
 
-    Returns the betas sorted by |beta| descending and, when keep_radial,
-    the matching eigenvectors as columns (else None). Eigenvector signs
-    are fixed so the largest-magnitude entry is positive, keeping golden
-    files stable across library versions. eigvalsh serves the
-    eigenvalue-only case; it rounds differently from eigh, so each case
-    keeps its own LAPACK driver.
+    For each order N the radial kernel J_|N|(c r r') r' on [0, 1] is
+    discretized on the rule's Q Gauss-Legendre nodes. The kernel depends on
+    N only through |N|, so +-N give identical eigenvalues. The substitution
+    phi = sqrt(r) R(r) symmetrizes it to J_|N|(c r r') sqrt(r r'), so the
+    Nystrom matrix D^{1/2} K D^{1/2} is real symmetric and its eigenvalues
+    are real. Only the lower triangle is formed, in one Q x Q buffer
+    refilled per order; the eigensolver reads no other. The Bessel rows are
+    fetched up to walk_N in blocks of at most BESSEL_BLOCK_BYTES, each let go
+    before the next is built.
+
+    Yields (N, betas, samples): the betas sorted by |beta| descending and,
+    when keep_radial, the eigenvectors back-substituted to R(r) samples at
+    the nodes with unit-disc normalization, one column per beta (else
+    None). Eigenvector signs are fixed so the largest-magnitude entry is
+    positive, keeping golden files stable across library versions.
+    eigvalsh serves the eigenvalue-only case; it rounds differently from
+    eigh, so each case keeps its own LAPACK driver.
     """
-    try:
-        if keep_radial:
-            values, vectors = np.linalg.eigh(matrix)
-        else:
-            values, vectors = np.linalg.eigvalsh(matrix), None
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            f"radial eigensolve failed to converge at angular order {angular_N}, "
-            f"c = {c_param:.6g}"
-        ) from exc
-    order = np.argsort(-np.abs(values), kind="stable")
-    if vectors is None:
-        return values[order], None
-    vectors = vectors[:, order]
-    pivots = np.argmax(np.abs(vectors), axis=0)
-    flip = vectors[pivots, np.arange(vectors.shape[1])] < 0.0
-    vectors[:, flip] = -vectors[:, flip]
-    return values[order], vectors
+    q = rule.nodes.size
+    # the lower triangle (row i >= column j) column by column: the Bessel
+    # recurrence runs faster on this argument order than on row by row
+    cols, rows = np.triu_indices(q)
+    args = c * (rule.nodes[rows] * rule.nodes[cols])
+    block = max(1, BESSEL_BLOCK_BYTES // (8 * args.size))
+    sqrt_x, sqrt_w = np.sqrt(rule.nodes), np.sqrt(rule.weights)
+    # products grouped as sqrt_w[i] * (J * (sqrt_x[i] sqrt_x[j])) * sqrt_w[j];
+    # another grouping rounds differently and moves the betas
+    left, nodes_term, right = sqrt_w[rows], sqrt_x[rows] * sqrt_x[cols], sqrt_w[cols]
+    matrix = np.zeros((q, q))
+    sample_scale = (1.0 / (sqrt_w * sqrt_x * math.sqrt(2.0 * math.pi)))[:, None]
+    for lo in range(first_N, walk_N + 1, block):
+        row = table = None  # a row is a view: both let the previous block go
+        table = bessel_j_table(walk_N, args, range(lo, min(lo + block, walk_N + 1)))
+        for N, row in enumerate(table, lo):
+            matrix[rows, cols] = left * (row * nodes_term) * right
+            try:
+                if keep_radial:
+                    values, vectors = np.linalg.eigh(matrix)
+                else:
+                    values, vectors = np.linalg.eigvalsh(matrix), None
+            except np.linalg.LinAlgError as exc:
+                raise RuntimeError(
+                    f"radial eigensolve failed to converge at angular order {N}, c = {c:.6g}"
+                ) from exc
+            order = np.argsort(-np.abs(values), kind="stable")
+            if keep_radial:
+                vectors = vectors[:, order]
+                flip = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(q)] < 0.0
+                vectors[:, flip] = -vectors[:, flip]
+                vectors *= sample_scale
+            yield N, values[order], vectors
 
 
 def assemble_spectrum(
@@ -234,16 +261,7 @@ def assemble_spectrum(
     water: float = math.inf,
     resume: OperatorSpectrum | None = None,
 ) -> OperatorSpectrum:
-    """Solve the radial problems order by order and merge the modes.
-
-    For each order N the radial kernel J_|N|(c r r') r' on [0, 1] is
-    discretized on Q Gauss-Legendre nodes. The kernel depends on N only
-    through |N|, so +-N give identical eigenvalues. The substitution
-    phi = sqrt(r) R(r) symmetrizes it to J_|N|(c r r') sqrt(r r'), so the
-    Nystrom matrix D^{1/2} K D^{1/2} is real symmetric and its eigenvalues
-    are real. Only the lower triangle is formed, in one Q x Q buffer
-    refilled per order; the eigensolver reads no other. Eigenvectors are
-    back-substituted to R(r) samples with unit-disc normalization.
+    """Walk the angular orders' radial solves (_order_solves) and merge the modes.
 
     The walk solves N = 0, 1, ... and stops at the first order whose top
     nu_sq is below EPS times the strongest mode's; within each order only
@@ -322,18 +340,6 @@ def assemble_spectrum(
     radial_m = quadrature_order - 1 if max_radial_m is None else max_radial_m
 
     rule = gauss_quadrature(quadrature_order)
-    # the lower triangle (row i >= column j) column by column: the Bessel
-    # recurrence runs faster on this argument order than on row by row
-    cols, rows = np.triu_indices(quadrature_order)
-    args = c * (rule.nodes[rows] * rule.nodes[cols])
-    block = max(1, BESSEL_BLOCK_BYTES // (8 * args.size))
-    sqrt_x, sqrt_w = np.sqrt(rule.nodes), np.sqrt(rule.weights)
-    # products grouped as sqrt_w[i] * (J * (sqrt_x[i] sqrt_x[j])) * sqrt_w[j];
-    # another grouping rounds differently and moves the betas
-    left, nodes_term, right = sqrt_w[rows], sqrt_x[rows] * sqrt_x[cols], sqrt_w[cols]
-    matrix = np.zeros((quadrature_order, quadrature_order))
-    sample_scale = (1.0 / (sqrt_w * sqrt_x * math.sqrt(2.0 * math.pi)))[:, None]
-
     scale_nu = geometry.loss_L / (geometry.wavelength_lambda * geometry.range_d) ** 2
     scale_nu *= geometry.radius_R**4 * (2.0 * math.pi) ** 2
 
@@ -345,39 +351,30 @@ def assemble_spectrum(
         pieces.append((resume.angular_N, resume.radial_m, resume.beta, resume.nu_sq))
         top = float(resume.nu_sq[0])
         first_N = resume.angular_orders_solved - 1
-    stopped = False
     water_stop = None
-    for N in range(first_N, walk_N + 1):
-        if N == first_N or N % block == 0:
-            table = None  # let the previous block go before the next is built
-            table_lo = N
-            block_end = min((N // block + 1) * block, walk_N + 1)
-            table = bessel_j_table(walk_N, args, range(N, block_end))
-        matrix[rows, cols] = left * (table[N - table_lo] * nodes_term) * right
-        betas, vectors = _radial_eigensolve(matrix, N, c, keep_radial)
+    for N, betas, samples in _order_solves(c, rule, walk_N, first_N, keep_radial):
         nu_sq = scale_nu * betas * betas
         top = max(top, float(nu_sq[0]))
         if nu_sq[0] < EPS * top:
-            stopped = True
             break
         if _dry(water, total, float(nu_sq[0]), top):
             water_stop = float(nu_sq[0])
-            stopped = True
             break
         kept = int(np.count_nonzero(nu_sq[: radial_m + 1] >= EPS * top))
         indices = np.arange(kept)
         for signed_N in (N, -N) if N > 0 else (N,):
             pieces.append((np.full(kept, signed_N), indices, betas[:kept], nu_sq[:kept]))
         if keep_radial:
-            radial[N] = vectors[:, :kept] * sample_scale
+            radial[N] = samples[:, :kept].copy()  # a view would pin the whole Q x Q matrix
+    else:
+        if walk_N == bound_N:
+            warnings.warn(
+                f"angular orders up to the bound {bound_N} at c = {c:.6g} all hold modes "
+                f"above {EPS:g} of the top one; orders beyond it were not solved",
+                TruncationWarning,
+                stacklevel=2,
+            )
     solved = N + 1
-    if not stopped and walk_N == bound_N:
-        warnings.warn(
-            f"angular orders up to the bound {bound_N} at c = {c:.6g} all hold modes "
-            f"above {EPS:g} of the top one; orders beyond it were not solved",
-            TruncationWarning,
-            stacklevel=2,
-        )
 
     columns = [np.concatenate(column) for column in zip(*pieces)]
     signed, indices, _, values = columns

@@ -61,15 +61,16 @@ def memo_entry(area, link, truncation=DEFAULT_TRUNCATION):
 
 @pytest.fixture
 def solved_orders(monkeypatch):
-    """The angular orders _radial_eigensolve is called on, in call order."""
+    """The angular orders _order_solves yields, in order: one per radial eigensolve."""
     solved = []
-    solve = spectrum_module._radial_eigensolve
+    solves = spectrum_module._order_solves
 
-    def counted(matrix, angular_N, c_param, keep_radial):
-        solved.append(angular_N)
-        return solve(matrix, angular_N, c_param, keep_radial)
+    def recorded(*args):
+        for solve in solves(*args):
+            solved.append(solve[0])
+            yield solve
 
-    monkeypatch.setattr(spectrum_module, "_radial_eigensolve", counted)
+    monkeypatch.setattr(spectrum_module, "_order_solves", recorded)
     return solved
 
 

@@ -414,3 +414,32 @@ class TestColdStart:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+
+# refusals, the bounds path and its memo, an array's radial solve, and a sweep
+# whose rising powers resume water-stopped memo entries
+EARLIER_CALLS = [
+    ("bounds", "--area", "50"),
+    ("spectrum", "--area", "1e-300"),
+    ("sweep", "--power", "-1", "--grid", "junk"),
+    ("link",),
+    ("spectrum", "--area", "2e5"),
+    ("bounds", "--area", "2e5"),
+    ("sweep", "--area", "2e5", "--grid", "2:20:3:log"),
+    ("array", "--area", "2e5", "--cells", "1024"),
+    ("sweep", "--area", "3.2e6", "--grid", "1e3:1e6:16:log"),
+]
+
+
+class TestEarlierCalls:
+    def test_outputs_match_fresh_processes_in_either_order(self, capsys):
+        from apcap import spectrum
+        from apcap.cli import main
+
+        fresh = {args: run_cli(*args) for args in EARLIER_CALLS}
+        spectrum._memo.clear()
+        for args in EARLIER_CALLS + EARLIER_CALLS[::-1]:
+            code = main(list(args))
+            out, err = capsys.readouterr()
+            proc = fresh[args]
+            assert (out, err, code) == (proc.stdout, proc.stderr, proc.returncode), args

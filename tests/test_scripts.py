@@ -2,7 +2,9 @@
 
 refresh_golden.py runs with --help only, since its dense 2-D oracle takes
 minutes; argparse exits after the script's imports, so a renamed or
-deleted name it imports still fails here.
+deleted name it imports still fails here. Every script's Usage: line must
+also run as written, from the root of the checkout: its --help runs with
+the line's own environment assignments and no other PYTHONPATH.
 """
 
 import os
@@ -40,6 +42,31 @@ def test_truncation_study_columns():
         "kept", "block", "MB", "s",
     ]
     assert row.split()[:6] == ["0.05", "11", "4", "10.72", "41", "121"]
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))
+def test_usage_line_runs_as_written(script):
+    # the Usage: line's environment assignments, then python3 and the script's path
+    # from the root; nothing else of PYTHONPATH reaches the run
+    line = next(
+        line for line in (ROOT / "scripts" / script).read_text().splitlines()
+        if line.startswith("Usage: ")
+    )
+    words = line.split()[1:]
+    assignments = words[: next(i for i, word in enumerate(words) if "=" not in word)]
+    assert words[len(assignments) : len(assignments) + 2] == ["python3", f"scripts/{script}"]
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
+    env.update(assignment.split("=", 1) for assignment in assignments)
+    proc = subprocess.run(
+        [sys.executable, f"scripts/{script}", "--help"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=ROOT,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"usage: {script} [-h]")
 
 
 def run_script(script, *args):

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -33,6 +34,11 @@ from oracles import integrate
 def geometry_for_c(c):
     area = c * STUDY_WAVELENGTH * STUDY_RANGE / 2.0
     return DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
+
+
+def block_bytes(q, orders):
+    """A BESSEL_BLOCK_BYTES that holds `orders` Bessel rows on q quadrature nodes."""
+    return 8 * (q * (q + 1) // 2) * orders
 
 
 def modes_of(spectrum):
@@ -334,6 +340,44 @@ class TestAdaptiveTruncation:
         # the bounds call stopped at its water cut; this walks on to the EPS cut
         spectrum = eigenvalue_spectrum(geometry, DEFAULT_TRUNCATION)
         assert spectrum.angular_orders_solved - 1 < default_truncation(280.0)[0]
+
+    @pytest.mark.parametrize("keep_radial", [False, True])
+    def test_each_block_released_before_the_next(self, monkeypatch, keep_radial):
+        q = 64 if keep_radial else 56
+        monkeypatch.setattr(spectrum_module, "BESSEL_BLOCK_BYTES", block_bytes(q, 2))
+        tables = []
+        original = spectrum_module.bessel_j_table
+
+        def recording(*args):
+            assert all(table() is None for table in tables), "an earlier block is alive"
+            table = original(*args)
+            tables.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(spectrum_module, "bessel_j_table", recording)
+        spectrum = assemble_spectrum(geometry_for_c(16.0), keep_radial=keep_radial)
+        assert spectrum.truncation[2] == q
+        assert len(tables) == (spectrum.angular_orders_solved + 1) // 2
+        assert all(table() is None for table in tables)
+
+    @pytest.mark.parametrize("keep_radial", [False, True])
+    def test_fresh_walk_independent_of_block_size(self, monkeypatch, keep_radial):
+        geo = geometry_for_c(16.0)
+        q = 64 if keep_radial else 56
+        default = assemble_spectrum(geo, keep_radial=keep_radial)
+        for orders in (1, 2):
+            monkeypatch.setattr(spectrum_module, "BESSEL_BLOCK_BYTES", block_bytes(q, orders))
+            blocked = assemble_spectrum(geo, keep_radial=keep_radial)
+            for name in ("angular_N", "radial_m", "beta", "nu_sq"):
+                assert getattr(blocked, name).tobytes() == getattr(default, name).tobytes()
+            assert blocked.angular_orders_solved == default.angular_orders_solved
+            if keep_radial:
+                assert blocked.radial_samples.keys() == default.radial_samples.keys()
+                for N, samples in default.radial_samples.items():
+                    assert blocked.radial_samples[N].shape == samples.shape
+                    assert blocked.radial_samples[N].tobytes() == samples.tobytes(), N
+            else:
+                assert blocked.radial_samples is None
 
     def test_walk_reaching_bound_warns(self, monkeypatch):
         # a bound below the cut must not truncate silently
