@@ -4,7 +4,11 @@ For each invocation it prints `sha256  bytes  exit  stderr-sha256
 invocation`: the sha256 and length of its stdout, its exit code and the
 sha256 of its stderr, so a gained or lost warning shows as well. Every
 invocation is one fresh `python -m apcap.cli` process, run from the root
-of the checkout with PYTHONPATH=src and one BLAS thread. The invocations
+of the checkout with PYTHONPATH=src and one BLAS thread. With --in-process
+they all run through apcap.cli.main in this one process instead, in the
+--order given (forward, reverse, or shuffled by an integer seed), and the
+lines are still printed in forward order: a result depends only on its
+inputs, so this listing must equal the fresh-process one. The invocations
 are the benchmark's workload invocations (WORKLOADS of perfbench/run.py,
 imported, not copied) and EXTRA: the spectrum report as JSON and as
 CSV, a starved truncation that warns on every disc the area optimizer
@@ -21,22 +25,26 @@ its modes need, which warns, the same order under area optimization,
 which warns once, for the largest c it tries, and an array whose receive
 aperture differs from its transmit one, so its receive weights are
 formatted on their own rather than reusing the transmit text, and an
-optimized strong-regime sweep up to gamma*g = 1e7, whose rising powers hit
-the memo on the discs they share, and a bounds on one fixed disc at c = 280,
-whose Nystrom solve builds the largest Bessel table, from the highest start
-order, of all these invocations, and a bounds on a disc smaller than
-max(A_T, A_R), which is refused before any solve.
+optimized strong-regime sweep up to gamma*g = 1e7, whose rising powers read
+the cached solves of the discs they share, and a bounds on one fixed disc at
+c = 280, whose Nystrom solve builds the largest Bessel table, from the
+highest start order, of all these invocations, and a bounds on a disc
+smaller than max(A_T, A_R), which is refused before any solve.
 
 Two checkouts print the same lines exactly when these outputs are
 byte-identical, so a change that must not move any output is checked by a
 diff of the two listings.
 
-Usage: python3 scripts/stdout_digest.py [CHECKOUT]   (default: this script's checkout)
+Usage: python3 scripts/stdout_digest.py [--in-process [--order forward|reverse|SEED]] [CHECKOUT]
+(default CHECKOUT: this script's checkout)
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -84,6 +92,24 @@ def invocations(root: Path) -> list[tuple[str, ...]]:
     return [args for workload in WORKLOADS.values() for args in workload] + list(EXTRA)
 
 
+def line(args: tuple[str, ...], stdout: bytes, stderr: bytes, code: int) -> str:
+    digest, err_digest = hashlib.sha256(stdout).hexdigest(), hashlib.sha256(stderr).hexdigest()
+    return f"{digest}  {len(stdout)}  {code}  {err_digest}  {' '.join(args)}"
+
+
+def run_in_process(args: tuple[str, ...]) -> tuple[bytes, bytes, int]:
+    """stdout, stderr and exit code of apcap.cli.main(args), run in this process."""
+    from apcap.cli import main as cli_main
+
+    out, err = io.BytesIO(), io.BytesIO()
+    text_out, text_err = (io.TextIOWrapper(raw, "utf-8", newline="\n") for raw in (out, err))
+    with contextlib.redirect_stdout(text_out), contextlib.redirect_stderr(text_err):
+        code = cli_main(list(args))
+    text_out.flush()
+    text_err.flush()
+    return out.getvalue(), err.getvalue(), code
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -93,18 +119,42 @@ def main():
         default=Path(__file__).resolve().parent.parent,
         help="root of the apcap checkout to run (default: the one holding this script)",
     )
-    root = parser.parse_args().root.resolve()
-    env = dict(os.environ, PYTHONPATH="src", **{name: "1" for name in THREAD_VARIABLES})
-    for args in invocations(root):
-        proc = subprocess.run(
-            [sys.executable, "-m", "apcap.cli", *args], cwd=root, env=env, capture_output=True
-        )
-        digest = hashlib.sha256(proc.stdout).hexdigest()
-        err_digest = hashlib.sha256(proc.stderr).hexdigest()
-        print(
-            f"{digest}  {len(proc.stdout)}  {proc.returncode}  {err_digest}  {' '.join(args)}",
-            flush=True,
-        )
+    parser.add_argument(
+        "--in-process",
+        action="store_true",
+        help="run every invocation through apcap.cli.main in this one process",
+    )
+    parser.add_argument(
+        "--order",
+        default="forward",
+        help="with --in-process, the run order: forward, reverse or an integer shuffle seed",
+    )
+    options = parser.parse_args()
+    root = options.root.resolve()
+    # before numpy loads, here or in a child
+    os.environ.update({name: "1" for name in THREAD_VARIABLES})
+    calls = invocations(root)
+    if not options.in_process:
+        env = dict(os.environ, PYTHONPATH="src")
+        for args in calls:
+            proc = subprocess.run(
+                [sys.executable, "-m", "apcap.cli", *args], cwd=root, env=env, capture_output=True
+            )
+            print(line(args, proc.stdout, proc.stderr, proc.returncode), flush=True)
+        return
+    order = list(range(len(calls)))
+    if options.order == "reverse":
+        order.reverse()
+    elif options.order != "forward":
+        try:
+            random.Random(int(options.order)).shuffle(order)
+        except ValueError:
+            parser.error(f"--order is forward, reverse or an integer seed, not {options.order!r}")
+    sys.path.insert(0, str(root / "src"))
+    os.chdir(root)  # as the fresh processes run, for --out paths
+    results = {index: run_in_process(calls[index]) for index in order}
+    for index, args in enumerate(calls):
+        print(line(args, *results[index]))
 
 
 if __name__ == "__main__":

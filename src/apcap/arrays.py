@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import effective_gains
+from .bounds import check_area_floor, effective_gains
 from .link import LinkBudget, ValidationError, derive_link
 from .numerics import bessel_j_table
 from .spectrum import (
@@ -270,9 +270,10 @@ def synthesize_array(
     The disc of area |S| takes the link's wavelength, range and loss, and
     its spectrum is solved with radial samples at the given truncation;
     its top K modes become streams. Tx and rx share the same partition of
-    that disc. The link must pass the far-field gate, and every element's
-    sub-aperture disk must fit inside its cell, otherwise the cell count is
-    too small and the call is rejected.
+    that disc. |S| must be at least max(A_T, A_R), the link must pass the
+    far-field gate, and every element's sub-aperture disk must fit inside
+    its cell, otherwise the cell count is too small and the call is
+    rejected.
     """
     geometry = DiscGeometry(area_S, link.wavelength_lambda, link.range_d, link.loss_L)
     if stream_count_K < 1:
@@ -281,16 +282,10 @@ def synthesize_array(
         raise ValidationError(
             f"cell count {cell_count_N} must be at least the stream count {stream_count_K}"
         )
+    check_area_floor(area_S, link)
     derive_link(link)  # enforces the far-field gate
     # the radial solve is the costly step, so every check that does not need it comes first
-    spectrum = assemble_spectrum(geometry, *truncation)
-    if stream_count_K > spectrum.nu_sq.size:
-        raise ValidationError(
-            f"stream count {stream_count_K} exceeds available modes {spectrum.nu_sq.size} "
-            f"(the spectrum keeps only modes at or above EPS = {EPS:g} of the top one)"
-        )
     radius = geometry.radius_R
-
     cells = equal_area_partition(cell_count_N)
     clearance_unit = min(c.clearance for c in cells)
     for name, aperture in (("transmit", link.aperture_tx_AT), ("receive", link.aperture_rx_AR)):
@@ -301,6 +296,12 @@ def synthesize_array(
                 f"tightest cell (clearance {clearance_unit * radius:.6g}); "
                 f"increase the cell count"
             )
+    spectrum = assemble_spectrum(geometry, *truncation)
+    if stream_count_K > spectrum.nu_sq.size:
+        raise ValidationError(
+            f"stream count {stream_count_K} exceeds available modes {spectrum.nu_sq.size} "
+            f"(the spectrum keeps only modes at or above EPS = {EPS:g} of the top one)"
+        )
 
     centroid_r = np.array([c.centroid_r for c in cells])
     centroid_theta = np.array([c.centroid_theta for c in cells])

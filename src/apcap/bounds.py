@@ -23,7 +23,7 @@ from .spectrum import (
     DiscGeometry,
     OperatorSpectrum,
     Truncation,
-    eigenvalue_spectrum,
+    assemble_spectrum,
 )
 from .waterfill import ChannelGains, allocation_efficiency, waterfill
 
@@ -72,13 +72,22 @@ def effective_gains(link: LinkBudget, spectrum: OperatorSpectrum) -> np.ndarray:
     return scale * spectrum.nu_sq
 
 
+def check_area_floor(area_S: float, link: LinkBudget) -> None:
+    """Refuse a synthesis area below max(A_T, A_R): the apertures must fit inside the disc."""
+    min_area = max(link.aperture_tx_AT, link.aperture_rx_AR)
+    if area_S < min_area * (1.0 - 1.0e-12):
+        raise ValidationError(
+            f"synthesis area {area_S:.6g} is below max(A_T, A_R) = {min_area:.6g}"
+        )
+
+
 def beta_at_area(
     area_S: float, link: LinkBudget, truncation: Truncation = DEFAULT_TRUNCATION
 ) -> tuple[float, int]:
     """Waterfilled lower bound beta(|S|) and its active stream count.
 
     The disc of area |S| takes the link's wavelength, range and loss, and
-    its spectrum comes from the memoized eigenvalue_spectrum. |S| must be
+    its eigenvalue-only spectrum comes from assemble_spectrum. |S| must be
     at least max(A_T, A_R) so the apertures fit inside the disc, and the
     link must pass the far-field gate; both are checked before the solve.
     The bound is the waterfilling efficiency over the effective gains
@@ -92,14 +101,10 @@ def beta_at_area(
     own ceiling and warns as it would without a bound.
     """
     geometry = DiscGeometry(area_S, link.wavelength_lambda, link.range_d, link.loss_L)
-    min_area = max(link.aperture_tx_AT, link.aperture_rx_AR)
-    if area_S < min_area * (1.0 - 1.0e-12):
-        raise ValidationError(
-            f"synthesis area {area_S:.6g} is below max(A_T, A_R) = {min_area:.6g}"
-        )
+    check_area_floor(area_S, link)
     snr = derive_link(link).received_snr  # enforces the far-field gate
     water = snr if truncation == DEFAULT_TRUNCATION else math.inf
-    spectrum = eigenvalue_spectrum(geometry, truncation, water)
+    spectrum = assemble_spectrum(geometry, *truncation, keep_radial=False, water=water)
     gains = ChannelGains(
         gains_eta_sq=effective_gains(link, spectrum),
         noise_floor_BN0=link.bandwidth_B * link.noise_psd_N0,

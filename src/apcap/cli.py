@@ -142,11 +142,13 @@ def _parse_grid(text: str) -> list[float]:
         raise ValidationError(f"grid needs at least 2 points, got {points}")
     if not lo < hi:
         raise ValidationError(f"grid needs min < max, got {lo} and {hi}")
+    if lo <= 0.0:
+        raise ValidationError(f"{parts[3]} grid needs a positive minimum, got {lo}")
+    if hi == math.inf:
+        raise ValidationError(f"grid needs a finite maximum, got {hi}")
     if parts[3] == "lin":
         step = (hi - lo) / (points - 1)
         return [lo + i * step for i in range(points)]
-    if lo <= 0.0:
-        raise ValidationError("log grid needs a positive minimum")
     step = (math.log(hi) - math.log(lo)) / (points - 1)
     return [math.exp(math.log(lo) + i * step) for i in range(points)]
 

@@ -58,8 +58,8 @@ EPS = 1.0e-16
 # fetched in blocks of angular orders.
 BESSEL_BLOCK_BYTES = 64 * 2**20
 
-# Spectra memoized by eigenvalue_spectrum: one area optimization evaluates
-# 32 grid points plus at most 26 golden-section points.
+# (c, Q, N_hi) keys whose eigenvalue-only solves _eigenvalue_solves keeps: one
+# area optimization evaluates 32 grid points plus at most 26 golden-section points.
 SPECTRUM_MEMO_SIZE = 64
 
 # (max_angular_N, max_radial_m, quadrature_order); None takes the default
@@ -140,17 +140,17 @@ class DiscGeometry:
 class OperatorSpectrum:
     """Sorted operator modes plus the sampled radial eigenfunctions.
 
-    The modes are four parallel read-only columns, angular_N, radial_m,
-    beta and nu_sq, sorted by nu_sq descending, ties broken by |N|
-    ascending, then m ascending, then sign of N (+ first). radial_samples
-    maps each kept order |N| to a Q x kept matrix whose column m holds the
-    eigenfunction R_{|N|,m} at the quadrature nodes, under the
-    normalization integral_0^1 R(r)^2 r dr = 1/(2 pi), which makes the full
-    2-D mode unit norm on the unit disc; +N and -N share the matrix. The map
-    is None when the spectrum was assembled for eigenvalues only.
-    truncation is what was kept (largest |N|, largest m, quadrature order),
-    and angular_orders_solved counts the orders N = 0, 1, ... the walk
-    solved. water_stop_nu_sq is None when the walk ran to the EPS cut; a
+    The modes are four parallel columns, angular_N, radial_m, beta and
+    nu_sq, sorted by nu_sq descending, ties broken by |N| ascending, then
+    m ascending, then sign of N (+ first). radial_samples maps each kept
+    order |N| to a Q x kept matrix whose column m holds the eigenfunction
+    R_{|N|,m} at the quadrature nodes, under the normalization
+    integral_0^1 R(r)^2 r dr = 1/(2 pi), which makes the full 2-D mode unit
+    norm on the unit disc; +N and -N share the matrix. The map is None
+    when the spectrum was assembled for eigenvalues only. truncation is
+    what was kept (largest |N|, largest m, quadrature order), and
+    angular_orders_solved counts the orders N = 0, 1, ... the walk read,
+    solved or cached. water_stop_nu_sq is None when the walk ran to the EPS cut; a
     walk that stopped at a bounds call's water cut records the top nu_sq of
     the order it stopped on, and holds only the orders before it.
     """
@@ -252,6 +252,45 @@ def _order_solves(
             yield N, values[order], vectors
 
 
+# _eigenvalue_solves' cache, least recently used first: (c, Q, walk_N) -> the
+# read-only betas of N = 0, 1, ... as far as walks have read them
+_solved: dict[tuple[float, int, int], list[np.ndarray]] = {}
+
+
+def _eigenvalue_solves(
+    c: float, rule: QuadratureRule, walk_N: int
+) -> Iterator[tuple[int, np.ndarray, None]]:
+    """_order_solves(c, rule, walk_N, 0, keep_radial=False), memoized per order.
+
+    An order's betas depend only on c, Q and walk_N, the Bessel table's
+    bound, so the last SPECTRUM_MEMO_SIZE such keys keep them. The cached
+    orders are yielded first, then the walk solves on. A key's first walk
+    solves only as far as it reads. A later walk that reads past the cache
+    solves on to about the EPS cut before it yields, so the rising water
+    cuts of one disc build one Bessel table per extension, not one per call.
+    """
+    key = (c, rule.nodes.size, walk_N)
+    betas = _solved[key] = _solved.pop(key, [])
+    if len(_solved) > SPECTRUM_MEMO_SIZE:
+        del _solved[next(iter(_solved))]
+    cached = len(betas)
+    yield from ((N, betas[N], None) for N in range(cached))
+    solves = _order_solves(c, rule, walk_N, cached, keep_radial=False)
+    if cached:
+        top = max(float(values[0]) ** 2 for values in betas)
+        for _, values, _ in solves:
+            values.flags.writeable = False
+            betas.append(values)
+            top = max(top, float(values[0]) ** 2)
+            if float(values[0]) ** 2 < EPS * top:
+                break
+        yield from ((N, betas[N], None) for N in range(cached, len(betas)))
+    for N, values, _ in solves:
+        values.flags.writeable = False
+        betas.append(values)
+        yield N, values, None
+
+
 def assemble_spectrum(
     geometry: DiscGeometry,
     max_angular_N: int | None = None,
@@ -259,7 +298,6 @@ def assemble_spectrum(
     quadrature_order: int | None = None,
     keep_radial: bool = True,
     water: float = math.inf,
-    resume: OperatorSpectrum | None = None,
 ) -> OperatorSpectrum:
     """Walk the angular orders' radial solves (_order_solves) and merge the modes.
 
@@ -284,24 +322,21 @@ def assemble_spectrum(
     (Cover & Thomas, Elements of Information Theory, 9.4), with h_top the
     strongest gain, which the walk's running top bounds from below. So the
     walk stops at the first order whose top inverted floor BN0/h lies above
-    (P + BN0/h_top) (1 + WATER_MARGIN) (see _dry): by the same monotone
-    decay in N the EPS stop relies on, no later order holds an active mode.
-    The spectrum records the stopping order's top nu_sq in
-    water_stop_nu_sq, and a water-stopped solve raises no sum-rule
-    warning, since it leaves out inactive modes on purpose.
-
-    resume, a water-stopped eigenvalue-only spectrum of the same geometry
-    and truncation (eigenvalue_spectrum passes it), carries that walk on:
-    its modes and top nu_sq are taken as they are, and the walk goes on
-    from its stopping order, fetching the Bessel rows from that order with
-    the same N_hi. Each order's modes depend only on the order and the
-    running top, so the result has the bits of a walk from N = 0.
+    (P + BN0/h_top) (1 + WATER_MARGIN): by the same monotone decay in N the
+    EPS stop relies on, no later order holds an active mode. The spectrum
+    records the stopping order's top nu_sq in water_stop_nu_sq, and a
+    water-stopped solve raises no sum-rule warning, since it leaves out
+    inactive modes on purpose.
 
     Each mode (N, m) with N != 0 enters twice (+N and -N) with the same
     magnitude. nu_sq = (L / lambda^2 d^2) R^4 (2 pi beta)^2.
 
     keep_radial=False skips eigenvectors (faster, eigenvalues only); the
-    resulting spectrum has radial_samples None.
+    resulting spectrum has radial_samples None, and its walk reads each
+    order's betas through the per-order cache of _eigenvalue_solves, so a
+    call solves only the orders no earlier call on a disc of the same c,
+    Q and N_hi read. The stops, the kept counts, the sort and the warnings
+    run on every call, so the result is the one a fresh solve gives.
     """
     c = geometry.c_param
     if not (0.0 < c <= C_PARAM_MAX):
@@ -346,18 +381,20 @@ def assemble_spectrum(
     pieces: list[tuple[np.ndarray, ...]] = []  # (N, m, beta, nu_sq) per order and sign
     radial: dict[int, np.ndarray] | None = {} if keep_radial else None
     top = 0.0
-    first_N = 0
-    if resume is not None:
-        pieces.append((resume.angular_N, resume.radial_m, resume.beta, resume.nu_sq))
-        top = float(resume.nu_sq[0])
-        first_N = resume.angular_orders_solved - 1
     water_stop = None
-    for N, betas, samples in _order_solves(c, rule, walk_N, first_N, keep_radial):
+    for N, betas, samples in (
+        _order_solves(c, rule, walk_N, 0, keep_radial=True)
+        if keep_radial
+        else _eigenvalue_solves(c, rule, walk_N)
+    ):
         nu_sq = scale_nu * betas * betas
         top = max(top, float(nu_sq[0]))
         if nu_sq[0] < EPS * top:
             break
-        if _dry(water, total, float(nu_sq[0]), top):
+        # A gain is h = (A_T A_R/|S|^2) nu_sq, and P (A_T A_R/|S|^2)/BN0 is gamma*g
+        # over the spectral mass, so BN0/h > (P + BN0/h_top) (1 + WATER_MARGIN)
+        # reads as below, free of P, BN0 and the apertures; math.inf never stops.
+        if nu_sq[0] * (water / total + 1.0 / top) * (1.0 + WATER_MARGIN) < 1.0:
             water_stop = float(nu_sq[0])
             break
         kept = int(np.count_nonzero(nu_sq[: radial_m + 1] >= EPS * top))
@@ -379,11 +416,8 @@ def assemble_spectrum(
     columns = [np.concatenate(column) for column in zip(*pieces)]
     signed, indices, _, values = columns
     order = np.lexsort((signed < 0, indices, np.abs(signed), -values))
-    columns = [column[order] for column in columns]
-    for column in columns:
-        column.flags.writeable = False  # eigenvalue_spectrum shares one spectrum between callers
     spectrum = OperatorSpectrum(
-        *columns,
+        *(column[order] for column in columns),
         geometry=geometry,
         truncation=(int(signed.max()), int(indices.max()), quadrature_order),
         quadrature=rule,
@@ -399,65 +433,6 @@ def assemble_spectrum(
             stacklevel=2,
         )
     return spectrum
-
-
-def _dry(water: float, mass: float, nu_sq: float, top: float) -> bool:
-    """Whether nu_sq's inverted floor lies above the one-channel level over top.
-
-    A mode's gain is h = (A_T A_R/|S|^2) nu_sq, and P (A_T A_R/|S|^2)/BN0 is
-    the received SNR gamma*g over the disc's spectral mass L |S|^2/(lambda d)^2.
-    So BN0/h > (P + BN0/h_top) (1 + WATER_MARGIN) reads as below, free of P,
-    BN0 and the apertures. An infinite SNR never stops the walk.
-    """
-    return nu_sq * (water / mass + 1.0 / top) * (1.0 + WATER_MARGIN) < 1.0
-
-
-# eigenvalue_spectrum's memo, least recently used first: (geometry, truncation)
-# -> (spectrum, the warnings its solve raised)
-_memo: dict[tuple[DiscGeometry, Truncation], tuple[OperatorSpectrum, tuple[Warning, ...]]] = {}
-
-
-def eigenvalue_spectrum(
-    geometry: DiscGeometry, truncation: Truncation, water: float = math.inf
-) -> OperatorSpectrum:
-    """assemble_spectrum(geometry, *truncation, keep_radial=False), memoized.
-
-    The memo holds one entry per exact geometry and truncation triple (None
-    entries take the defaults). A miss solves with the water stop at the
-    received SNR water, which bounds.beta_at_area passes under the default
-    truncation. A hit on a water-stopped entry puts the stop's own test to
-    the entry: is the stopping order's top floor, under this call's water,
-    above the one-channel level P + BN0/h_top of the entry's top mode? If
-    not, and always under the default math.inf, the entry's walk is
-    carried on from its stopping order to the EPS cut (assemble_spectrum's
-    resume), and the result replaces the entry. So the spectrum returned
-    holds every mode the caller can use, and the modes it holds have the
-    bits a fresh solve gives. The result is shared between callers; its columns are
-    read-only. Every call raises again the warnings the entry's solve
-    raised.
-    """
-    key = (geometry, truncation)
-    entry = _memo.pop(key, None)
-    resume = None if entry is None else entry[0]
-    stop = None if resume is None else resume.water_stop_nu_sq
-    if resume is None or (
-        stop is not None
-        and not _dry(water, geometry.spectral_mass, stop, float(resume.nu_sq[0]))
-    ):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            # a miss stops at this call's water cut, a re-walk runs on to the EPS cut
-            cut = water if resume is None else math.inf
-            spectrum = assemble_spectrum(
-                geometry, *truncation, keep_radial=False, water=cut, resume=resume
-            )
-        entry = spectrum, tuple(w.message for w in caught)
-    _memo[key] = entry
-    if len(_memo) > SPECTRUM_MEMO_SIZE:
-        del _memo[next(iter(_memo))]
-    for message in entry[1]:
-        warnings.warn(message, stacklevel=2)
-    return entry[0]
 
 
 def effective_rank(spectrum: OperatorSpectrum, fraction: float) -> int:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from apcap import spectrum as spectrum_module
 from apcap.spectrum import DiscGeometry, assemble_spectrum
 from apcap.verification import STUDY_RANGE, STUDY_WAVELENGTH, area_for_m0, study_link
 
@@ -33,3 +34,18 @@ def snr10_link():
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(20260822))
+
+
+@pytest.fixture
+def solved_orders(monkeypatch):
+    """The angular orders _order_solves yields, in order: one per radial eigensolve."""
+    solved = []
+    solves = spectrum_module._order_solves
+
+    def recorded(*args, **kwargs):
+        for solve in solves(*args, **kwargs):
+            solved.append(solve[0])
+            yield solve
+
+    monkeypatch.setattr(spectrum_module, "_order_solves", recorded)
+    return solved

@@ -234,6 +234,12 @@ class TestSynthesizeArray:
         wide_c = dataclasses.replace(near, wavelength_lambda=1.0e-3, range_d=1.0e4)
         with pytest.raises(ValidationError, match="far-field"):
             synthesize_array(wide_c, 1.0e4, 1, 64)  # c = 2000
+        # a disc smaller than the apertures, whatever the cell count
+        with pytest.raises(ValidationError, match=r"synthesis area 50 is below max\(A_T, A_R\)"):
+            synthesize_array(snr10_link, 50.0, 4, 4096)
+        # sub-apertures that do not fit their cells
+        with pytest.raises(ValidationError, match="does not fit inside"):
+            synthesize_array(snr10_link, 120.0, 1, 4)
         assert calls == []
 
     def test_subaperture_must_fit_cell(self, snr10_link):

@@ -20,13 +20,12 @@ from apcap.bounds import (
     optimize_disc_area,
     upper_bound,
 )
-from apcap.link import LinkBudget, ValidationError, siso_efficiency
+from apcap.link import LinkBudget, ValidationError, derive_link, siso_efficiency
 from apcap.spectrum import (
-    DEFAULT_TRUNCATION,
     DiscGeometry,
+    OperatorSpectrum,
     TruncationWarning,
     assemble_spectrum,
-    eigenvalue_spectrum,
 )
 from apcap.waterfill import ChannelGains, allocation_efficiency, waterfill
 from apcap.verification import STUDY_RANGE, STUDY_WAVELENGTH, area_for_m0, study_link
@@ -38,7 +37,7 @@ LOWER_AT_M0_4_SNR10 = 2.3172404605164445
 
 def fresh_beta_at_area(area, link):
     """beta_at_area computed from a spectrum solved afresh for this call."""
-    spectrum_module._memo.clear()
+    spectrum_module._solved.clear()
     return beta_at_area(area, link)
 
 
@@ -55,23 +54,42 @@ def full_walk_beta(area, link):
     return allocation_efficiency(gains, alloc), alloc.active_K
 
 
-def memo_entry(area, link, truncation=DEFAULT_TRUNCATION):
-    return spectrum_module._memo[(geometry_of(area, link), truncation)][0]
+def assert_same_spectrum(a, b):
+    """Every field of two spectra equal, the columns bit for bit."""
+    for name in (field.name for field in dataclasses.fields(OperatorSpectrum)):
+        x, y = getattr(a, name), getattr(b, name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.tobytes()) == (y.dtype, y.tobytes()), name
+        else:
+            assert x == y, name
 
 
 @pytest.fixture
-def solved_orders(monkeypatch):
-    """The angular orders _order_solves yields, in order: one per radial eigensolve."""
-    solved = []
-    solves = spectrum_module._order_solves
+def received(monkeypatch):
+    """The spectra beta_at_area receives, in order."""
+    spectra = []
+    assemble = bounds_module.assemble_spectrum
 
-    def recorded(*args):
-        for solve in solves(*args):
-            solved.append(solve[0])
-            yield solve
+    def recorded(*args, **kwargs):
+        spectra.append(assemble(*args, **kwargs))
+        return spectra[-1]
 
-    monkeypatch.setattr(spectrum_module, "_order_solves", recorded)
-    return solved
+    monkeypatch.setattr(bounds_module, "assemble_spectrum", recorded)
+    return spectra
+
+
+@pytest.fixture
+def table_orders(monkeypatch):
+    """The angular orders of each Bessel table the spectrum walks build, in order."""
+    tables = []
+    build = spectrum_module.bessel_j_table
+
+    def recorded(max_order, args, orders):
+        tables.append(orders)
+        return build(max_order, args, orders)
+
+    monkeypatch.setattr(spectrum_module, "bessel_j_table", recorded)
+    return tables
 
 
 class TestUpperBound:
@@ -132,19 +150,19 @@ class TestLowerBound:
         assert active == 3
 
     def test_area_below_aperture_rejected(self, snr10_link, solved_orders):
-        spectrum_module._memo.clear()
+        spectrum_module._solved.clear()
         with pytest.raises(ValidationError, match="max\\(A_T, A_R\\)"):
             beta_at_area(50.0, snr10_link)
         # refused before the solve
-        assert solved_orders == [] and spectrum_module._memo == {}
+        assert solved_orders == [] and spectrum_module._solved == {}
 
     def test_far_field_gate(self, snr10_link, solved_orders):
         # a disc DiscGeometry accepts, on a link the far-field gate refuses
         near = dataclasses.replace(snr10_link, range_d=1.0e3)
-        spectrum_module._memo.clear()
+        spectrum_module._solved.clear()
         with pytest.raises(ValidationError, match="far-field"):
             beta_at_area(200.0, near)
-        assert solved_orders == [] and spectrum_module._memo == {}
+        assert solved_orders == [] and spectrum_module._solved == {}
 
     def test_never_exceeds_upper(self, snr10_link):
         upper = upper_bound(10.0)
@@ -196,7 +214,7 @@ class TestAreaOptimization:
         first, _ = beta_at_area(area, snr10_link)
         second, _ = beta_at_area(area, snr10_link)
         third, _ = beta_at_area(area, snr10_link)
-        # memo hits return the spectrum a fresh solve gives, bit for bit
+        # walks over cached solves give what a fresh solve gives, bit for bit
         assert first == second == third == fresh_beta_at_area(area, snr10_link)[0]
 
     def test_result_independent_of_call_history(self, snr10_link):
@@ -249,11 +267,11 @@ class TestWaterStop:
             warnings.simplefilter("error")  # a water stop warns of nothing
             assert fresh_beta_at_area(area, link) == full_walk_beta(area, link)
 
-    def test_stops_before_the_eps_cut(self):
+    def test_stops_before_the_eps_cut(self, received):
         link = study_link(10.0)
         area = float(default_area_grid(link)[-1])
         fresh_beta_at_area(area, link)
-        stopped = memo_entry(area, link)
+        stopped = received[-1]
         full = assemble_spectrum(geometry_of(area, link), keep_radial=False)
         assert stopped.water_stop_nu_sq is not None
         assert stopped.angular_orders_solved < full.angular_orders_solved
@@ -261,70 +279,88 @@ class TestWaterStop:
         kept = np.abs(full.angular_N) < stopped.angular_orders_solved - 1
         assert stopped.nu_sq.tobytes() == full.nu_sq[kept].tobytes()
 
-    def test_stopped_entry_then_a_call_needing_more_orders(self):
+    def test_stopped_entry_then_a_call_needing_more_orders(self, received):
         weak, strong = study_link(10.0), study_link(1.0e4)
         area = float(default_area_grid(weak)[-1])
         expected = full_walk_beta(area, strong)
         fresh_beta_at_area(area, weak)
-        assert memo_entry(area, weak).water_stop_nu_sq is not None
+        stopped = received[-1]
+        assert stopped.water_stop_nu_sq is not None
         assert beta_at_area(area, strong) == expected
-        # the entry was walked on to the EPS cut and replaced
-        assert memo_entry(area, strong).water_stop_nu_sq is None
+        assert received[-1].angular_orders_solved > stopped.angular_orders_solved
+        # the weak call after it gets the spectrum it got before
         assert beta_at_area(area, weak) == full_walk_beta(area, weak)
+        assert_same_spectrum(received[-1], stopped)
 
     @pytest.mark.parametrize("block_orders", [1, 2, None])
-    def test_rewalk_resumes_at_the_stopping_order(self, monkeypatch, solved_orders, block_orders):
-        weak, strong = study_link(10.0), study_link(1.0e4)
-        area = float(default_area_grid(weak)[-1])
+    def test_rewalk_resumes_at_the_stopping_order(
+        self, monkeypatch, solved_orders, table_orders, received, block_orders
+    ):
+        # rising water on one disc: 10 stops at order 3, 100 at order 5, and so on
+        links = [study_link(snr) for snr in (10.0, 1.0e2, 1.0e3, 1.0e4)]
+        area = float(default_area_grid(links[0])[-1])
+        geometry = geometry_of(area, links[0])
+        walk_N, q = spectrum_module.default_truncation(geometry.c_param)
+        block = walk_N + 1
         if block_orders is not None:
-            # Bessel blocks of this many orders, so the resumed walk starts mid-block
-            q = spectrum_module.default_truncation(geometry_of(area, weak).c_param)[1]
-            block_bytes = 8 * (q * (q + 1) // 2) * block_orders
+            # Bessel blocks of this many orders, so an extension starts mid-block
+            block = block_orders
+            block_bytes = 8 * (q * (q + 1) // 2) * block
             monkeypatch.setattr(spectrum_module, "BESSEL_BLOCK_BYTES", block_bytes)
-        full = assemble_spectrum(geometry_of(area, weak), keep_radial=False)
-        fresh_beta_at_area(area, weak)
-        stop_N = memo_entry(area, weak).angular_orders_solved - 1
+        full = assemble_spectrum(geometry, keep_radial=False)
+        expected = [full_walk_beta(area, link) for link in links]
+        spectrum_module._solved.clear()
         solved_orders.clear()
-        beta_at_area(area, strong)
-        assert solved_orders == list(range(stop_N, full.angular_orders_solved))
-        resumed = memo_entry(area, strong)
-        for name in ("angular_N", "radial_m", "beta", "nu_sq"):
-            assert getattr(resumed, name).tobytes() == getattr(full, name).tobytes()
-        assert resumed.truncation == full.truncation
-        assert resumed.angular_orders_solved == full.angular_orders_solved
-        assert resumed.water_stop_nu_sq is None
+        table_orders.clear()
+        assert [beta_at_area(area, link) for link in links] == expected
+        stop = received[0].angular_orders_solved
+        assert stop < received[1].angular_orders_solved
+        # no order is solved twice: the second call solves on past the first one's
+        # stopping order to the EPS cut, and the later calls read the cache only
+        assert solved_orders == list(range(full.angular_orders_solved))
+        # one run of Bessel blocks per extension, not one per call
+        assert table_orders == [
+            range(lo, min(lo + block, walk_N + 1))
+            for start, end in ((0, stop), (stop, full.angular_orders_solved))
+            for lo in range(start, end, block)
+        ]
+        for link, spectrum in zip(links, received):
+            spectrum_module._solved.clear()
+            water = derive_link(link).received_snr
+            fresh = assemble_spectrum(geometry, keep_radial=False, water=water)
+            assert_same_spectrum(spectrum, fresh)
 
-    def test_full_entry_then_a_stopped_call(self):
+    def test_full_entry_then_a_stopped_call(self, received):
+        # a water-stopped call made after an EPS walk of the same disc
         link = study_link(10.0)
         area = float(default_area_grid(link)[-1])
-        spectrum_module._memo.clear()
-        full = eigenvalue_spectrum(geometry_of(area, link), DEFAULT_TRUNCATION)
+        fresh_beta_at_area(area, link)
+        fresh = received[-1]
+        full = assemble_spectrum(geometry_of(area, link), keep_radial=False)
         assert full.water_stop_nu_sq is None
         assert beta_at_area(area, link) == full_walk_beta(area, link)
-        assert memo_entry(area, link) is full
+        assert received[-1].water_stop_nu_sq is not None
+        assert_same_spectrum(received[-1], fresh)
 
-    def test_override_walks_to_its_ceiling_and_warns(self):
+    def test_override_walks_to_its_ceiling_and_warns(self, received):
         link = study_link(10.0)
         area = float(default_area_grid(link)[-1])
-        spectrum_module._memo.clear()
         beta_at_area(area, link, (None, 2, None))
-        spectrum = memo_entry(area, link, (None, 2, None))
+        spectrum = received[-1]
         assert spectrum.water_stop_nu_sq is None
         ceiling = assemble_spectrum(geometry_of(area, link), max_radial_m=2, keep_radial=False)
         assert spectrum.angular_orders_solved == ceiling.angular_orders_solved
         with pytest.warns(TruncationWarning, match="retained modes capture"):
             beta_at_area(area, link, (0, 0, 16))
 
-    def test_subnormal_gain_keeps_its_one_error_line(self, capsys):
+    def test_subnormal_gain_keeps_its_one_error_line(self, capsys, received):
         # at gamma*g of about 1e-306 only the top mode can be active
-        spectrum_module._memo.clear()
         code = cli_main(["bounds", "--area", "2e5", "--aperture-tx", "1e-305"])
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("apcap: error: top gain ")
-        link = LinkBudget(1.0e7, 1.0, 1.0, 0.1, 1.0e6, 1.0, 1.0e-305, 100.0)
-        stopped = memo_entry(2.0e5, link)
+        (stopped,) = received
         # the walk stopped on order 1 and holds order 0 only
         assert stopped.water_stop_nu_sq is not None
         assert stopped.angular_orders_solved == 2

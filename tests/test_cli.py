@@ -93,10 +93,15 @@ class TestSweepCommand:
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_grid_rejected(self):
-        for grid in ("5:1:10:log", "1:10:1:log", "-1:10:5:log", "1:10:5:cubic", "junk"):
-            proc = run_cli("sweep", "--grid", grid, "--area", "2e5")
-            assert proc.returncode == 1, grid
-            assert "grid" in proc.stderr
+        specs = ("5:1:10:log", "1:10:1:log", "-1:10:5:log", "1:10:5:cubic", "junk")
+        # a zero lin minimum and an infinite maximum are refused as grids, not
+        # by the power of the link a grid value would rescale
+        for grid in (*specs, "0:10:3:lin", "1:inf:3:lin"):
+            # --grid=SPEC, so that argparse does not take "-1:..." for an option
+            proc = run_cli("sweep", f"--grid={grid}", "--area", "2e5")
+            assert proc.returncode == 1 and proc.stdout == "", grid
+            (line,) = proc.stderr.splitlines()
+            assert line.startswith("apcap: error: ") and "grid" in line, grid
 
     def test_link_checked_before_grid(self):
         proc = run_cli("sweep", "--power", "-1", "--grid", "junk")
@@ -416,8 +421,8 @@ class TestColdStart:
         assert proc.stdout == "[]\n"
 
 
-# refusals, the bounds path and its memo, an array's radial solve, and a sweep
-# whose rising powers resume water-stopped memo entries
+# refusals, the bounds path and its cached solves, an array's radial solve, and a
+# sweep whose rising powers read on past the orders earlier water cuts solved
 EARLIER_CALLS = [
     ("bounds", "--area", "50"),
     ("spectrum", "--area", "1e-300"),
@@ -437,7 +442,7 @@ class TestEarlierCalls:
         from apcap.cli import main
 
         fresh = {args: run_cli(*args) for args in EARLIER_CALLS}
-        spectrum._memo.clear()
+        spectrum._solved.clear()
         for args in EARLIER_CALLS + EARLIER_CALLS[::-1]:
             code = main(list(args))
             out, err = capsys.readouterr()

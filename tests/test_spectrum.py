@@ -15,7 +15,6 @@ from apcap.numerics import QUAD_MAX_ORDER, bessel_j_table, gauss_quadrature
 from apcap.oracles import dense_disc_gain_fractions
 from apcap.spectrum import (
     C_PARAM_MAX,
-    DEFAULT_TRUNCATION,
     EPS,
     QUADRATURE_FLOOR,
     QUADRATURE_MARGIN,
@@ -24,7 +23,6 @@ from apcap.spectrum import (
     assemble_spectrum,
     default_truncation,
     effective_rank,
-    eigenvalue_spectrum,
     spectrum_report,
 )
 from apcap.verification import STUDY_RANGE, STUDY_WAVELENGTH, area_for_m0
@@ -188,19 +186,53 @@ class TestAssembleSpectrum:
         assert np.count_nonzero(np.diff(s.nu_sq) == 0.0) > 0
 
     def test_memoized_columns_read_only(self, m0_4_geometry):
-        spectrum = eigenvalue_spectrum(m0_4_geometry, DEFAULT_TRUNCATION)
-        with pytest.raises(ValueError):
-            spectrum.nu_sq[0] = 0.0
-        for column in (spectrum.angular_N, spectrum.radial_m, spectrum.beta):
-            assert not column.flags.writeable
-        assert eigenvalue_spectrum(m0_4_geometry, DEFAULT_TRUNCATION) is spectrum
+        # the cached betas of each order are shared between walks
+        spectrum_module._solved.clear()
+        first = assemble_spectrum(m0_4_geometry, keep_radial=False)
+        ((key, cached),) = spectrum_module._solved.items()
+        c = m0_4_geometry.c_param
+        assert key == (c, first.truncation[2], default_truncation(c)[0])
+        assert len(cached) == first.angular_orders_solved
+        for betas in cached:
+            with pytest.raises(ValueError):
+                betas[0] = 0.0
+        shared = list(cached)
+        again = assemble_spectrum(m0_4_geometry, keep_radial=False)
+        assert all(a is b for a, b in zip(spectrum_module._solved[key], shared, strict=True))
+        # a spectrum's columns are its caller's: writing them leaves the cache alone
+        for column in (again.angular_N, again.radial_m, again.beta, again.nu_sq):
+            column[:] = 0
+        third = assemble_spectrum(m0_4_geometry, keep_radial=False)
+        assert third.nu_sq.tobytes() == first.nu_sq.tobytes()
+        assert third.beta.tobytes() == first.beta.tobytes()
 
-    def test_memo_hit_warns_as_the_solve_did(self):
+    def test_memo_hit_warns_as_the_solve_did(self, solved_orders):
         # one angular order and one radial mode keep a quarter of the mass
         geometry = DiscGeometry(2.0e5, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
-        for _ in range(2):  # a solve, then a memo hit
+        spectrum_module._solved.clear()
+        for solves in ([0], []):  # a solve, then a walk over the cached order
+            solved_orders.clear()
             with pytest.warns(TruncationWarning, match="retained modes capture 24.3738%"):
-                eigenvalue_spectrum(geometry, (0, 0, 16))
+                assemble_spectrum(geometry, 0, 0, 16, keep_radial=False)
+            assert solved_orders == solves
+
+    def test_same_c_reuses_the_cached_solves(self, solved_orders):
+        # beta depends on the disc only through c: L = 0.5 reads the L = 1 solves
+        area = area_for_m0(1.0)
+        spectrum_module._solved.clear()
+        full = assemble_spectrum(
+            DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0), keep_radial=False
+        )
+        assert solved_orders == list(range(full.angular_orders_solved))
+        solved_orders.clear()
+        lossy = assemble_spectrum(
+            DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 0.5), keep_radial=False
+        )
+        assert solved_orders == []
+        for name in ("angular_N", "radial_m", "beta"):
+            assert getattr(lossy, name).tobytes() == getattr(full, name).tobytes(), name
+        assert lossy.nu_sq.tobytes() == (0.5 * full.nu_sq).tobytes()
+        assert lossy.angular_orders_solved == full.angular_orders_solved
 
     def test_mode_identities(self, m0_4_spectrum):
         # leading mode is radially fundamental and angularly symmetric at c = 4
@@ -327,7 +359,7 @@ class TestAdaptiveTruncation:
             return table
 
         monkeypatch.setattr(spectrum_module, "bessel_j_table", recording)
-        spectrum_module._memo.clear()
+        spectrum_module._solved.clear()
         code = cli_main(["bounds", "--power", "1e14", "--area", "1.4e7"])
         out, err = capsys.readouterr()
         assert code == 0 and err == ""
@@ -338,7 +370,7 @@ class TestAdaptiveTruncation:
         geometry = DiscGeometry(1.4e7, 0.1, 1.0e6, 1.0)
         assert geometry.c_param == pytest.approx(280.0, rel=1e-12)
         # the bounds call stopped at its water cut; this walks on to the EPS cut
-        spectrum = eigenvalue_spectrum(geometry, DEFAULT_TRUNCATION)
+        spectrum = assemble_spectrum(geometry, keep_radial=False)
         assert spectrum.angular_orders_solved - 1 < default_truncation(280.0)[0]
 
     @pytest.mark.parametrize("keep_radial", [False, True])
@@ -355,6 +387,7 @@ class TestAdaptiveTruncation:
             return table
 
         monkeypatch.setattr(spectrum_module, "bessel_j_table", recording)
+        spectrum_module._solved.clear()  # an eigenvalue-only walk solves every order afresh
         spectrum = assemble_spectrum(geometry_for_c(16.0), keep_radial=keep_radial)
         assert spectrum.truncation[2] == q
         assert len(tables) == (spectrum.angular_orders_solved + 1) // 2
@@ -364,9 +397,11 @@ class TestAdaptiveTruncation:
     def test_fresh_walk_independent_of_block_size(self, monkeypatch, keep_radial):
         geo = geometry_for_c(16.0)
         q = 64 if keep_radial else 56
+        spectrum_module._solved.clear()
         default = assemble_spectrum(geo, keep_radial=keep_radial)
         for orders in (1, 2):
             monkeypatch.setattr(spectrum_module, "BESSEL_BLOCK_BYTES", block_bytes(q, orders))
+            spectrum_module._solved.clear()
             blocked = assemble_spectrum(geo, keep_radial=keep_radial)
             for name in ("angular_N", "radial_m", "beta", "nu_sq"):
                 assert getattr(blocked, name).tobytes() == getattr(default, name).tobytes()
