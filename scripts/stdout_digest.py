@@ -28,8 +28,13 @@ formatted on their own rather than reusing the transmit text, and an
 optimized strong-regime sweep up to gamma*g = 1e7, whose rising powers read
 the cached solves of the discs they share, and a bounds on one fixed disc at
 c = 280, whose Nystrom solve builds the largest Bessel table, from the
-highest start order, of all these invocations, and a bounds on a disc
-smaller than max(A_T, A_R), which is refused before any solve.
+highest start order, of all these invocations, a bounds on a disc
+smaller than max(A_T, A_R), which is refused before any solve, and three
+links that fail the far-field gate together with a second fault (a junk
+sweep grid, an array asked for as CSV, an array of zero streams), where
+the gate wins because a link is checked before any other input, and a
+sweep grid value whose rescaled transmit power overflows, which is refused
+by its value.
 
 Two checkouts print the same lines exactly when these outputs are
 byte-identical, so a change that must not move any output is checked by a
@@ -79,6 +84,10 @@ EXTRA = (
     ("sweep", "--grid", "1e3:1e7:5:log"),
     ("bounds", "--power", "1e14", "--area", "1.4e7"),
     ("bounds", "--area", "50"),
+    ("sweep", "--range", "1e3", "--aperture-tx", "1e4", "--grid", "junk"),
+    ("array", "--format", "csv", "--range", "1e3", "--aperture-tx", "1e4", "--area", "2e5"),
+    ("array", "--streams", "0", "--range", "1e3", "--aperture-tx", "1e4", "--area", "2e5"),
+    ("sweep", "--area", "2e5", "--grid", "1:1e305:2:log"),
 )
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import check_area_floor, effective_gains
-from .link import LinkBudget, ValidationError, derive_link
+from .link import LinkBudget, ValidationError
 from .numerics import bessel_j_table
 from .spectrum import (
     DEFAULT_TRUNCATION,
@@ -270,10 +270,10 @@ def synthesize_array(
     The disc of area |S| takes the link's wavelength, range and loss, and
     its spectrum is solved with radial samples at the given truncation;
     its top K modes become streams. Tx and rx share the same partition of
-    that disc. |S| must be at least max(A_T, A_R), the link must pass the
-    far-field gate, and every element's sub-aperture disk must fit inside
-    its cell, otherwise the cell count is too small and the call is
-    rejected.
+    that disc. |S| must be at least max(A_T, A_R), and every element's
+    sub-aperture disk must fit inside its cell, otherwise the cell count is
+    too small and the call is rejected; the link passed the far-field gate
+    when it was built.
     """
     geometry = DiscGeometry(area_S, link.wavelength_lambda, link.range_d, link.loss_L)
     if stream_count_K < 1:
@@ -283,7 +283,6 @@ def synthesize_array(
             f"cell count {cell_count_N} must be at least the stream count {stream_count_K}"
         )
     check_area_floor(area_S, link)
-    derive_link(link)  # enforces the far-field gate
     # the radial solve is the costly step, so every check that does not need it comes first
     radius = geometry.radius_R
     cells = equal_area_partition(cell_count_N)

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .link import LinkBudget, ValidationError, derive_link, siso_efficiency
+from .link import LinkBudget, ValidationError, siso_efficiency
 from .numerics import solve_eps0
 from .spectrum import (
     AREA_RATIO_MAX,
@@ -88,8 +88,9 @@ def beta_at_area(
 
     The disc of area |S| takes the link's wavelength, range and loss, and
     its eigenvalue-only spectrum comes from assemble_spectrum. |S| must be
-    at least max(A_T, A_R) so the apertures fit inside the disc, and the
-    link must pass the far-field gate; both are checked before the solve.
+    at least max(A_T, A_R) so the apertures fit inside the disc, which is
+    checked before the solve; the link passed the far-field gate when it
+    was built.
     The bound is the waterfilling efficiency over the effective gains
     h_k = (A_T A_R/|S|^2) |nu_k|^2 with budget P and noise floor B*N0. It
     sums over the active modes only, so under the default truncation the
@@ -102,8 +103,7 @@ def beta_at_area(
     """
     geometry = DiscGeometry(area_S, link.wavelength_lambda, link.range_d, link.loss_L)
     check_area_floor(area_S, link)
-    snr = derive_link(link).received_snr  # enforces the far-field gate
-    water = snr if truncation == DEFAULT_TRUNCATION else math.inf
+    water = link.received_snr if truncation == DEFAULT_TRUNCATION else math.inf
     spectrum = assemble_spectrum(geometry, *truncation, keep_radial=False, water=water)
     gains = ChannelGains(
         gains_eta_sq=effective_gains(link, spectrum),
@@ -121,18 +121,17 @@ def default_area_grid(link: LinkBudget, points: int = 32) -> np.ndarray:
     falling. A received SNR whose upper end lies past C_PARAM_MAX or past
     the small-disc gate is rejected.
     """
-    derived = derive_link(link)
     lam_d = link.wavelength_lambda * link.range_d
     lo = max(link.aperture_tx_AT, link.aperture_rx_AR)
     end_factor = 4.0
-    m0_hi = end_factor * math.sqrt(max(derived.received_snr, EPS0 - 1.0) / (EPS0 - 1.0))
+    m0_hi = end_factor * math.sqrt(max(link.received_snr, EPS0 - 1.0) / (EPS0 - 1.0))
     hi = lam_d * math.sqrt(m0_hi)
     c_hi = 2.0 * math.sqrt(m0_hi)
     if c_hi > C_PARAM_MAX:
         # the same end rule solved for gamma*g at c = C_PARAM_MAX, i.e. M0 = (c/2)^2
         snr_max = (EPS0 - 1.0) * ((C_PARAM_MAX / 2.0) ** 2 / end_factor) ** 2
         raise ValidationError(
-            f"received SNR gamma*g = {derived.received_snr:.6g} is outside the supported "
+            f"received SNR gamma*g = {link.received_snr:.6g} is outside the supported "
             f"range: area optimization covers gamma*g up to {snr_max:.6g}, "
             f"where its area grid reaches c = 2 |S| / (lambda d) = {C_PARAM_MAX:g}; "
             f"this grid would reach c = {c_hi:.6g}"
@@ -199,11 +198,12 @@ def bounds_report(
 ) -> dict:
     """JSON-ready bounds record of a link, optimizing the disc area when none is given.
 
-    Keys, in order: gamma_g, regime, lower, upper, approx (the strong-regime
-    closed form, None in the weak regime), K (active streams), best_area
-    and eps0. The truncation applies to every area evaluated.
+    Keys, in order: gamma_g (the link's received SNR), regime, lower,
+    upper, approx (the strong-regime closed form, None in the weak regime),
+    K (active streams), best_area and eps0. The truncation applies to every
+    area evaluated.
     """
-    snr = derive_link(link).received_snr
+    snr = link.received_snr
     regime = WEAK_SIGNAL if snr <= EPS0 - 1.0 else STRONG_SIGNAL
     if area_S is None:
         best_area, lower, active = optimize_disc_area(link, truncation=truncation)

@@ -23,7 +23,7 @@ import warnings
 
 from .bounds import EPS0, bounds_report, corollary_approx
 from .arrays import design_json, synthesize_array
-from .link import LinkBudget, ValidationError, derive_link, siso_efficiency
+from .link import LinkBudget, ValidationError, siso_efficiency
 from .spectrum import DiscGeometry, QuadratureWarning, Truncation, assemble_spectrum, spectrum_report
 from .verification import CHECK_NAMES, DEFAULT_SEED, run_checks
 
@@ -198,13 +198,12 @@ def _report(args: argparse.Namespace, payload: dict, rows: list[dict]) -> None:
 
 def run_link(args: argparse.Namespace) -> int:
     link = _link(args)
-    derived = derive_link(link)
     bounds = bounds_report(link, args.area, _truncation(args))
-    siso = siso_efficiency(derived.received_snr)
+    siso = siso_efficiency(link.received_snr)
     record = {
-        "g": derived.gain_g,
-        "gamma": derived.snr_gamma,
-        "gamma_g": derived.received_snr,
+        "g": link.gain_g,
+        "gamma": link.snr_gamma,
+        "gamma_g": link.received_snr,
         "siso_bits": siso,
         "capacity_bps": link.bandwidth_B * siso,
     }
@@ -216,11 +215,16 @@ def run_link(args: argparse.Namespace) -> int:
 def run_sweep(args: argparse.Namespace) -> int:
     base = _link(args)
     grid = _parse_grid(args.grid)
-    received_snr = derive_link(base).received_snr
     lam_d = base.wavelength_lambda * base.range_d
     rows = []
     for gamma_g in grid:
-        link = dataclasses.replace(base, power_P=base.power_P * (gamma_g / received_snr))
+        power = base.power_P * (gamma_g / base.received_snr)
+        if not 0.0 < power < math.inf:
+            raise ValidationError(
+                f"grid value {gamma_g:.6g} needs a transmit power of {power:.6g} W, "
+                "which is not a positive finite number"
+            )
+        link = dataclasses.replace(base, power_P=power)
         bounds = bounds_report(link, args.area, _truncation(args))
         # siso and approx from the grid value: the rescaled link's gamma_g may be an ulp off
         rows.append(

@@ -19,7 +19,12 @@ FAR_FIELD_RATIO_MAX = 1.0e-2
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Physical parameters of a free-space link, SI units throughout."""
+    """Physical parameters of a free-space link, SI units throughout.
+
+    Construction, dataclasses.replace included, refuses a field that is not
+    a positive finite number, a loss above 1, and then a link that fails the
+    far-field gate, so every LinkBudget is one the model describes.
+    """
 
     power_P: float
     bandwidth_B: float
@@ -46,45 +51,35 @@ class LinkBudget:
                 raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
         if self.loss_L > 1.0:
             raise ValidationError(f"loss_L must not exceed 1, got {self.loss_L!r}")
+        ratio = self.far_field_ratio
+        if not ratio <= FAR_FIELD_RATIO_MAX:  # a NaN ratio (inf/inf) is refused too
+            raise ValidationError(
+                f"far-field admissibility violated: sqrt(A_T*A_R)/(lambda*d) = {ratio:.6g} "
+                f"exceeds {FAR_FIELD_RATIO_MAX:g}"
+            )
 
     @property
     def far_field_ratio(self) -> float:
-        """sqrt(A_T*A_R)/(lambda*d); must stay at or below 1e-2."""
+        """sqrt(A_T*A_R)/(lambda*d); at or below 1e-2 on every LinkBudget."""
         return math.sqrt(self.aperture_tx_AT * self.aperture_rx_AR) / (
             self.wavelength_lambda * self.range_d
         )
 
+    @property
+    def gain_g(self) -> float:
+        """Channel power gain g = A_T*A_R*L / (lambda^2 d^2)."""
+        lam_sq_d_sq = self.wavelength_lambda**2 * self.range_d**2
+        return self.aperture_tx_AT * self.aperture_rx_AR * self.loss_L / lam_sq_d_sq
 
-@dataclass(frozen=True)
-class LinkDerived:
-    """Quantities derived from a link budget: gain, SNR, and their product."""
+    @property
+    def snr_gamma(self) -> float:
+        """Transmit SNR gamma = P / (B*N0)."""
+        return self.power_P / (self.bandwidth_B * self.noise_psd_N0)
 
-    gain_g: float
-    snr_gamma: float
-    received_snr: float
-
-
-def derive_link(link: LinkBudget) -> LinkDerived:
-    """Compute the channel gain g, transmit SNR gamma, and received SNR gamma*g.
-
-    g = A_T*A_R*L / (lambda^2 d^2) and gamma = P / (B*N0). The far-field
-    gate sqrt(A_T*A_R)/(lambda*d) <= 1e-2 is enforced here; a violation
-    raises with the offending ratio in the message.
-    """
-    ratio = link.far_field_ratio
-    if ratio > FAR_FIELD_RATIO_MAX:
-        raise ValidationError(
-            f"far-field admissibility violated: sqrt(A_T*A_R)/(lambda*d) = {ratio:.6g} "
-            f"exceeds {FAR_FIELD_RATIO_MAX:g}"
-        )
-    gain = (
-        link.aperture_tx_AT
-        * link.aperture_rx_AR
-        * link.loss_L
-        / (link.wavelength_lambda**2 * link.range_d**2)
-    )
-    gamma = link.power_P / (link.bandwidth_B * link.noise_psd_N0)
-    return LinkDerived(gain_g=gain, snr_gamma=gamma, received_snr=gain * gamma)
+    @property
+    def received_snr(self) -> float:
+        """Received SNR gamma*g."""
+        return self.gain_g * self.snr_gamma
 
 
 def siso_efficiency(received_snr: float) -> float:

@@ -210,9 +210,8 @@ class TestSynthesizeArray:
         with pytest.raises(ValidationError, match="available modes"):
             synthesize_array(snr10_link, STUDY_AREA, 1000, 2000)
         # sqrt(A_T A_R) / (lambda d) = 1 at a 1 km range, a hundred times the gate
-        near = dataclasses.replace(snr10_link, range_d=1.0e3)
         with pytest.raises(ValidationError, match="far-field"):
-            synthesize_array(near, 200.0, 1, 64)
+            synthesize_array(dataclasses.replace(snr10_link, range_d=1.0e3), 200.0, 1, 64)
 
     def test_cheap_refusals_skip_the_radial_solve(self, snr10_link, monkeypatch):
         calls = []
@@ -225,14 +224,15 @@ class TestSynthesizeArray:
             synthesize_array(snr10_link, STUDY_AREA, 8, 4)
         # `apcap array --area 3e5 --aperture-tx 2e3 --aperture-rx 2e3 --range 1e5
         # --cells 4096 --streams 1`: a c = 60 disc on a link that fails the gate
-        near = dataclasses.replace(
-            snr10_link, range_d=1.0e5, aperture_tx_AT=2.0e3, aperture_rx_AR=2.0e3
-        )
+        apertures = dict(aperture_tx_AT=2.0e3, aperture_rx_AR=2.0e3)
         with pytest.raises(ValidationError, match="far-field"):
+            near = dataclasses.replace(snr10_link, range_d=1.0e5, **apertures)
             synthesize_array(near, 3.0e5, 1, 4096)
         # two wrong inputs: the far-field gate wins over a c past C_PARAM_MAX
-        wide_c = dataclasses.replace(near, wavelength_lambda=1.0e-3, range_d=1.0e4)
         with pytest.raises(ValidationError, match="far-field"):
+            wide_c = dataclasses.replace(
+                snr10_link, wavelength_lambda=1.0e-3, range_d=1.0e4, **apertures
+            )
             synthesize_array(wide_c, 1.0e4, 1, 64)  # c = 2000
         # a disc smaller than the apertures, whatever the cell count
         with pytest.raises(ValidationError, match=r"synthesis area 50 is below max\(A_T, A_R\)"):

@@ -20,7 +20,7 @@ from apcap.bounds import (
     optimize_disc_area,
     upper_bound,
 )
-from apcap.link import LinkBudget, ValidationError, derive_link, siso_efficiency
+from apcap.link import LinkBudget, ValidationError, siso_efficiency
 from apcap.spectrum import (
     DiscGeometry,
     OperatorSpectrum,
@@ -158,10 +158,9 @@ class TestLowerBound:
 
     def test_far_field_gate(self, snr10_link, solved_orders):
         # a disc DiscGeometry accepts, on a link the far-field gate refuses
-        near = dataclasses.replace(snr10_link, range_d=1.0e3)
         spectrum_module._solved.clear()
         with pytest.raises(ValidationError, match="far-field"):
-            beta_at_area(200.0, near)
+            beta_at_area(200.0, dataclasses.replace(snr10_link, range_d=1.0e3))
         assert solved_orders == [] and spectrum_module._solved == {}
 
     def test_never_exceeds_upper(self, snr10_link):
@@ -326,7 +325,7 @@ class TestWaterStop:
         ]
         for link, spectrum in zip(links, received):
             spectrum_module._solved.clear()
-            water = derive_link(link).received_snr
+            water = link.received_snr
             fresh = assemble_spectrum(geometry, keep_radial=False, water=water)
             assert_same_spectrum(spectrum, fresh)
 

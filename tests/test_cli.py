@@ -94,14 +94,19 @@ class TestSweepCommand:
 
     def test_bad_grid_rejected(self):
         specs = ("5:1:10:log", "1:10:1:log", "-1:10:5:log", "1:10:5:cubic", "junk")
-        # a zero lin minimum and an infinite maximum are refused as grids, not
-        # by the power of the link a grid value would rescale
-        for grid in (*specs, "0:10:3:lin", "1:inf:3:lin"):
+        # a zero lin minimum, an infinite maximum and a finite value whose rescaled
+        # power overflows are refused as grids, not by the power of the link a grid
+        # value would rescale; the last one also after the area optimizer has run
+        overflow = "1:1e305:2:log"
+        cases = [(grid, "--area", "2e5") for grid in (*specs, "0:10:3:lin", "1:inf:3:lin", overflow)]
+        for grid, *area in [*cases, (overflow,)]:
             # --grid=SPEC, so that argparse does not take "-1:..." for an option
-            proc = run_cli("sweep", f"--grid={grid}", "--area", "2e5")
+            proc = run_cli("sweep", f"--grid={grid}", *area)
             assert proc.returncode == 1 and proc.stdout == "", grid
             (line,) = proc.stderr.splitlines()
             assert line.startswith("apcap: error: ") and "grid" in line, grid
+            if grid == overflow:
+                assert line.startswith("apcap: error: grid value 1e+305 "), line
 
     def test_link_checked_before_grid(self):
         proc = run_cli("sweep", "--power", "-1", "--grid", "junk")
@@ -308,6 +313,26 @@ class TestArrayCommand:
         proc = run_cli("array", "--format", "csv", "--loss", "2", "--area", "2e5")
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.splitlines() == ["apcap: error: loss_L must not exceed 1, got 2.0"]
+
+
+# a link that fails the far-field gate, sqrt(A_T A_R)/(lambda d) = 10, with a second fault
+NEAR_FIELD = ("--range", "1e3", "--aperture-tx", "1e4")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("sweep", *NEAR_FIELD, "--grid", "junk"),
+        ("array", "--format", "csv", *NEAR_FIELD, "--area", "2e5"),
+        ("array", "--streams", "0", *NEAR_FIELD, "--area", "2e5"),
+    ],
+)
+def test_far_field_gate_checked_before_other_inputs(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "apcap: error: far-field admissibility violated: sqrt(A_T*A_R)/(lambda*d) = 10 exceeds 0.01"
+    ]
 
 
 class TestVerifyCommand:

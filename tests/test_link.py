@@ -1,16 +1,12 @@
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apcap.link import (
-    LinkBudget,
-    ValidationError,
-    derive_link,
-    siso_efficiency,
-)
-
+from apcap.link import FAR_FIELD_RATIO_MAX, LinkBudget, ValidationError, siso_efficiency
+from apcap.verification import study_link
 
 def make_link(**overrides):
     params = dict(
@@ -27,46 +23,102 @@ def make_link(**overrides):
     return LinkBudget(**params)
 
 
+def formula_triple(link):
+    """(g, gamma, gamma*g) spelled out as A_T A_R L/(lambda^2 d^2), P/(B N0) and their product."""
+    gain = (
+        link.aperture_tx_AT
+        * link.aperture_rx_AR
+        * link.loss_L
+        / (link.wavelength_lambda**2 * link.range_d**2)
+    )
+    gamma = link.power_P / (link.bandwidth_B * link.noise_psd_N0)
+    return gain, gamma, gain * gamma
+
+
 class TestLinkBudget:
-    def test_all_ones_toy_link(self):
-        # g = 1 and gamma = 1 gives one bit per channel use
+    def test_power_of_two_toy_link(self):
+        # g = 2^-14 and gamma = 2^14 give one bit per channel use, exactly
         link = LinkBudget(
-            power_P=1.0,
+            power_P=16384.0,
             bandwidth_B=1.0,
             noise_psd_N0=1.0,
             wavelength_lambda=1.0,
-            range_d=1.0,
+            range_d=128.0,
             loss_L=1.0,
             aperture_tx_AT=1.0,
             aperture_rx_AR=1.0,
         )
-        assert link.far_field_ratio == 1.0  # deliberately unphysical toy values
+        assert link.far_field_ratio == 1.0 / 128.0  # deliberately unphysical toy values
         gain = (
             link.aperture_tx_AT
             * link.aperture_rx_AR
             * link.loss_L
             / (link.wavelength_lambda * link.range_d) ** 2
         )
-        assert gain == 1.0
-        assert siso_efficiency(1.0) == pytest.approx(1.0)
+        assert gain == link.gain_g == 2.0**-14
+        assert link.received_snr == 1.0
+        assert siso_efficiency(link.received_snr) == pytest.approx(1.0)
 
-    def test_derive_study_link(self):
-        derived = derive_link(make_link())
-        assert derived.gain_g == pytest.approx(1.0e-6, rel=1e-12)
-        assert derived.snr_gamma == pytest.approx(1.0e7)
-        assert derived.received_snr == pytest.approx(10.0, rel=1e-12)
+    def test_study_link(self):
+        link = make_link()
+        assert link.gain_g == pytest.approx(1.0e-6, rel=1e-12)
+        assert link.snr_gamma == pytest.approx(1.0e7)
+        assert link.received_snr == pytest.approx(10.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "link",
+        [
+            *(
+                pytest.param(study_link(snr), id=f"study-{snr:g}")
+                for snr in (0.1, 1.0, 10.0, 1.0e2, 1.0e4, 1.0e6, 1.0e8)
+            ),
+            pytest.param(make_link(), id="cli-defaults"),
+            pytest.param(make_link(power_P=1.0e13), id="power-1e13"),
+            pytest.param(make_link(aperture_rx_AR=400.0, power_P=1.0e9), id="rx-400"),
+            pytest.param(
+                make_link(range_d=1.0e7, aperture_tx_AT=2.0e3, aperture_rx_AR=2.0e3), id="range-1e7"
+            ),
+            pytest.param(
+                make_link(loss_L=0.3, bandwidth_B=3.0, noise_psd_N0=7.0e-3, wavelength_lambda=0.03),
+                id="every-field",
+            ),
+        ],
+    )
+    def test_properties_match_the_formulas_bit_for_bit(self, link):
+        assert (link.gain_g, link.snr_gamma, link.received_snr) == formula_triple(link)
 
     def test_gain_formula_scaling(self):
-        base = derive_link(make_link())
-        doubled = derive_link(make_link(aperture_tx_AT=200.0))
+        base = make_link()
+        doubled = make_link(aperture_tx_AT=200.0)
         assert doubled.gain_g == pytest.approx(2.0 * base.gain_g, rel=1e-12)
-        halved_loss = derive_link(make_link(loss_L=0.5))
+        halved_loss = make_link(loss_L=0.5)
         assert halved_loss.gain_g == pytest.approx(0.5 * base.gain_g, rel=1e-12)
 
     def test_far_field_gate(self):
         # apertures of 1e4 m^2 at 1 km range: sqrt(A)/d = 0.1, not far field
         with pytest.raises(ValidationError, match="far.field"):
-            derive_link(make_link(range_d=1.0e3, aperture_tx_AT=1.0e4))
+            make_link(range_d=1.0e3, aperture_tx_AT=1.0e4)
+        # both products overflow, and the ratio inf/inf is NaN
+        huge = dict(wavelength_lambda=1.0e200, range_d=1.0e200)
+        with pytest.raises(ValidationError, match="far-field .* = nan exceeds"):
+            make_link(aperture_tx_AT=1.0e200, aperture_rx_AR=1.0e200, **huge)
+        # the fields are checked first
+        with pytest.raises(ValidationError, match="power_P"):
+            make_link(range_d=1.0e3, aperture_tx_AT=1.0e4, power_P=-1.0)
+
+    def test_gate_boundary(self):
+        # sqrt(x*x) == x in floating point, so these ratios are x itself
+        toy = dict(wavelength_lambda=1.0, range_d=1.0)
+        link = make_link(aperture_tx_AT=1.0e-2, aperture_rx_AR=1.0e-2, **toy)
+        assert link.far_field_ratio == FAR_FIELD_RATIO_MAX
+        above = math.nextafter(FAR_FIELD_RATIO_MAX, math.inf)
+        message = "far-field admissibility violated: sqrt(A_T*A_R)/(lambda*d) = 0.01 exceeds 0.01"
+        with pytest.raises(ValidationError) as refused:
+            make_link(aperture_tx_AT=above, aperture_rx_AR=above, **toy)
+        assert str(refused.value) == message
+        with pytest.raises(ValidationError) as replaced:
+            dataclasses.replace(link, aperture_tx_AT=above, aperture_rx_AR=above)
+        assert str(replaced.value) == message
 
     @pytest.mark.parametrize(
         "field,value",
