@@ -20,13 +20,7 @@ import numpy as np
 
 from apcap.arrays import achieved_efficiency, finite_array_gram, synthesize_array
 from apcap.bounds import beta_at_area
-from apcap.spectrum import DiscGeometry
-from apcap.verification import (
-    STUDY_RANGE,
-    STUDY_WAVELENGTH,
-    area_for_m0,
-    study_link,
-)
+from apcap.verification import area_for_m0, study_link
 
 
 def main():
@@ -38,7 +32,6 @@ def main():
 
     link = study_link(args.gamma_g)
     area = area_for_m0(4.0)
-    geometry = DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
     bound, active = beta_at_area(area, link)
     print(
         f"gamma_g = {args.gamma_g:g}, M0 = 4, K = {args.streams}: "
@@ -50,9 +43,9 @@ def main():
     for cells in args.cells:
         t0 = time.time()
         design = synthesize_array(link, area, args.streams, cells)
-        gram = finite_array_gram(design, geometry)
+        gram = finite_array_gram(design)
         offdiag = float(np.linalg.norm(gram - np.diag(np.diag(gram))))
-        eff = achieved_efficiency(design, geometry, link)
+        eff = achieved_efficiency(design)
         excess = eff - bound
         shrink = "" if prev_excess is None else f"{excess / prev_excess:7.3f}"
         prev_excess = excess

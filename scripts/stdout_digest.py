@@ -34,7 +34,10 @@ links that fail the far-field gate together with a second fault (a junk
 sweep grid, an array asked for as CSV, an array of zero streams), where
 the gate wins because a link is checked before any other input, and a
 sweep grid value whose rescaled transmit power overflows, which is refused
-by its value.
+by its value, and three links whose received SNR gamma*g is not a finite
+number, which are refused when they are built: a noise floor B*N0 that
+underflows to 0, a wavelength whose square overflows, and a transmit SNR
+that overflows.
 
 Two checkouts print the same lines exactly when these outputs are
 byte-identical, so a change that must not move any output is checked by a
@@ -88,6 +91,9 @@ EXTRA = (
     ("array", "--format", "csv", "--range", "1e3", "--aperture-tx", "1e4", "--area", "2e5"),
     ("array", "--streams", "0", "--range", "1e3", "--aperture-tx", "1e4", "--area", "2e5"),
     ("sweep", "--area", "2e5", "--grid", "1:1e305:2:log"),
+    ("link", "--bandwidth", "1e-300", "--noise-psd", "1e-300"),
+    ("link", "--wavelength", "1e200"),
+    ("bounds", "--power", "1e300", "--bandwidth", "1e-10", "--area", "2e5"),
 )
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -107,20 +107,7 @@ def lemma1_check(
     return float(np.max(np.abs(sv_exact - sv_reduced)) / sv_exact[0])
 
 
-@dataclass(frozen=True)
-class PartitionCell:
-    """One annular-sector cell of the equal-area unit-disc partition."""
-
-    r_lo: float
-    r_hi: float
-    theta_lo: float
-    theta_hi: float
-    centroid_r: float
-    centroid_theta: float
-    clearance: float  # largest disk radius around the centroid staying inside
-
-
-def equal_area_partition(cell_count: int) -> list[PartitionCell]:
+def equal_area_partition(cell_count: int) -> tuple[np.ndarray, ...]:
     """Partition of the unit disc into equal-area, near-square polar cells.
 
     Concentric rings are split into sectors, with sector counts
@@ -128,6 +115,12 @@ def equal_area_partition(cell_count: int) -> list[PartitionCell]:
     so that all cells have area exactly pi/cell_count. Ring boundaries
     then follow from the cumulative cell counts. Sample points sit at the
     area centroids of the cells.
+
+    Returns (edges, counts, centroid_r, centroid_theta, clearance): the
+    ring edges rising from 0 to 1 and the cell count of each ring, then,
+    per cell, ring by ring outward and by angle within a ring, the
+    centroid's radius and angle and the largest disk radius around the
+    centroid that stays inside the cell.
     """
     if cell_count < 1:
         raise ValidationError(f"cell count must be positive, got {cell_count}")
@@ -145,49 +138,50 @@ def equal_area_partition(cell_count: int) -> list[PartitionCell]:
         counts[remainders[idx % rings]] += 1
         idx += 1
 
-    bounds = np.sqrt(np.cumsum([0] + counts) / cell_count)
-    cells = []
-    for i in range(rings):
-        r_lo, r_hi = float(bounds[i]), float(bounds[i + 1])
-        n_sec = counts[i]
+    edges = np.sqrt(np.cumsum([0] + counts) / cell_count)
+    radii, angles, clearances = [], [], []
+    for r_lo, r_hi, n_sec in zip(edges[:-1].tolist(), edges[1:].tolist(), counts):
         phi = 2.0 * math.pi / n_sec
         if n_sec == 1 and r_lo == 0.0:
-            # central disk: centroid at the origin, clearance the full radius
-            cells.append(PartitionCell(0.0, r_hi, 0.0, 2.0 * math.pi, 0.0, 0.0, r_hi))
-            continue
-        r_bar = (2.0 / 3.0) * (r_hi**3 - r_lo**3) / (r_hi**2 - r_lo**2)
-        r_bar *= math.sin(phi / 2.0) / (phi / 2.0)
-        side = r_bar * math.sin(min(phi / 2.0, math.pi / 2.0))
-        clearance = min(r_bar - r_lo, r_hi - r_bar, side)
-        for s in range(n_sec):
-            theta_lo = phi * s
-            cells.append(
-                PartitionCell(
-                    r_lo, r_hi, theta_lo, theta_lo + phi, r_bar, theta_lo + phi / 2.0, clearance
-                )
-            )
-    return cells
+            # central disk: centroid at the origin (angle 0, not pi), clearance the full radius
+            r_bar, theta, clearance = 0.0, np.zeros(1), r_hi
+        else:
+            r_bar = (2.0 / 3.0) * (r_hi**3 - r_lo**3) / (r_hi**2 - r_lo**2)
+            r_bar *= math.sin(phi / 2.0) / (phi / 2.0)
+            side = r_bar * math.sin(min(phi / 2.0, math.pi / 2.0))
+            clearance = min(r_bar - r_lo, r_hi - r_bar, side)
+            theta = phi * np.arange(n_sec) + phi / 2.0
+        radii.append(np.full(n_sec, r_bar))
+        angles.append(theta)
+        clearances.append(np.full(n_sec, clearance))
+    return edges, np.array(counts), *map(np.concatenate, (radii, angles, clearances))
 
 
 @dataclass(frozen=True)
 class ArrayDesign:
-    """A finite K-stream distributed array over N equal-area cells.
+    """A finite K-stream distributed array over N equal-area cells of one link.
 
-    Element positions are the physical cell centroids; each element owns a
-    sub-aperture of area A_T/N (transmit) or A_R/N (receive). Stream
-    weight rows are eigenfunction samples at the element positions, scaled
-    by sqrt(|S|/A) and normalized so each antenna function has exactly
-    unit norm under the sub-aperture measure. Stream powers are the
-    waterfill allocation over the top-K effective gains and sum to P.
+    Tx and rx share the element positions, the physical cell centroids;
+    each element owns a sub-aperture of area A_T/N (transmit) or A_R/N
+    (receive). Stream weight rows are eigenfunction samples at the element
+    positions, scaled by sqrt(|S|/A) and normalized so each antenna
+    function has exactly unit norm under the sub-aperture measure. Stream
+    powers are the waterfill allocation over the top-K effective gains and
+    sum to P.
     """
 
-    cell_count_N: int
-    tx_elements: np.ndarray  # N x 3 rows (x, y, sub-aperture area)
-    rx_elements: np.ndarray
+    link: LinkBudget
+    positions: np.ndarray  # N x 2 rows (x, y) in meters
     stream_weights_tx: np.ndarray  # K x N complex
     stream_weights_rx: np.ndarray
     stream_powers: np.ndarray
     mode_indices: tuple[tuple[int, int], ...]
+
+    @property
+    def sub_areas(self) -> tuple[float, float]:
+        """Each element's transmit and receive sub-aperture area, A_T/N and A_R/N."""
+        n = len(self.positions)
+        return self.link.aperture_tx_AT / n, self.link.aperture_rx_AR / n
 
 
 def _pchip(knots: np.ndarray, values: np.ndarray):
@@ -285,8 +279,8 @@ def synthesize_array(
     check_area_floor(area_S, link)
     # the radial solve is the costly step, so every check that does not need it comes first
     radius = geometry.radius_R
-    cells = equal_area_partition(cell_count_N)
-    clearance_unit = min(c.clearance for c in cells)
+    _, _, centroid_r, centroid_theta, clearance = equal_area_partition(cell_count_N)
+    clearance_unit = clearance.min()
     for name, aperture in (("transmit", link.aperture_tx_AT), ("receive", link.aperture_rx_AR)):
         sub_radius = math.sqrt(aperture / cell_count_N / math.pi)
         if sub_radius > clearance_unit * radius:
@@ -302,15 +296,9 @@ def synthesize_array(
             f"(the spectrum keeps only modes at or above EPS = {EPS:g} of the top one)"
         )
 
-    centroid_r = np.array([c.centroid_r for c in cells])
-    centroid_theta = np.array([c.centroid_theta for c in cells])
-    xy = radius * np.column_stack(
+    positions = radius * np.column_stack(
         (centroid_r * np.cos(centroid_theta), centroid_r * np.sin(centroid_theta))
     )
-    tx_area = link.aperture_tx_AT / cell_count_N
-    rx_area = link.aperture_rx_AR / cell_count_N
-    tx_elements = np.column_stack((xy, np.full(cell_count_N, tx_area)))
-    rx_elements = np.column_stack((xy, np.full(cell_count_N, rx_area)))
 
     streams = slice(stream_count_K)
     modes = tuple(zip(spectrum.angular_N[streams].tolist(), spectrum.radial_m[streams].tolist()))
@@ -328,62 +316,55 @@ def synthesize_array(
     # validate the gains first: where they are refused, the weights below overflow
     gains = effective_gains(link, spectrum)[:stream_count_K]
     alloc = waterfill(
-        ChannelGains(gains_eta_sq=gains, noise_floor_BN0=link.bandwidth_B * link.noise_psd_N0),
+        ChannelGains(gains_eta_sq=gains, noise_floor_BN0=link.noise_floor_BN0),
         link.power_P,
     )
 
-    weights_tx = math.sqrt(area_S / link.aperture_tx_AT) * eig_samples
-    weights_rx = math.sqrt(area_S / link.aperture_rx_AR) * eig_samples
-    # exact unit norm under the sub-aperture measure (A/N per element)
-    norm_tx = np.sqrt(tx_area * np.sum(np.abs(weights_tx) ** 2, axis=1))
-    norm_rx = np.sqrt(rx_area * np.sum(np.abs(weights_rx) ** 2, axis=1))
-    weights_tx /= norm_tx[:, None]
-    weights_rx /= norm_rx[:, None]
+    def normalized(aperture: float) -> np.ndarray:
+        weights = math.sqrt(area_S / aperture) * eig_samples
+        # exact unit norm under the sub-aperture measure (A/N per element)
+        norms = np.sqrt(aperture / cell_count_N * np.sum(np.abs(weights) ** 2, axis=1))
+        weights /= norms[:, None]
+        return weights
 
     return ArrayDesign(
-        cell_count_N=cell_count_N,
-        tx_elements=tx_elements,
-        rx_elements=rx_elements,
-        stream_weights_tx=weights_tx,
-        stream_weights_rx=weights_rx,
+        link=link,
+        positions=positions,
+        stream_weights_tx=normalized(link.aperture_tx_AT),
+        stream_weights_rx=normalized(link.aperture_rx_AR),
         stream_powers=alloc.powers_Pn,
         mode_indices=modes,
     )
 
 
-def finite_array_gram(design: ArrayDesign, geometry: DiscGeometry) -> np.ndarray:
-    """K x K channel Gram of the finite array under the disc kernel.
+def finite_array_gram(design: ArrayDesign) -> np.ndarray:
+    """K x K channel Gram of the finite array under the disc kernel of its link.
 
     Each element contributes a midpoint evaluation of the kernel times its
     sub-aperture area. As the cell count grows the Gram approaches
     sqrt(A_T A_R / |S|^2) nu_n on the diagonal and zero elsewhere.
     """
-    tx_xy, tx_area = design.tx_elements[:, :2], float(design.tx_elements[0, 2])
-    rx_xy, rx_area = design.rx_elements[:, :2], float(design.rx_elements[0, 2])
-    lam_d = geometry.wavelength_lambda * geometry.range_d
-    kernel_amp = math.sqrt(geometry.loss_L) / lam_d
-    phase = (2.0 * math.pi / lam_d) * (
-        np.outer(rx_xy[:, 0], tx_xy[:, 0]) + np.outer(rx_xy[:, 1], tx_xy[:, 1])
-    )
+    tx_area, rx_area = design.sub_areas
+    x, y = design.positions.T
+    link = design.link
+    lam_d = link.wavelength_lambda * link.range_d
+    kernel_amp = math.sqrt(link.loss_L) / lam_d
+    phase = (2.0 * math.pi / lam_d) * (np.outer(x, x) + np.outer(y, y))
     kernel = kernel_amp * np.exp(1j * phase)
     return (tx_area * rx_area) * (
         np.conj(design.stream_weights_rx) @ kernel @ design.stream_weights_tx.T
     )
 
 
-def achieved_efficiency(
-    design: ArrayDesign, geometry: DiscGeometry, link: LinkBudget
-) -> float:
-    """Spectral efficiency the finite array actually achieves, in bits/s/Hz.
+def achieved_efficiency(design: ArrayDesign) -> float:
+    """Spectral efficiency the finite array actually achieves on its link, in bits/s/Hz.
 
     Takes the singular values of the finite Gram, pairs them with the
     stream powers in sorted order, and sums the per-stream rates.
     """
-    gram = finite_array_gram(design, geometry)
-    sv = np.linalg.svd(gram, compute_uv=False)
+    sv = np.linalg.svd(finite_array_gram(design), compute_uv=False)
     powers = np.sort(np.asarray(design.stream_powers))[::-1]
-    noise = link.bandwidth_B * link.noise_psd_N0
-    snr = sv**2 * powers / noise
+    snr = sv**2 * powers / design.link.noise_floor_BN0
     return float(np.sum(np.log1p(snr)) / math.log(2.0))
 
 
@@ -408,19 +389,19 @@ def design_json(design: ArrayDesign) -> list[str]:
     elements_rx, weights_rx, modes}: transmit side first, the receive side
     under the _rx suffix. No piece is larger than one element or one weight
     row, so the text is never held as one string. Each row goes through one
-    repeated %r template, not the pure-Python indenting encoder. Each side
-    is normalized under its own sub-aperture measure, so the receive
-    weights are the transmit weights times sqrt(A_T/A_R). When the two
-    tables are bit-identical, as when A_T = A_R, weights_rx reuses the
-    transmit row strings, and elements_rx the transmit element strings
-    likewise. JSON has no non-finite numbers, so one raises
-    ValidationError naming its field before any piece is formatted.
+    repeated %r template, not the pure-Python indenting encoder. The two
+    sides share the element positions; each is normalized under its own
+    sub-aperture measure, so the receive weights are the transmit weights
+    times sqrt(A_T/A_R). When A_T/N = A_R/N, elements_rx reuses the
+    transmit element strings, and when the two weight tables are
+    bit-identical, weights_rx the transmit row strings likewise. JSON has
+    no non-finite numbers, so one raises ValidationError naming its field
+    before any piece is formatted.
     """
     tables = {
-        "elements": design.tx_elements,
+        "elements": design.positions,
         "weights": design.stream_weights_tx,
         "powers": design.stream_powers,
-        "elements_rx": design.rx_elements,
         "weights_rx": design.stream_weights_rx,
     }
     for name, table in tables.items():
@@ -428,31 +409,30 @@ def design_json(design: ArrayDesign) -> list[str]:
             raise ValidationError(f"array design field {name!r} holds a non-finite value")
     k, n = design.stream_weights_tx.shape
     row = "    [\n" + ",\n".join([_PAIR] * n) + "\n    ]"
+    xy = design.positions.tolist()
 
-    def elements(table: np.ndarray) -> list[str]:
-        return _json_list([_ELEMENT % (x, y, area) for x, y, area in table.tolist()])
+    def elements(area: float) -> list[str]:
+        return _json_list([_ELEMENT % (x, y, area) for x, y in xy])
 
     def weight_rows(table: np.ndarray) -> list[str]:
         pairs = np.stack((table.real, table.imag), axis=-1).reshape(k, 2 * n)
         return [row % tuple(values.tolist()) for values in pairs]
 
-    def receive(name: str, format_table, transmit_text: list[str]) -> list[str]:
-        # compare the bits: 0.0 == -0.0, but their reprs differ
-        tx, rx = tables[name], tables[name + "_rx"]
-        same = np.array_equal(tx.view(np.int64), rx.view(np.int64))
-        return transmit_text if same else format_table(rx)
-
-    elements_tx = elements(tables["elements"])
-    rows_tx = weight_rows(tables["weights"])
+    tx_area, rx_area = design.sub_areas
+    elements_tx = elements(tx_area)
+    rows_tx = weight_rows(design.stream_weights_tx)
+    rx = design.stream_weights_rx
+    # compare the bits: 0.0 == -0.0, but their reprs differ
+    same_rows = np.array_equal(design.stream_weights_tx.view(np.int64), rx.view(np.int64))
     fields = (
         ("schema_version", ["1"]),
-        ("N", [repr(design.cell_count_N)]),
+        ("N", [repr(n)]),
         ("K", [repr(k)]),
         ("elements", elements_tx),
         ("weights", _json_list(rows_tx)),
-        ("powers", _json_list(["    %r" % p for p in tables["powers"].tolist()])),
-        ("elements_rx", receive("elements", elements, elements_tx)),
-        ("weights_rx", _json_list(receive("weights", weight_rows, rows_tx))),
+        ("powers", _json_list(["    %r" % p for p in design.stream_powers.tolist()])),
+        ("elements_rx", elements_tx if rx_area == tx_area else elements(rx_area)),
+        ("weights_rx", _json_list(rows_tx if same_rows else weight_rows(rx))),
         ("modes", _json_list([_MODE % mode for mode in design.mode_indices])),
     )
     pieces = ["{\n"]

@@ -107,7 +107,7 @@ def beta_at_area(
     spectrum = assemble_spectrum(geometry, *truncation, keep_radial=False, water=water)
     gains = ChannelGains(
         gains_eta_sq=effective_gains(link, spectrum),
-        noise_floor_BN0=link.bandwidth_B * link.noise_psd_N0,
+        noise_floor_BN0=link.noise_floor_BN0,
     )
     alloc = waterfill(gains, link.power_P)
     return allocation_efficiency(gains, alloc), alloc.active_K

@@ -22,8 +22,9 @@ class LinkBudget:
     """Physical parameters of a free-space link, SI units throughout.
 
     Construction, dataclasses.replace included, refuses a field that is not
-    a positive finite number, a loss above 1, and then a link that fails the
-    far-field gate, so every LinkBudget is one the model describes.
+    a positive finite number, a loss above 1, then a link that fails the
+    far-field gate, and then one whose received SNR gamma*g is not a finite
+    number in floating point, so every LinkBudget is one the model describes.
     """
 
     power_P: float
@@ -57,6 +58,15 @@ class LinkBudget:
                 f"far-field admissibility violated: sqrt(A_T*A_R)/(lambda*d) = {ratio:.6g} "
                 f"exceeds {FAR_FIELD_RATIO_MAX:g}"
             )
+        try:
+            snr = self.received_snr
+        except ArithmeticError:  # B*N0 underflowing to 0, or lambda**2 or d**2 overflowing
+            snr = math.nan
+        if not snr < math.inf:  # an SNR that underflows to 0 still describes a link
+            raise ValidationError(
+                "received SNR gamma*g = P*A_T*A_R*L / (B*N0*lambda^2*d^2) does not "
+                "evaluate to a finite number"
+            )
 
     @property
     def far_field_ratio(self) -> float:
@@ -72,9 +82,14 @@ class LinkBudget:
         return self.aperture_tx_AT * self.aperture_rx_AR * self.loss_L / lam_sq_d_sq
 
     @property
+    def noise_floor_BN0(self) -> float:
+        """Noise power B*N0 over the band."""
+        return self.bandwidth_B * self.noise_psd_N0
+
+    @property
     def snr_gamma(self) -> float:
         """Transmit SNR gamma = P / (B*N0)."""
-        return self.power_P / (self.bandwidth_B * self.noise_psd_N0)
+        return self.power_P / self.noise_floor_BN0
 
     @property
     def received_snr(self) -> float:

@@ -135,14 +135,13 @@ def gram_study() -> tuple[list[float], float, float]:
     """
     link = study_link(10.0)
     area = area_for_m0(4.0)
-    geometry = DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
     masses = []
     for cells in (64, 256, 1024):
         design = synthesize_array(link, area, 4, cells)
-        gram = finite_array_gram(design, geometry)
+        gram = finite_array_gram(design)
         masses.append(float(np.linalg.norm(gram - np.diag(np.diag(gram)))))
     beta, _ = beta_at_area(area, link)
-    return masses, achieved_efficiency(design, geometry, link), beta
+    return masses, achieved_efficiency(design), beta
 
 
 def maximizer_snr100() -> tuple[float, float]:
@@ -395,10 +394,8 @@ def _check_array_convergence(seed, golden):
 
 def _check_siso_construction(seed, golden):
     link = study_link(10.0)
-    area = area_for_m0(1.0e-4)
-    geometry = DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
-    design = synthesize_array(link, area, 1, 1)
-    eff = achieved_efficiency(design, geometry, link)
+    design = synthesize_array(link, area_for_m0(1.0e-4), 1, 1)
+    eff = achieved_efficiency(design)
     target = siso_efficiency(10.0)
     rel = abs(eff - target) / target
     return (

@@ -48,20 +48,21 @@ def study_designs(snr10_link):
 
 def design_to_dict(design):
     """The record the design JSON held when json.dumps(indent=2) wrote it: the oracle."""
+    n = len(design.positions)
+
+    def elements(aperture):
+        return [{"x": x, "y": y, "area": aperture / n} for (x, y) in design.positions.tolist()]
+
     return {
         "schema_version": 1,
-        "N": design.cell_count_N,
+        "N": n,
         "K": int(design.stream_weights_tx.shape[0]),
-        "elements": [
-            {"x": x, "y": y, "area": area} for (x, y, area) in design.tx_elements.tolist()
-        ],
+        "elements": elements(design.link.aperture_tx_AT),
         "weights": [
             [[float(v.real), float(v.imag)] for v in row] for row in design.stream_weights_tx
         ],
         "powers": [float(p) for p in design.stream_powers],
-        "elements_rx": [
-            {"x": x, "y": y, "area": area} for (x, y, area) in design.rx_elements.tolist()
-        ],
+        "elements_rx": elements(design.link.aperture_rx_AR),
         "weights_rx": [
             [[float(v.real), float(v.imag)] for v in row] for row in design.stream_weights_rx
         ],
@@ -176,25 +177,28 @@ class TestLemma1Check:
 class TestEqualAreaPartition:
     @given(cell_count=st.integers(min_value=1, max_value=300))
     def test_exact_count_and_equal_areas(self, cell_count):
-        cells = equal_area_partition(cell_count)
-        assert len(cells) == cell_count
-        target = math.pi / cell_count
-        for cell in cells:
-            area = 0.5 * (cell.r_hi**2 - cell.r_lo**2) * (cell.theta_hi - cell.theta_lo)
-            assert area == pytest.approx(target, rel=1e-9)
-            assert cell.clearance > 0.0
-            assert cell.r_lo <= cell.centroid_r <= cell.r_hi
+        edges, counts, centroid_r, centroid_theta, clearance = equal_area_partition(cell_count)
+        assert counts.sum() == cell_count
+        assert centroid_r.shape == centroid_theta.shape == clearance.shape == (cell_count,)
+        ring = np.repeat(np.arange(counts.size), counts)
+        r_lo, r_hi = edges[ring], edges[ring + 1]
+        area = 0.5 * (r_hi**2 - r_lo**2) * (2.0 * math.pi / counts[ring])
+        assert area == pytest.approx(np.full(cell_count, math.pi / cell_count), rel=1e-9)
+        assert np.all(clearance > 0.0)
+        assert np.all((r_lo <= centroid_r) & (centroid_r <= r_hi))
 
     def test_single_cell_is_the_whole_disc(self):
-        (cell,) = equal_area_partition(1)
-        assert cell.r_lo == 0.0 and cell.r_hi == 1.0
-        assert cell.centroid_r == 0.0
-        assert cell.clearance == 1.0
+        edges, counts, centroid_r, centroid_theta, clearance = equal_area_partition(1)
+        assert edges.tolist() == [0.0, 1.0] and counts.tolist() == [1]
+        assert centroid_r.tolist() == [0.0]
+        # an angle of pi would put the origin element at x = -0.0
+        assert centroid_theta.view(np.int64).tolist() == [0]
+        assert clearance.tolist() == [1.0]
 
     def test_outer_boundary_reaches_unit_radius(self):
         for n in (2, 7, 97, 256):
-            cells = equal_area_partition(n)
-            assert max(c.r_hi for c in cells) == pytest.approx(1.0, abs=1e-15)
+            edges = equal_area_partition(n)[0]
+            assert edges[-1] == pytest.approx(1.0, abs=1e-15)
 
     def test_rejects_nonpositive_count(self):
         with pytest.raises(ValidationError):
@@ -278,23 +282,19 @@ class TestSynthesizeArray:
 
 
 class TestFiniteArrayGram:
-    def test_diagonal_approaches_operator_limit(
-        self, study_designs, m0_4_geometry, m0_4_spectrum, snr10_link
-    ):
+    def test_diagonal_approaches_operator_limit(self, study_designs, m0_4_spectrum, snr10_link):
         design = study_designs[1024]
-        gram = finite_array_gram(design, m0_4_geometry)
+        gram = finite_array_gram(design)
         scale = math.sqrt(
             snr10_link.aperture_tx_AT * snr10_link.aperture_rx_AR / STUDY_AREA**2
         )
         expected = scale * np.sqrt(m0_4_spectrum.nu_sq[:4])
         assert np.abs(np.diag(gram)) == pytest.approx(expected, rel=2e-3)
 
-    def test_offdiagonal_mass_quarters_with_cell_count(
-        self, study_designs, m0_4_geometry
-    ):
+    def test_offdiagonal_mass_quarters_with_cell_count(self, study_designs):
         frob = {}
         for n, design in study_designs.items():
-            gram = finite_array_gram(design, m0_4_geometry)
+            gram = finite_array_gram(design)
             off = gram - np.diag(np.diag(gram))
             frob[n] = float(np.linalg.norm(off))
         assert frob[256] < 0.1 * frob[64]
@@ -303,20 +303,17 @@ class TestFiniteArrayGram:
 
 
 class TestAchievedEfficiency:
-    def test_single_element_matches_siso(self, m0_4_geometry, snr10_link):
+    def test_single_element_matches_siso(self, snr10_link):
         design = synthesize_array(snr10_link, STUDY_AREA, 1, 1)
-        achieved = achieved_efficiency(design, m0_4_geometry, snr10_link)
+        achieved = achieved_efficiency(design)
         assert achieved == pytest.approx(siso_efficiency(10.0), rel=1e-12)
         # the lone weight is the inverse aperture-root, up to phase
         assert np.abs(design.stream_weights_tx[0, 0]) == pytest.approx(0.1, rel=1e-12)
 
-    def test_converges_to_waterfill_bound(self, study_designs, m0_4_geometry, snr10_link):
+    def test_converges_to_waterfill_bound(self, study_designs, snr10_link):
         lower, _ = beta_at_area(STUDY_AREA, snr10_link)
         upper = upper_bound(10.0)
-        effs = {
-            n: achieved_efficiency(d, m0_4_geometry, snr10_link)
-            for n, d in study_designs.items()
-        }
+        effs = {n: achieved_efficiency(d) for n, d in study_designs.items()}
         for eff in effs.values():
             assert eff <= upper + 1e-6
         assert abs(effs[1024] - lower) < abs(effs[64] - lower)
@@ -383,10 +380,9 @@ class TestDesignSerialization:
     @pytest.mark.parametrize(
         "field, attribute, value",
         [
-            ("elements", "tx_elements", np.nan),
+            ("elements", "positions", np.nan),
             ("weights", "stream_weights_tx", complex(np.inf, 0.0)),
             ("powers", "stream_powers", np.inf),
-            ("elements_rx", "rx_elements", -np.inf),
             ("weights_rx", "stream_weights_rx", complex(0.0, np.nan)),
         ],
     )
@@ -413,7 +409,7 @@ class TestPchip:
         monkeypatch.setattr(arrays_module, "_pchip", recording)
         synthesize_array(WIDE_LINK, WIDE_AREA, 21, 4096)
         assert len(built) == 12  # the 21 streams pair +N with -N
-        radii = np.array([c.centroid_r for c in equal_area_partition(4096)])
+        radii = equal_area_partition(4096)[2]
         dense = np.linspace(0.0, 1.0, 2049)
         for knots, values, evaluate in built:
             oracle = PchipInterpolator(knots, values)

@@ -234,6 +234,24 @@ class TestSubnormalGain:
         assert payload["K"] == 1 and 0.0 <= payload["lower"] <= payload["upper"]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("link", "--bandwidth", "1e-300", "--noise-psd", "1e-300"),
+        ("link", "--wavelength", "1e200"),
+        ("bounds", "--power", "1e300", "--bandwidth", "1e-10", "--area", "2e5"),
+    ],
+    ids=["B*N0-underflows", "lambda^2-overflows", "gamma-overflows"],
+)
+def test_non_finite_received_snr_refused(args):
+    # once a ZeroDivisionError, an OverflowError and a "gamma_g": Infinity report
+    proc = run_cli(*args)
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("apcap: error: received SNR gamma*g ")
+
+
 class TestReceivedSnrRange:
     def test_gamma_g_1e7_optimizes(self):
         # the area grid reaches c = 160 here, past the old quadrature limit

@@ -86,6 +86,7 @@ class TestLinkBudget:
     )
     def test_properties_match_the_formulas_bit_for_bit(self, link):
         assert (link.gain_g, link.snr_gamma, link.received_snr) == formula_triple(link)
+        assert link.noise_floor_BN0 == link.bandwidth_B * link.noise_psd_N0
 
     def test_gain_formula_scaling(self):
         base = make_link()
@@ -105,6 +106,30 @@ class TestLinkBudget:
         # the fields are checked first
         with pytest.raises(ValidationError, match="power_P"):
             make_link(range_d=1.0e3, aperture_tx_AT=1.0e4, power_P=-1.0)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            pytest.param(dict(bandwidth_B=1.0e-300, noise_psd_N0=1.0e-300), id="B*N0-underflows"),
+            pytest.param(dict(wavelength_lambda=1.0e200), id="lambda^2-overflows"),
+            pytest.param(dict(power_P=1.0e300, bandwidth_B=1.0e-10), id="gamma-overflows"),
+            pytest.param(
+                dict(power_P=1.0e300, bandwidth_B=1.0e-10, wavelength_lambda=1.0e150),
+                id="inf-times-0",
+            ),
+        ],
+    )
+    def test_non_finite_received_snr_refused(self, overrides):
+        with pytest.raises(ValidationError, match=r"received SNR gamma\*g .* finite number"):
+            make_link(**overrides)
+
+    def test_gate_checked_before_received_snr(self):
+        with pytest.raises(ValidationError, match="far-field"):
+            make_link(range_d=1.0e3, aperture_tx_AT=1.0e4, power_P=1.0e300, bandwidth_B=1.0e-10)
+
+    def test_underflowing_received_snr_kept(self):
+        link = make_link(power_P=1.0e-320)
+        assert link.snr_gamma == 1.0e-320 and link.received_snr == 0.0
 
     def test_gate_boundary(self):
         # sqrt(x*x) == x in floating point, so these ratios are x itself
