@@ -1,9 +1,9 @@
 """Regenerate the frozen golden values shipped inside the package.
 
-Runs the dense 2-D kernel oracle and the study quantities, then rewrites
-golden.json. Each study quantity comes from the function in
-apcap.verification that the verify check reading it calls, so the value
-frozen here is the value verify measures.
+Runs the dense 2-D kernel oracle of tests/oracles.py and the study
+quantities, then rewrites golden.json. Each study quantity comes from the
+function in apcap.verification that the verify check reading it calls, so
+the value frozen here is the value verify measures.
 Run from the repository root after any change that legitimately moves a
 golden value, and eyeball the diff before committing it. Both modes print
 the numpy version, its BLAS and the BLAS thread settings first, since the
@@ -28,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from apcap.bounds import EPS0
-from apcap.oracles import dense_disc_gain_fractions
 from apcap.verification import (
     COROLLARY_COEFFICIENT,
     DEFAULT_SEED,
@@ -40,6 +39,10 @@ from apcap.verification import (
     lemma1_gaps,
     maximizer_snr100,
 )
+
+# the dense oracle is a test reference, not part of the package
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import dense_disc_gain_fractions  # noqa: E402
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 

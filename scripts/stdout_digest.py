@@ -37,7 +37,9 @@ sweep grid value whose rescaled transmit power overflows, which is refused
 by its value, and three links whose received SNR gamma*g is not a finite
 number, which are refused when they are built: a noise floor B*N0 that
 underflows to 0, a wavelength whose square overflows, and a transmit SNR
-that overflows.
+that overflows, and a sweep grid value whose rescaled transmit power is
+finite but makes the rescaled link's transmit SNR overflow, which is
+refused by its value too.
 
 Two checkouts print the same lines exactly when these outputs are
 byte-identical, so a change that must not move any output is checked by a
@@ -94,6 +96,7 @@ EXTRA = (
     ("link", "--bandwidth", "1e-300", "--noise-psd", "1e-300"),
     ("link", "--wavelength", "1e200"),
     ("bounds", "--power", "1e300", "--bandwidth", "1e-10", "--area", "2e5"),
+    ("sweep", "--bandwidth", "1e-10", "--noise-psd", "1e-10", "--grid", "1:1e308:2:log"),
 )
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -224,7 +224,10 @@ def run_sweep(args: argparse.Namespace) -> int:
                 f"grid value {gamma_g:.6g} needs a transmit power of {power:.6g} W, "
                 "which is not a positive finite number"
             )
-        link = dataclasses.replace(base, power_P=power)
+        try:
+            link = dataclasses.replace(base, power_P=power)
+        except ValidationError as exc:  # a finite power whose P/(B*N0) overflows
+            raise ValidationError(f"grid value {gamma_g:.6g}: {exc}") from None
         bounds = bounds_report(link, args.area, _truncation(args))
         # siso and approx from the grid value: the rescaled link's gamma_g may be an ulp off
         rows.append(

@@ -1,8 +1,11 @@
-"""Slow independent references that only the tests use.
+"""Slow independent references for the tests and the golden refresh.
 
 Different algorithms from the package's own numerics, sharing nothing with
-them beyond numpy, so agreement is evidence. The oracles that `apcap
-verify` and `scripts/refresh_golden.py` also use live in `apcap.oracles`.
+them beyond numpy, so agreement is evidence. scripts/refresh_golden.py
+freezes the dense 2-D oracle's values into golden.json, which is all
+`apcap verify` reads of it; the one oracle verify runs itself,
+greedy_waterfill, lives in apcap.verification, and loop_greedy_waterfill
+here is its per-problem reference.
 """
 
 import math
@@ -47,6 +50,66 @@ def grid_two_channel_best(
     split = np.linspace(0.0, total_power, points)
     rates = np.log1p(gain_a * split) + np.log1p(gain_b * (total_power - split))
     return float(np.max(rates)) / math.log(2.0)
+
+
+def dense_disc_singular_values(
+    c_param: float, radial_points: int = 60, angular_points: int = 60
+) -> np.ndarray:
+    """Singular values of the unit-disc kernel e^{ic<v,u>} by brute force.
+
+    Discretizes the disc on a full 2-D polar grid (Gauss-Legendre radii,
+    uniform angles), symmetrizes with the square-root weights, and takes
+    the SVD of the resulting dense matrix. No angular separation, no
+    Bessel functions. The leading singular values converge to 2*pi*|beta|
+    for the radial eigenvalues beta of the separated problem.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(radial_points)
+    radii = 0.5 * (nodes + 1.0)
+    radial_w = 0.5 * weights
+    theta = 2.0 * math.pi * (np.arange(angular_points) + 0.5) / angular_points
+    r_grid, t_grid = np.meshgrid(radii, theta, indexing="ij")
+    x = (r_grid * np.cos(t_grid)).ravel()
+    y = (r_grid * np.sin(t_grid)).ravel()
+    w = (
+        np.repeat(radial_w * radii, angular_points) * (2.0 * math.pi / angular_points)
+    )
+    sqrt_w = np.sqrt(w)
+    inner = np.outer(x, x) + np.outer(y, y)
+    kernel = np.exp(1j * c_param * inner)
+    kernel *= sqrt_w[:, None]
+    kernel *= sqrt_w[None, :]
+    return np.linalg.svd(kernel, compute_uv=False)
+
+
+def dense_disc_gain_fractions(
+    c_param: float, count: int, radial_points: int = 60, angular_points: int = 60
+) -> np.ndarray:
+    """Top channel-gain fractions h_k/g from the dense-grid oracle.
+
+    Maps the leading kernel singular values to the dimensionless per-mode
+    gain fractions: beta = sigma/(2*pi), fraction = 4*beta^2 = (sigma/pi)^2.
+    """
+    sv = dense_disc_singular_values(c_param, radial_points, angular_points)
+    return (sv[:count] / math.pi) ** 2
+
+
+def loop_greedy_waterfill(
+    gains: np.ndarray, total_power: float, step_count: int = 1000
+) -> np.ndarray:
+    """Greedy marginal-rate ascent on one problem, written as a plain loop.
+
+    The arithmetic apcap.verification.greedy_waterfill must reproduce bit
+    for bit on each row of a batch: the same step, the same marginal and
+    the first of equal maxima.
+    """
+    gains = np.asarray(gains, dtype=float)
+    powers = np.zeros_like(gains)
+    step = total_power / step_count
+    for _ in range(step_count):
+        marginal = np.log1p(step * gains / (1.0 + gains * powers))
+        best = int(np.argmax(marginal))
+        powers[best] += step
+    return powers
 
 
 def integrate(rule, values: np.ndarray) -> float:

@@ -108,6 +108,15 @@ class TestSweepCommand:
             if grid == overflow:
                 assert line.startswith("apcap: error: grid value 1e+305 "), line
 
+    def test_grid_value_with_overflowing_snr_named(self):
+        # the rescaled power 1e294 W is finite, but P/(B*N0) = 1e314 overflows
+        proc = run_cli(
+            "sweep", "--bandwidth", "1e-10", "--noise-psd", "1e-10", "--grid", "1:1e308:2:log"
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("apcap: error: grid value 1e+308: received SNR gamma*g "), line
+
     def test_link_checked_before_grid(self):
         proc = run_cli("sweep", "--power", "-1", "--grid", "junk")
         assert proc.returncode == 1 and proc.stdout == ""
@@ -386,6 +395,17 @@ class TestVerifyCommand:
         proc = run_cli("verify", "eps0_constant", "--golden", str(bad))
         assert proc.returncode == 2
         assert "FAIL" in proc.stdout
+
+    def test_dense_oracle_drift_fails(self, tmp_path):
+        # a 1e-11 relative drift in one frozen gain fraction is far past the 1.5e-14
+        # the check measures, and far below the old rtol of 1e-5
+        golden = json.loads(GOLDEN.read_text())
+        golden["dense_oracle_gain_fractions_c2"][1] *= 1.0 + 1.0e-11
+        bad = tmp_path / "golden.json"
+        bad.write_text(json.dumps(golden))
+        proc = run_cli("verify", "spectrum_vs_dense_oracle", "--golden", str(bad))
+        assert proc.returncode == 2
+        assert "FAIL  spectrum_vs_dense_oracle" in proc.stdout
 
     @pytest.mark.parametrize(
         "key, check",

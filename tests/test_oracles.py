@@ -5,13 +5,16 @@ import pytest
 from scipy import special
 
 from apcap.numerics import bessel_j_table, solve_eps0
-from apcap.oracles import (
+from apcap.verification import DEFAULT_SEED, greedy_waterfill, waterfill_problems
+from apcap.waterfill import ChannelGains, allocation_efficiency, waterfill
+from oracles import (
+    bisect_eps0,
     dense_disc_gain_fractions,
     dense_disc_singular_values,
-    greedy_waterfill,
+    grid_two_channel_best,
+    loop_greedy_waterfill,
+    series_bessel_j,
 )
-from apcap.waterfill import ChannelGains, allocation_efficiency, waterfill
-from oracles import bisect_eps0, grid_two_channel_best, series_bessel_j
 
 
 class TestSeriesBessel:
@@ -73,6 +76,23 @@ class TestGreedyWaterfill:
         )
         assert greedy_rate <= optimal + 1e-12
         assert greedy_rate == pytest.approx(optimal, abs=1e-4)
+
+    def test_batch_matches_the_loop_bit_for_bit(self):
+        # the 200 problems waterfill_vs_greedy_oracle runs, against the loop one at a time
+        gains, totals = waterfill_problems(DEFAULT_SEED)
+        batch = greedy_waterfill(gains, totals, 1000)
+        assert batch.shape == (200, 4)
+        for row, total, powers in zip(gains, totals.tolist(), batch):
+            n = int(np.count_nonzero(row))
+            loop = loop_greedy_waterfill(row[:n], total, 1000)
+            assert powers[:n].tobytes() == loop.tobytes()
+            assert powers[n:].tobytes() == np.zeros(4 - n).tobytes()
+
+    def test_vector_call_matches_the_loop(self):
+        gains = np.array([1.7, 0.9, 0.3])
+        powers = greedy_waterfill(gains, 6.5, 1000)
+        assert powers.shape == (3,)
+        assert powers.tobytes() == loop_greedy_waterfill(gains, 6.5, 1000).tobytes()
 
 
 class TestTwoChannelGrid:

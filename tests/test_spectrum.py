@@ -12,7 +12,6 @@ from apcap import spectrum as spectrum_module
 from apcap.cli import main as cli_main
 from apcap.link import ValidationError
 from apcap.numerics import QUAD_MAX_ORDER, bessel_j_table, gauss_quadrature
-from apcap.oracles import dense_disc_gain_fractions
 from apcap.spectrum import (
     C_PARAM_MAX,
     EPS,
@@ -26,7 +25,7 @@ from apcap.spectrum import (
     spectrum_report,
 )
 from apcap.verification import STUDY_RANGE, STUDY_WAVELENGTH, area_for_m0
-from oracles import integrate
+from oracles import dense_disc_gain_fractions, integrate
 
 
 def geometry_for_c(c):

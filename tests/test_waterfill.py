@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from apcap.link import ValidationError
-from apcap.oracles import greedy_waterfill
 from apcap.spectrum import WATER_MARGIN
+from apcap.verification import greedy_waterfill
 from apcap.waterfill import ChannelGains, allocation_efficiency, waterfill
 from oracles import grid_two_channel_best
 
