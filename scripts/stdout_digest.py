@@ -25,8 +25,9 @@ its modes need, which warns, the same order under area optimization,
 which warns once, for the largest c it tries, and an array whose receive
 aperture differs from its transmit one, so its receive weights are
 formatted on their own rather than reusing the transmit text, and an
-optimized strong-regime sweep up to gamma*g = 1e7, whose rising powers read
-the cached solves of the discs they share, and a bounds on one fixed disc at
+optimized strong-regime sweep up to gamma*g = 1e7, whose rows share only
+their first grid disc (4 of its 265 spectrum walks read the per-order memo,
+8 of 5727 orders), and a bounds on one fixed disc at
 c = 280, whose Nystrom solve builds the largest Bessel table, from the
 highest start order, of all these invocations, a bounds on a disc
 smaller than max(A_T, A_R), which is refused before any solve, and three

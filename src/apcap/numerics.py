@@ -13,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 QUAD_MAX_ORDER = 512
-# distinct quadrature orders kept by the gauss_quadrature memo
-QUAD_MEMO_SIZE = 64
 
 # Smallest argument the recurrence takes. Below it the leading series term
 # (x/2)^n / n! is J_n(x) to rounding, since the next term is (x/2)^2 < 1e-100
@@ -49,8 +47,9 @@ def _legendre_value_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, n
     return p, dp
 
 
-# typed: True and 1 must not share an entry, since bool orders are rejected
-@functools.lru_cache(maxsize=QUAD_MEMO_SIZE, typed=True)
+# typed: True and 1 must not share an entry, since bool orders are rejected;
+# QUAD_MAX_ORDER bounds the memo to 512 rules, about 2 MB
+@functools.lru_cache(maxsize=None, typed=True)
 def gauss_quadrature(order: int) -> QuadratureRule:
     """Gauss-Legendre rule with `order` points, mapped to [0, 1].
 
@@ -74,9 +73,6 @@ def gauss_quadrature(order: int) -> QuadratureRule:
         raise ValidationError(
             f"quadrature order {order} outside supported range [1, {QUAD_MAX_ORDER}]"
         )
-    if order == 1:
-        return _frozen_rule(np.array([0.5]), np.array([1.0]))
-
     n = order
     half = (n + 1) // 2
     k = np.arange(1, half + 1)

@@ -16,6 +16,7 @@ and modes with N != 0 are doubly degenerate (+-N pairs).
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -58,7 +59,7 @@ EPS = 1.0e-16
 # fetched in blocks of angular orders.
 BESSEL_BLOCK_BYTES = 64 * 2**20
 
-# (c, Q, N_hi) keys whose eigenvalue-only solves _eigenvalue_solves keeps: one
+# (c, Q, N_hi) keys whose eigenvalue-only solves _memo_entry keeps: one
 # area optimization evaluates 32 grid points plus at most 26 golden-section points.
 SPECTRUM_MEMO_SIZE = 64
 
@@ -168,8 +169,9 @@ class OperatorSpectrum:
 
     @property
     def captured_mass(self) -> float:
-        # summed left to right in sorted order, not by numpy's pairwise sum
-        return float(sum(self.nu_sq.tolist()))
+        # summed left to right in sorted order, not by numpy's pairwise sum nor by
+        # the builtin sum, which compensates from Python 3.12 on
+        return float(np.add.accumulate(self.nu_sq)[-1])
 
 
 def default_truncation(c_param: float) -> tuple[int, int]:
@@ -252,9 +254,10 @@ def _order_solves(
             yield N, values[order], vectors
 
 
-# _eigenvalue_solves' cache, least recently used first: (c, Q, walk_N) -> the
-# read-only betas of N = 0, 1, ... as far as walks have read them
-_solved: dict[tuple[float, int, int], list[np.ndarray]] = {}
+@functools.lru_cache(maxsize=SPECTRUM_MEMO_SIZE)
+def _memo_entry(c: float, q: int, walk_N: int) -> list[np.ndarray]:
+    """The read-only betas of N = 0, 1, ... as far as walks on (c, Q, walk_N) read them."""
+    return []
 
 
 def _eigenvalue_solves(
@@ -264,28 +267,14 @@ def _eigenvalue_solves(
 
     An order's betas depend only on c, Q and walk_N, the Bessel table's
     bound, so the last SPECTRUM_MEMO_SIZE such keys keep them. The cached
-    orders are yielded first, then the walk solves on. A key's first walk
-    solves only as far as it reads. A later walk that reads past the cache
-    solves on to about the EPS cut before it yields, so the rising water
-    cuts of one disc build one Bessel table per extension, not one per call.
+    orders are yielded first; a walk that reads past them resumes the
+    solves at the first uncached order and keeps each order it reads, so
+    no order of a key is solved twice.
     """
-    key = (c, rule.nodes.size, walk_N)
-    betas = _solved[key] = _solved.pop(key, [])
-    if len(_solved) > SPECTRUM_MEMO_SIZE:
-        del _solved[next(iter(_solved))]
+    betas = _memo_entry(c, rule.nodes.size, walk_N)
     cached = len(betas)
     yield from ((N, betas[N], None) for N in range(cached))
-    solves = _order_solves(c, rule, walk_N, cached, keep_radial=False)
-    if cached:
-        top = max(float(values[0]) ** 2 for values in betas)
-        for _, values, _ in solves:
-            values.flags.writeable = False
-            betas.append(values)
-            top = max(top, float(values[0]) ** 2)
-            if float(values[0]) ** 2 < EPS * top:
-                break
-        yield from ((N, betas[N], None) for N in range(cached, len(betas)))
-    for N, values, _ in solves:
+    for N, values, _ in _order_solves(c, rule, walk_N, cached, keep_radial=False):
         values.flags.writeable = False
         betas.append(values)
         yield N, values, None

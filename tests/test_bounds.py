@@ -37,7 +37,7 @@ LOWER_AT_M0_4_SNR10 = 2.3172404605164445
 
 def fresh_beta_at_area(area, link):
     """beta_at_area computed from a spectrum solved afresh for this call."""
-    spectrum_module._solved.clear()
+    spectrum_module._memo_entry.cache_clear()
     return beta_at_area(area, link)
 
 
@@ -150,18 +150,18 @@ class TestLowerBound:
         assert active == 3
 
     def test_area_below_aperture_rejected(self, snr10_link, solved_orders):
-        spectrum_module._solved.clear()
+        spectrum_module._memo_entry.cache_clear()
         with pytest.raises(ValidationError, match="max\\(A_T, A_R\\)"):
             beta_at_area(50.0, snr10_link)
         # refused before the solve
-        assert solved_orders == [] and spectrum_module._solved == {}
+        assert solved_orders == [] and not spectrum_module._memo_entry.cache_info().currsize
 
     def test_far_field_gate(self, snr10_link, solved_orders):
         # a disc DiscGeometry accepts, on a link the far-field gate refuses
-        spectrum_module._solved.clear()
+        spectrum_module._memo_entry.cache_clear()
         with pytest.raises(ValidationError, match="far-field"):
             beta_at_area(200.0, dataclasses.replace(snr10_link, range_d=1.0e3))
-        assert solved_orders == [] and spectrum_module._solved == {}
+        assert solved_orders == [] and not spectrum_module._memo_entry.cache_info().currsize
 
     def test_never_exceeds_upper(self, snr10_link):
         upper = upper_bound(10.0)
@@ -306,25 +306,24 @@ class TestWaterStop:
             block = block_orders
             block_bytes = 8 * (q * (q + 1) // 2) * block
             monkeypatch.setattr(spectrum_module, "BESSEL_BLOCK_BYTES", block_bytes)
-        full = assemble_spectrum(geometry, keep_radial=False)
         expected = [full_walk_beta(area, link) for link in links]
-        spectrum_module._solved.clear()
+        spectrum_module._memo_entry.cache_clear()
         solved_orders.clear()
         table_orders.clear()
         assert [beta_at_area(area, link) for link in links] == expected
-        stop = received[0].angular_orders_solved
-        assert stop < received[1].angular_orders_solved
-        # no order is solved twice: the second call solves on past the first one's
-        # stopping order to the EPS cut, and the later calls read the cache only
-        assert solved_orders == list(range(full.angular_orders_solved))
-        # one run of Bessel blocks per extension, not one per call
+        stops = [spectrum.angular_orders_solved for spectrum in received]
+        # each call reads past the orders of the calls before it
+        assert stops == sorted(set(stops))
+        # no order is solved twice: the orders solved are 0 up to the largest stop
+        assert solved_orders == list(range(stops[-1]))
+        # and each call runs its own Bessel blocks from the first order it solves
         assert table_orders == [
             range(lo, min(lo + block, walk_N + 1))
-            for start, end in ((0, stop), (stop, full.angular_orders_solved))
+            for start, end in zip([0] + stops, stops)
             for lo in range(start, end, block)
         ]
         for link, spectrum in zip(links, received):
-            spectrum_module._solved.clear()
+            spectrum_module._memo_entry.cache_clear()
             water = link.received_snr
             fresh = assemble_spectrum(geometry, keep_radial=False, water=water)
             assert_same_spectrum(spectrum, fresh)

@@ -7,13 +7,27 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from apcap.verification import GOLDEN_TOLERANCES
+from apcap.verification import GOLDEN_TOLERANCES, run_checks
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN = SRC / "apcap" / "golden.json"
 STARVED = ("bounds", "--max-angular", "0", "--max-radial", "0", "--quadrature-order", "16")
+# the verify check that reads each golden key
+GOLDEN_CHECKS = {
+    "eps0": "eps0_constant",
+    "corollary_coefficient": "corollary_coefficient",
+    "hand_allocation_efficiency": "waterfill_hand_check",
+    "dense_oracle_gain_fractions_c1": "spectrum_vs_dense_oracle",
+    "dense_oracle_gain_fractions_c2": "spectrum_vs_dense_oracle",
+    "dense_oracle_gain_fractions_c4": "spectrum_vs_dense_oracle",
+    "maximizer_area_ratio_snr100": "optimal_area_location",
+    "asymptotic_ratio_sequence": "asymptotic_ratio_trend",
+    "lemma1_gap_sequence": "far_field_reduction_gap",
+    "gram_offdiag_frobenius": "array_gram_convergence",
+}
 
 
 def run_cli(*args, timeout=180, python_flags=()):
@@ -441,6 +455,23 @@ class TestVerifyCommand:
         assert proc.returncode == 2
         assert "FAIL" in proc.stdout
 
+    @pytest.mark.parametrize("key", list(GOLDEN_TOLERANCES))
+    def test_drift_of_ten_tolerances_is_caught(self, tmp_path, key):
+        golden = json.loads(GOLDEN.read_text())
+        rtol, atol = GOLDEN_TOLERANCES[key]
+        values = np.atleast_1d(golden[key])
+        moved = [value * (1.0 + 10.0 * rtol) + 10.0 * atol for value in values]
+        golden[key] = moved if isinstance(golden[key], list) else moved[0]
+        bad = tmp_path / "golden.json"
+        bad.write_text(json.dumps(golden))
+        (result,) = run_checks([GOLDEN_CHECKS[key]], golden_path=str(bad))
+        assert not result.passed
+        # the two checks that fail by design show the drift in what they measured
+        if result.name == "optimal_area_location":
+            assert float(result.measured.rsplit("golden rel err ", 1)[1]) > rtol
+        elif result.name == "asymptotic_ratio_trend":
+            assert result.measured.endswith("golden match False")
+
 
 class TestParserBehavior:
     def test_unknown_subcommand_exits_one(self):
@@ -505,7 +536,7 @@ class TestEarlierCalls:
         from apcap.cli import main
 
         fresh = {args: run_cli(*args) for args in EARLIER_CALLS}
-        spectrum._solved.clear()
+        spectrum._memo_entry.cache_clear()
         for args in EARLIER_CALLS + EARLIER_CALLS[::-1]:
             code = main(list(args))
             out, err = capsys.readouterr()

@@ -186,18 +186,20 @@ class TestAssembleSpectrum:
 
     def test_memoized_columns_read_only(self, m0_4_geometry):
         # the cached betas of each order are shared between walks
-        spectrum_module._solved.clear()
+        spectrum_module._memo_entry.cache_clear()
         first = assemble_spectrum(m0_4_geometry, keep_radial=False)
-        ((key, cached),) = spectrum_module._solved.items()
+        assert spectrum_module._memo_entry.cache_info().currsize == 1
         c = m0_4_geometry.c_param
-        assert key == (c, first.truncation[2], default_truncation(c)[0])
+        key = (c, first.truncation[2], default_truncation(c)[0])
+        cached = spectrum_module._memo_entry(*key)
+        assert spectrum_module._memo_entry.cache_info().hits == 1
         assert len(cached) == first.angular_orders_solved
         for betas in cached:
             with pytest.raises(ValueError):
                 betas[0] = 0.0
         shared = list(cached)
         again = assemble_spectrum(m0_4_geometry, keep_radial=False)
-        assert all(a is b for a, b in zip(spectrum_module._solved[key], shared, strict=True))
+        assert all(a is b for a, b in zip(spectrum_module._memo_entry(*key), shared, strict=True))
         # a spectrum's columns are its caller's: writing them leaves the cache alone
         for column in (again.angular_N, again.radial_m, again.beta, again.nu_sq):
             column[:] = 0
@@ -208,7 +210,7 @@ class TestAssembleSpectrum:
     def test_memo_hit_warns_as_the_solve_did(self, solved_orders):
         # one angular order and one radial mode keep a quarter of the mass
         geometry = DiscGeometry(2.0e5, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
-        spectrum_module._solved.clear()
+        spectrum_module._memo_entry.cache_clear()
         for solves in ([0], []):  # a solve, then a walk over the cached order
             solved_orders.clear()
             with pytest.warns(TruncationWarning, match="retained modes capture 24.3738%"):
@@ -218,7 +220,7 @@ class TestAssembleSpectrum:
     def test_same_c_reuses_the_cached_solves(self, solved_orders):
         # beta depends on the disc only through c: L = 0.5 reads the L = 1 solves
         area = area_for_m0(1.0)
-        spectrum_module._solved.clear()
+        spectrum_module._memo_entry.cache_clear()
         full = assemble_spectrum(
             DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0), keep_radial=False
         )
@@ -246,6 +248,15 @@ class TestAssembleSpectrum:
     def test_sum_rule_capture(self, m0_4_spectrum):
         frac = m0_4_spectrum.captured_mass / m0_4_spectrum.geometry.spectral_mass
         assert 0.999 <= frac <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("c", [0.5, 4.0, 16.0, 64.0])
+    def test_captured_mass_sums_left_to_right(self, c):
+        # a plain loop, as the builtin sum rounded before Python 3.12 compensated it
+        spectrum = assemble_spectrum(geometry_for_c(c), keep_radial=False)
+        mass = 0.0
+        for value in spectrum.nu_sq.tolist():
+            mass += value
+        assert spectrum.captured_mass == mass
 
     def test_loss_scales_nu_not_beta(self):
         area = area_for_m0(1.0)
@@ -358,7 +369,7 @@ class TestAdaptiveTruncation:
             return table
 
         monkeypatch.setattr(spectrum_module, "bessel_j_table", recording)
-        spectrum_module._solved.clear()
+        spectrum_module._memo_entry.cache_clear()
         code = cli_main(["bounds", "--power", "1e14", "--area", "1.4e7"])
         out, err = capsys.readouterr()
         assert code == 0 and err == ""
@@ -386,7 +397,8 @@ class TestAdaptiveTruncation:
             return table
 
         monkeypatch.setattr(spectrum_module, "bessel_j_table", recording)
-        spectrum_module._solved.clear()  # an eigenvalue-only walk solves every order afresh
+        # an eigenvalue-only walk solves every order afresh
+        spectrum_module._memo_entry.cache_clear()
         spectrum = assemble_spectrum(geometry_for_c(16.0), keep_radial=keep_radial)
         assert spectrum.truncation[2] == q
         assert len(tables) == (spectrum.angular_orders_solved + 1) // 2
@@ -396,11 +408,11 @@ class TestAdaptiveTruncation:
     def test_fresh_walk_independent_of_block_size(self, monkeypatch, keep_radial):
         geo = geometry_for_c(16.0)
         q = 64 if keep_radial else 56
-        spectrum_module._solved.clear()
+        spectrum_module._memo_entry.cache_clear()
         default = assemble_spectrum(geo, keep_radial=keep_radial)
         for orders in (1, 2):
             monkeypatch.setattr(spectrum_module, "BESSEL_BLOCK_BYTES", block_bytes(q, orders))
-            spectrum_module._solved.clear()
+            spectrum_module._memo_entry.cache_clear()
             blocked = assemble_spectrum(geo, keep_radial=keep_radial)
             for name in ("angular_N", "radial_m", "beta", "nu_sq"):
                 assert getattr(blocked, name).tobytes() == getattr(default, name).tobytes()
