@@ -103,7 +103,7 @@ def main():
     golden["corollary_coefficient"] = COROLLARY_COEFFICIENT
 
     print("hand allocation ...")
-    golden["hand_allocation_efficiency"] = hand_allocation()[1]
+    golden["hand_allocation_efficiency"] = hand_allocation().efficiency
 
     for c in (1.0, 2.0, 4.0):
         t0 = time.time()

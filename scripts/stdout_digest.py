@@ -10,37 +10,8 @@ they all run through apcap.cli.main in this one process instead, in the
 lines are still printed in forward order: a result depends only on its
 inputs, so this listing must equal the fresh-process one. The invocations
 are the benchmark's workload invocations (WORKLOADS of perfbench/run.py,
-imported, not copied) and EXTRA: the spectrum report as JSON and as
-CSV, a starved truncation that warns on every disc the area optimizer
-tries, an array whose subnormal transmit aperture is refused, the CSV
-forms of link, sweep and bounds, invocations whose flags are wrong in two
-ways at once (which error wins is part of the output), a disc too small
-for its modes to be represented next to a tiny one that still works, an
---out path in a directory that does not exist, an array on a link that
-fails the far-field gate, a bounds whose area grid reaches c = 160, a
-radial ceiling (a truncation override, so every disc walks to the EPS cut
-where the default truncation may stop at the water level), a disc at
-c = 64 solved at an explicit quadrature order of 16, below the ceil(c) + 7
-its modes need, which warns, the same order under area optimization,
-which warns once, for the largest c it tries, and an array whose receive
-aperture differs from its transmit one, so its receive weights are
-formatted on their own rather than reusing the transmit text, and an
-optimized strong-regime sweep up to gamma*g = 1e7, whose rows share only
-their first grid disc (4 of its 265 spectrum walks read the per-order memo,
-8 of 5727 orders), and a bounds on one fixed disc at
-c = 280, whose Nystrom solve builds the largest Bessel table, from the
-highest start order, of all these invocations, a bounds on a disc
-smaller than max(A_T, A_R), which is refused before any solve, and three
-links that fail the far-field gate together with a second fault (a junk
-sweep grid, an array asked for as CSV, an array of zero streams), where
-the gate wins because a link is checked before any other input, and a
-sweep grid value whose rescaled transmit power overflows, which is refused
-by its value, and three links whose received SNR gamma*g is not a finite
-number, which are refused when they are built: a noise floor B*N0 that
-underflows to 0, a wavelength whose square overflows, and a transmit SNR
-that overflows, and a sweep grid value whose rescaled transmit power is
-finite but makes the rescaled link's transmit SNR overflow, which is
-refused by its value too.
+imported, not copied) and EXTRA, the edge cases those miss, each with its
+reason beside it.
 
 Two checkouts print the same lines exactly when these outputs are
 byte-identical, so a change that must not move any output is checked by a
@@ -61,43 +32,77 @@ import sys
 from pathlib import Path
 
 EXTRA = (
+    # the spectrum report as JSON and as CSV
     ("spectrum", "--area", "2e5"),
     ("spectrum", "--area", "3.2e6", "--format", "csv"),
+    # a starved truncation, which warns on every disc the area optimizer tries
     ("bounds", "--max-angular", "0", "--max-radial", "0", "--quadrature-order", "16"),
+    # an array whose subnormal transmit aperture is refused
     ("array", "--area", "2e5", "--aperture-tx", "1e-305"),
+    # the CSV forms of link, sweep and bounds
     ("link", "--format", "csv"),
     ("sweep", "--area", "2e5", "--grid", "2:20:3:log", "--format", "csv"),
     ("bounds", "--format", "csv"),
+    # flags wrong in two ways at once: which error wins is part of the output
     ("sweep", "--power", "-1", "--grid", "junk"),
     ("array", "--format", "csv", "--loss", "2", "--area", "2e5"),
     ("verify", "--list", "no_such_check"),
+    # the check names
     ("verify", "--list"),
+    # a disc too small for its modes to be represented, next to a tiny one that still works
     ("spectrum", "--area", "1e-300"),
     ("spectrum", "--area", "1e-30"),
+    # an --out path in a directory that does not exist
     ("bounds", "--area", "2e5", "--out", "no-such-dir/bounds.json"),
+    # an array on a link that fails the far-field gate
     (
         "array", "--area", "3e5", "--aperture-tx", "2e3", "--aperture-rx", "2e3",
         "--range", "1e5", "--cells", "4096", "--streams", "1",
     ),
+    # a bounds whose area grid reaches c = 160
     ("bounds", "--power", "1e13"),
+    # a radial ceiling: a truncation override, so every disc walks to the EPS cut
+    # where the default truncation may stop at the water level
     ("bounds", "--max-radial", "2"),
+    # a disc at c = 64 solved at a quadrature order of 16, below the ceil(c) + 7 its
+    # modes need, which warns; then the same order under area optimization, which
+    # warns once, for the largest c it tries
     ("bounds", "--area", "3.2e6", "--power", "1e12", "--quadrature-order", "16"),
     ("bounds", "--power", "1e12", "--quadrature-order", "16"),
+    # a receive aperture unlike the transmit one, so the receive weights are
+    # formatted on their own rather than reusing the transmit text
     (
         "array", "--area", "4e5", "--power", "1e9", "--streams", "21", "--cells", "4096",
         "--aperture-rx", "400",
     ),
+    # an optimized strong-regime sweep up to gamma*g = 1e7, whose rows share only their
+    # first grid disc (4 of its 265 spectrum walks read the per-order memo, 8 of 5727 orders)
     ("sweep", "--grid", "1e3:1e7:5:log"),
+    # one fixed disc at c = 280, whose Nystrom solve builds the largest Bessel table,
+    # from the highest start order, of all these invocations
     ("bounds", "--power", "1e14", "--area", "1.4e7"),
+    # a disc smaller than max(A_T, A_R), refused before any solve
     ("bounds", "--area", "50"),
+    # links that fail the far-field gate together with a second fault (a junk sweep
+    # grid, an array asked for as CSV, an array of zero streams): the gate wins,
+    # because a link is checked before any other input
     ("sweep", "--range", "1e3", "--aperture-tx", "1e4", "--grid", "junk"),
     ("array", "--format", "csv", "--range", "1e3", "--aperture-tx", "1e4", "--area", "2e5"),
     ("array", "--streams", "0", "--range", "1e3", "--aperture-tx", "1e4", "--area", "2e5"),
+    # a sweep grid value whose rescaled transmit power overflows, refused by its value
     ("sweep", "--area", "2e5", "--grid", "1:1e305:2:log"),
+    # links whose received SNR gamma*g is not a finite number, refused when they are
+    # built: a noise floor B*N0 that underflows to 0, a wavelength whose square
+    # overflows, and a transmit SNR that overflows
     ("link", "--bandwidth", "1e-300", "--noise-psd", "1e-300"),
     ("link", "--wavelength", "1e200"),
     ("bounds", "--power", "1e300", "--bandwidth", "1e-10", "--area", "2e5"),
+    # a sweep grid value whose rescaled transmit power is finite but makes the rescaled
+    # link's transmit SNR overflow, refused by its value too
     ("sweep", "--bandwidth", "1e-10", "--noise-psd", "1e-10", "--grid", "1:1e308:2:log"),
+    # verify refusing a negative seed and an unreadable golden file with one error line
+    ("verify", "--seed", "-1", "eps0_constant"),
+    ("verify", "--golden", "no-such-dir/golden.json", "eps0_constant"),
 )
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -30,7 +30,7 @@ from .spectrum import (
     Truncation,
     assemble_spectrum,
 )
-from .waterfill import ChannelGains, waterfill
+from .waterfill import waterfill
 
 
 def exact_channel_matrix(
@@ -126,17 +126,15 @@ def equal_area_partition(cell_count: int) -> tuple[np.ndarray, ...]:
         raise ValidationError(f"cell count must be positive, got {cell_count}")
     rings = max(1, round(math.sqrt(cell_count / math.pi)))
     quota = [cell_count * (2 * i + 1) / rings**2 for i in range(rings)]
-    counts = [max(1, math.floor(q)) for q in quota]
-    while sum(counts) > cell_count:
-        # only possible via the max(1, .) floor on tiny rings; shrink the largest
-        counts[int(np.argmax(counts))] -= 1
+    # every ring gets a cell: the innermost quota N/rings^2 is at least 1, as
+    # N >= pi (k - 1/2)^2 >= k^2 for rings = k >= 2, and N >= 1 for one ring
+    counts = [math.floor(q) for q in quota]
     remainders = sorted(
         range(rings), key=lambda i: (quota[i] - math.floor(quota[i]), i), reverse=True
     )
-    idx = 0
-    while sum(counts) < cell_count:
-        counts[remainders[idx % rings]] += 1
-        idx += 1
+    # the shortfall is the sum of the rings' fractional quotas, under one per ring
+    for i in remainders[: cell_count - sum(counts)]:
+        counts[i] += 1
 
     edges = np.sqrt(np.cumsum([0] + counts) / cell_count)
     radii, angles, clearances = [], [], []
@@ -315,10 +313,7 @@ def synthesize_array(
 
     # validate the gains first: where they are refused, the weights below overflow
     gains = effective_gains(link, spectrum)[:stream_count_K]
-    alloc = waterfill(
-        ChannelGains(gains_eta_sq=gains, noise_floor_BN0=link.noise_floor_BN0),
-        link.power_P,
-    )
+    alloc = waterfill(gains, link.noise_floor_BN0, link.power_P)
 
     def normalized(aperture: float) -> np.ndarray:
         weights = math.sqrt(area_S / aperture) * eig_samples

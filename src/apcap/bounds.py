@@ -25,7 +25,7 @@ from .spectrum import (
     Truncation,
     assemble_spectrum,
 )
-from .waterfill import ChannelGains, allocation_efficiency, waterfill
+from .waterfill import waterfill
 
 WEAK_SIGNAL = "weak_signal"
 STRONG_SIGNAL = "strong_signal"
@@ -105,12 +105,8 @@ def beta_at_area(
     check_area_floor(area_S, link)
     water = link.received_snr if truncation == DEFAULT_TRUNCATION else math.inf
     spectrum = assemble_spectrum(geometry, *truncation, keep_radial=False, water=water)
-    gains = ChannelGains(
-        gains_eta_sq=effective_gains(link, spectrum),
-        noise_floor_BN0=link.noise_floor_BN0,
-    )
-    alloc = waterfill(gains, link.power_P)
-    return allocation_efficiency(gains, alloc), alloc.active_K
+    alloc = waterfill(effective_gains(link, spectrum), link.noise_floor_BN0, link.power_P)
+    return alloc.efficiency, alloc.active_K
 
 
 def default_area_grid(link: LinkBudget, points: int = 32) -> np.ndarray:

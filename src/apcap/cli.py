@@ -43,13 +43,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
+def _add_path_flags(p):
+    p.add_argument("--wavelength", type=float, default=0.1, help="wavelength in m (default 0.1)")
+    p.add_argument("--range", dest="range_d", type=float, default=1.0e6, help="range d in m (default 1e6)")
+    p.add_argument("--loss", type=float, default=1.0, help="propagation loss L in (0, 1] (default 1)")
+
+
 def _add_link_flags(p):
     p.add_argument("--power", type=float, default=1.0e7, help="transmit power P in W (default 1e7)")
     p.add_argument("--bandwidth", type=float, default=1.0, help="bandwidth B in Hz (default 1)")
     p.add_argument("--noise-psd", type=float, default=1.0, help="noise PSD N0 in W/Hz (default 1)")
-    p.add_argument("--wavelength", type=float, default=0.1, help="wavelength in m (default 0.1)")
-    p.add_argument("--range", dest="range_d", type=float, default=1.0e6, help="range d in m (default 1e6)")
-    p.add_argument("--loss", type=float, default=1.0, help="propagation loss L in (0, 1] (default 1)")
+    _add_path_flags(p)
     p.add_argument("--aperture-tx", type=float, default=100.0, help="transmit aperture area in m^2 (default 100)")
     p.add_argument("--aperture-rx", type=float, default=100.0, help="receive aperture area in m^2 (default 100)")
 
@@ -99,9 +103,7 @@ def build_parser() -> _Parser:
 
     p_spec = sub.add_parser("spectrum", help="operator eigenvalues for one synthesis disc")
     p_spec.add_argument("--area", type=float, required=True, help="synthesis disc area |S| in m^2")
-    p_spec.add_argument("--wavelength", type=float, default=0.1, help="wavelength in m (default 0.1)")
-    p_spec.add_argument("--range", dest="range_d", type=float, default=1.0e6, help="range d in m (default 1e6)")
-    p_spec.add_argument("--loss", type=float, default=1.0, help="propagation loss L (default 1)")
+    _add_path_flags(p_spec)
     _add_truncation_flags(p_spec)
     _add_output_flags(p_spec)
 
@@ -174,8 +176,6 @@ def _emit(args: argparse.Namespace, *pieces: str) -> None:
             fh.writelines(pieces)
     except OSError as exc:
         raise ValidationError(f"cannot write --out {args.out_path!r}: {exc.strerror}") from None
-
-
 
 
 def _csv_text(rows: list[dict]) -> str:
@@ -272,6 +272,8 @@ def run_verify(args: argparse.Namespace) -> int:
     unknown = [n for n in args.names if n not in CHECK_NAMES]
     if unknown:
         raise ValidationError(f"unknown check names: {', '.join(unknown)}")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be a nonnegative integer, got {args.seed}")
     if args.list_checks:
         for name in CHECK_NAMES:
             print(name)

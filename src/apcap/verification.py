@@ -31,10 +31,10 @@ import numpy as np
 
 from .arrays import achieved_efficiency, finite_array_gram, lemma1_check, synthesize_array
 from .bounds import EPS0, beta_at_area, default_area_grid, optimize_disc_area, upper_bound
-from .link import LinkBudget, siso_efficiency
+from .link import LinkBudget, ValidationError, siso_efficiency
 from .numerics import solve_eps0
 from .spectrum import DiscGeometry, assemble_spectrum, effective_rank
-from .waterfill import ChannelGains, PowerAllocation, allocation_efficiency, waterfill
+from .waterfill import PowerAllocation, waterfill
 
 DEFAULT_SEED = 20260822
 
@@ -76,11 +76,25 @@ class CheckResult:
 
 
 def load_golden(path: str | None = None) -> dict:
+    """The packaged golden values, or the JSON object in the file at path.
+
+    A path that cannot be read, or does not hold a JSON object, is a
+    validation error naming it; a key missing from the object fails only
+    the checks that read it.
+    """
     if path is None:
-        text = importlib.resources.files("apcap").joinpath("golden.json").read_text()
+        return json.loads(importlib.resources.files("apcap").joinpath("golden.json").read_text())
+    try:
+        golden = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        reason = exc.strerror
+    except ValueError as exc:  # not UTF-8 text, or not JSON
+        reason = str(exc)
     else:
-        text = Path(path).read_text()
-    return json.loads(text)
+        if isinstance(golden, dict):
+            return golden
+        reason = "not a JSON object"
+    raise ValidationError(f"cannot read --golden {path!r}: {reason}")
 
 
 def study_link(gamma_g: float) -> LinkBudget:
@@ -121,11 +135,9 @@ def _golden(values, golden: dict, key: str) -> tuple[bool, float]:
     return passed, float(np.max(diff / np.maximum(np.abs(ref), 1e-300)))
 
 
-def hand_allocation() -> tuple[PowerAllocation, float]:
-    """Waterfill of the gains (1, 0.5, 0.1) over BN0 = 1 at P = 10, and its efficiency."""
-    channels = ChannelGains(gains_eta_sq=np.array([1.0, 0.5, 0.1]), noise_floor_BN0=1.0)
-    alloc = waterfill(channels, 10.0)
-    return alloc, allocation_efficiency(channels, alloc)
+def hand_allocation() -> PowerAllocation:
+    """Waterfill of the gains (1, 0.5, 0.1) over BN0 = 1 at P = 10."""
+    return waterfill(np.array([1.0, 0.5, 0.1]), 1.0, 10.0)
 
 
 def gram_study() -> tuple[list[float], float, float]:
@@ -316,11 +328,9 @@ def _check_waterfill_oracle(seed, golden):
     worst_budget = 0.0
     for row, total, oracle_powers in zip(gains, totals.tolist(), oracle):
         n = int(np.count_nonzero(row))  # every drawn gain is at least 0.05; the rest is padding
-        channels = ChannelGains(gains_eta_sq=row[:n], noise_floor_BN0=1.0)
-        alloc = waterfill(channels, total)
-        eff = allocation_efficiency(channels, alloc)
+        alloc = waterfill(row[:n], 1.0, total)
         oracle_eff = float(np.sum(np.log1p(row[:n] * oracle_powers[:n])) / math.log(2.0))
-        worst_gap = max(worst_gap, oracle_eff - eff)
+        worst_gap = max(worst_gap, oracle_eff - alloc.efficiency)
         worst_budget = max(
             worst_budget, abs(float(np.sum(alloc.powers_Pn)) - total) / total
         )
@@ -333,7 +343,8 @@ def _check_waterfill_oracle(seed, golden):
 
 
 def _check_hand_allocation(seed, golden):
-    alloc, eff = hand_allocation()
+    alloc = hand_allocation()
+    eff = alloc.efficiency
     powers_ok = np.allclose(alloc.powers_Pn, [5.5, 4.5, 0.0], atol=1.0e-9)
     frozen_ok, err = _golden(eff, golden, "hand_allocation_efficiency")
     return (

@@ -27,7 +27,7 @@ from apcap.spectrum import (
     TruncationWarning,
     assemble_spectrum,
 )
-from apcap.waterfill import ChannelGains, allocation_efficiency, waterfill
+from apcap.waterfill import waterfill
 from apcap.verification import STUDY_RANGE, STUDY_WAVELENGTH, area_for_m0, study_link
 
 # frozen from this implementation at M0 = 4, received SNR 10; the dense-grid
@@ -49,9 +49,10 @@ def full_walk_beta(area, link):
     """(lower, K) of a waterfill over the gains of the spectrum walked to the EPS cut."""
     spectrum = assemble_spectrum(geometry_of(area, link), keep_radial=False)
     assert spectrum.water_stop_nu_sq is None
-    gains = ChannelGains(effective_gains(link, spectrum), link.bandwidth_B * link.noise_psd_N0)
-    alloc = waterfill(gains, link.power_P)
-    return allocation_efficiency(gains, alloc), alloc.active_K
+    alloc = waterfill(
+        effective_gains(link, spectrum), link.bandwidth_B * link.noise_psd_N0, link.power_P
+    )
+    return alloc.efficiency, alloc.active_K
 
 
 def assert_same_spectrum(a, b):

@@ -401,6 +401,38 @@ class TestVerifyCommand:
         assert proc.returncode == 1 and proc.stdout == ""
         assert "unknown check names: no_such_check" in proc.stderr
 
+    @pytest.mark.parametrize("first", [(), ("--list",)])
+    def test_negative_seed_refused_before_any_check(self, first):
+        proc = run_cli(
+            "verify", *first, "--seed", "-1", "far_field_reduction_gap", "waterfill_vs_greedy_oracle"
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "apcap: error: --seed must be a nonnegative integer, got -1\n"
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (None, "No such file or directory"),
+            (b"{", "Expecting property name enclosed in double quotes"),
+            (b"\xff", "can't decode byte 0xff"),
+            (b"[1, 2]", "not a JSON object"),
+        ],
+    )
+    def test_unreadable_golden_refused(self, tmp_path, content, reason):
+        path = tmp_path / "golden.json"
+        if content is not None:
+            path.write_bytes(content)
+        proc = run_cli("verify", "--golden", str(path), "eps0_constant")
+        assert proc.returncode == 1 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"apcap: error: cannot read --golden {str(path)!r}: ")
+        assert reason in lines[0]
+
+    def test_golden_read_only_when_checks_run(self, tmp_path):
+        proc = run_cli("verify", "--list", "--golden", str(tmp_path / "absent.json"))
+        assert proc.returncode == 0 and len(proc.stdout.splitlines()) == 15
+
     def test_tampered_golden_fails(self, tmp_path):
         golden = json.loads(GOLDEN.read_text())
         golden["eps0"] += 1e-3
