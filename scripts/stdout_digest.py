@@ -64,8 +64,8 @@ EXTRA = (
     # a radial ceiling: a truncation override, so every disc walks to the EPS cut
     # where the default truncation may stop at the water level
     ("bounds", "--max-radial", "2"),
-    # a disc at c = 64 solved at a quadrature order of 16, below the ceil(c) + 7 its
-    # modes need, which warns; then the same order under area optimization, which
+    # a disc at c = 64 solved at a quadrature order of 16, below the
+    # ceil(c/2 + 4 c^(1/3)) = 48 its modes need, which warns; then the same order under area optimization, which
     # warns once, for the largest c it tries
     ("bounds", "--area", "3.2e6", "--power", "1e12", "--quadrature-order", "16"),
     ("bounds", "--power", "1e12", "--quadrature-order", "16"),
@@ -103,6 +103,14 @@ EXTRA = (
     # verify refusing a negative seed and an unreadable golden file with one error line
     ("verify", "--seed", "-1", "eps0_constant"),
     ("verify", "--golden", "no-such-dir/golden.json", "eps0_constant"),
+    # float range edges refused with one error line, each once a traceback: a range
+    # whose square overflows in the disc's area check, a disc whose (lambda d)^2
+    # underflows, a sweep over a link whose gamma*g underflows to 0, and a link
+    # whose lambda*d underflows in the far-field ratio
+    ("spectrum", "--range", "1e200", "--area", "1"),
+    ("spectrum", "--wavelength", "1e-200", "--range", "1", "--area", "1e-250"),
+    ("sweep", "--loss", "5e-324", "--area", "2e5"),
+    ("link", "--wavelength", "1e-200", "--range", "1e-200"),
 )
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

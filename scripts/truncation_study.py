@@ -1,27 +1,33 @@
-"""Convergence study behind spectrum.default_truncation.
+"""Convergence study behind spectrum.default_truncation, and the gate of its quadrature rule.
 
-For each c it solves the default eigenvalue-only spectrum (quadrature order
-Q = ceil(c) + 40), the same disc at the fixed orders Q = 16, 24 and 32, at
-quadrature margins 24 and 32 (Q = ceil(c) + margin) and at a reference order
-well above the default, then prints:
+For each c it solves the disc eigenvalue-only at the default quadrature
+order Q = ceil(c/2 + 4 c^(1/3)) + 12 (at least 16), at the fixed orders
+Q = 16, 24 and 32, at the earlier default ceil(c) + 40 and at the reference
+order Q_ref = min(512, ceil(c) + 120), which does not move with the
+default, then prints:
 
 - stop: the angular order where the walk stopped (the first order whose
   top mode is below EPS of the strongest), the table bound N_hi, and
   (stop - c) / c^(1/3), the scaled distance that N_hi must cover;
-- for each fixed order and each margin, the largest nu_sq difference from
-  the reference over the modes both solves keep, relative to the top mode,
-  and the relative difference of the captured mass;
+- for each order, the largest nu_sq difference from the reference over
+  the modes both solves keep, relative to the top mode, and the relative
+  difference of the captured mass;
 - kept: the number of modes the default keeps, and the largest Bessel
-  block it holds in MB.
+  block it holds in MB;
+- gate: ok when the default keeps as many modes as ceil(c) + 40 does and
+  its nu_sq difference is at most max(2 times that order's, 4e-15) and at
+  most 5e-14; where ceil(c) + 40 is itself the reference (c above 472 - 120),
+  only the 5e-14 bound applies. Any FAIL makes the script exit 1.
 
-The fixed orders lie below ceil(c) + 7 on purpose for c above 9; the
-TruncationWarning assemble_spectrum raises for them is silenced.
+The fixed orders lie below ceil(c/2 + 4 c^(1/3)) on purpose for larger c;
+the TruncationWarning assemble_spectrum raises for them is silenced.
 
-Usage: PYTHONPATH=src python3 scripts/truncation_study.py [--c 0.05 0.5 4 9 16 64 128 280]
+Usage: PYTHONPATH=src python3 scripts/truncation_study.py [--c 0.01 1 2.5 9 20 44 64 90 128 200 280 400 471.9]
 """
 
 import argparse
 import math
+import sys
 import time
 import warnings
 
@@ -33,9 +39,11 @@ from apcap.spectrum import DiscGeometry, TruncationWarning, assemble_spectrum, d
 
 WAVELENGTH = 0.1
 RANGE = 1.0e6
-REFERENCE_EXTRA = 80  # reference quadrature order = default order + this, capped at 512
+REFERENCE_EXTRA = 120  # reference quadrature order ceil(c) + this, capped at 512
+EARLIER_MARGIN = 40  # the earlier default quadrature order ceil(c) + this
 FIXED_ORDERS = (16, 24, 32)
-MARGINS = (24, 32)
+GATE_FLOOR, GATE_MAX = 4.0e-15, 5.0e-14
+DEFAULT_C = (0.01, 1.0, 2.5, 9.0, 20.0, 44.0, 64.0, 90.0, 128.0, 200.0, 280.0, 400.0, 471.9)
 
 
 def geometry_for_c(c):
@@ -77,38 +85,44 @@ def solve_recording_tables(geometry, quadrature_order=None):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--c", type=float, nargs="+", default=[0.05, 0.5, 4.0, 9.0, 16.0, 64.0, 128.0, 280.0]
-    )
+    parser.add_argument("--c", type=float, nargs="+", default=list(DEFAULT_C))
     args = parser.parse_args()
     warnings.filterwarnings("ignore", "quadrature order .* is below", TruncationWarning)
-    trials = [f"Q {q}" for q in FIXED_ORDERS] + [f"margin {margin}" for margin in MARGINS]
+    trials = [f"Q {q}" for q in FIXED_ORDERS] + [f"ceil(c)+{EARLIER_MARGIN}", "default"]
     print(f"{'c':>6} {'N_hi':>5} {'stop':>5} {'(stop-c)/c^1/3':>14} {'Q':>4} {'Q_ref':>5} "
-          + "".join(f" {name:>19}" for name in trials + ["default"])
-          + f" {'kept':>6} {'block MB':>8} {'s':>6}")
+          + "".join(f" {name:>19}" for name in trials)
+          + f" {'kept':>6} {'block MB':>8} {'s':>6} {'gate':>4}")
+    failed = False
     for c in args.c:
         t0 = time.perf_counter()
         geometry = geometry_for_c(c)
         bound_N, q = default_truncation(c)
-        q_ref = min(QUAD_MAX_ORDER, q + REFERENCE_EXTRA)
+        q_earlier = math.ceil(c) + EARLIER_MARGIN
+        q_ref = min(QUAD_MAX_ORDER, math.ceil(c) + REFERENCE_EXTRA)
         default, block_bytes = solve_recording_tables(geometry)
         reference = assemble_spectrum(geometry, quadrature_order=q_ref, keep_radial=False)
         stop = default.angular_orders_solved - 1
-        cells = []
-        for trial_q in FIXED_ORDERS + tuple(math.ceil(c) + margin for margin in MARGINS):
-            trial = assemble_spectrum(geometry, quadrature_order=trial_q, keep_radial=False)
-            cells.append("{:.1e} / {:.1e}".format(*compare(trial, reference)))
-        cells.append("{:.1e} / {:.1e}".format(*compare(default, reference)))
+        earlier = assemble_spectrum(geometry, quadrature_order=q_earlier, keep_radial=False)
+        cells = [
+            compare(assemble_spectrum(geometry, quadrature_order=fixed, keep_radial=False), reference)
+            for fixed in FIXED_ORDERS
+        ] + [compare(earlier, reference), compare(default, reference)]
+        earlier_worst, worst = cells[-2][0], cells[-1][0]
+        bound = GATE_MAX if q_earlier >= q_ref else min(GATE_MAX, max(2 * earlier_worst, GATE_FLOOR))
+        passed = default.nu_sq.size == earlier.nu_sq.size and worst <= bound
+        failed |= not passed
         print(
             f"{c:>6g} {bound_N:>5d} {stop:>5d} {(stop - c) / c ** (1.0 / 3.0):>14.2f} "
-            f"{q:>4d} {q_ref:>5d}" + "".join(f" {cell:>19}" for cell in cells)
+            f"{q:>4d} {q_ref:>5d}"
+            + "".join(" {:>19}".format("{:.1e} / {:.1e}".format(*cell)) for cell in cells)
             + f" {default.nu_sq.size:>6d} {block_bytes / 2**20:>8.1f} "
-            f"{time.perf_counter() - t0:>6.1f}",
+            f"{time.perf_counter() - t0:>6.1f} {'ok' if passed else 'FAIL':>4}",
             flush=True,
         )
     print(f"cells: max |nu_sq - reference| / top over shared modes / relative mass difference; "
           f"numpy {np.__version__}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

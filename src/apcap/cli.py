@@ -214,6 +214,11 @@ def run_link(args: argparse.Namespace) -> int:
 
 def run_sweep(args: argparse.Namespace) -> int:
     base = _link(args)
+    if not base.received_snr > 0.0:
+        raise ValidationError(
+            "received SNR gamma*g underflows to 0, so no transmit power rescales the link "
+            "to a sweep grid value"
+        )
     grid = _parse_grid(args.grid)
     lam_d = base.wavelength_lambda * base.range_d
     rows = []

@@ -52,7 +52,10 @@ class LinkBudget:
                 raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
         if self.loss_L > 1.0:
             raise ValidationError(f"loss_L must not exceed 1, got {self.loss_L!r}")
-        ratio = self.far_field_ratio
+        try:
+            ratio = self.far_field_ratio
+        except ZeroDivisionError:  # lambda*d underflowing to 0
+            ratio = math.inf
         if not ratio <= FAR_FIELD_RATIO_MAX:  # a NaN ratio (inf/inf) is refused too
             raise ValidationError(
                 f"far-field admissibility violated: sqrt(A_T*A_R)/(lambda*d) = {ratio:.6g} "

@@ -133,12 +133,18 @@ def bessel_j_table(
     arguments). After each such run every argument's iterates, its
     normalization sum and its rows written so far are scaled by 2^-e, e
     the exponent of max(|j_k|, |j_{k+1}|), which brings that maximum into
-    [1/2, 1). Scaling by a power of two is exact, and the normalization
-    divides the common factor out, so a result that is a normal double has
-    the same bits whichever steps the rescales fall on; only a subnormal
-    one, where a shift rounds, can differ. The tests keep a plain loop on
-    the same budget as the bit-for-bit reference, and one on another
-    schedule as the check of that independence.
+    [1/2, 1). Scaling by a power of two is exact unless its result is
+    subnormal, the steps and the normalization sum scale with the iterates,
+    and the normalization divides the common factor out. So a result has
+    the same bits whichever steps the rescales fall on, unless on one
+    schedule a shift left its row value subnormal. Right after a shift the
+    iterates are s J_k(x) with the larger at least 1/2, so s >= 1/2 since
+    |J_k| <= 1, and a row value s J_n(x) below DBL_MIN needs
+    |J_n(x)| < 2 DBL_MIN. Only results below 2 DBL_MIN can therefore
+    differ; the division by the normalization sum may lift one of them
+    above DBL_MIN, a normal double that still moves with the schedule. The
+    tests keep a plain loop on the same budget as the bit-for-bit
+    reference, and one on another schedule as the check of that bound.
     """
     if orders is None:
         orders = range(max_order + 1)

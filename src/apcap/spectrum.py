@@ -33,23 +33,20 @@ AREA_RATIO_MAX = 1.0e-4
 
 QUADRATURE_MIN = 16
 
-# An explicit quadrature order below ceil(c) + QUADRATURE_WARN_MARGIN draws a
-# TruncationWarning: the sum rule cannot see an undersized order, and
-# scripts/truncation_study.py finds Q = 16 converged only up to c = 9 and
-# Q = 24 at c = 16.
-QUADRATURE_WARN_MARGIN = 7
+# Nodes an eigenvalue-only default quadrature order keeps past
+# converged_quadrature(c); an explicit order below converged_quadrature(c)
+# draws a QuadratureWarning.
+QUADRATURE_MARGIN = 12
 
-# Default quadrature order ceil(c) + QUADRATURE_MARGIN; scripts/truncation_study.py
-# measures the margin against larger orders.
-QUADRATURE_MARGIN = 40
+# A solve that keeps radial samples takes max(RADIAL_QUADRATURE_FLOOR,
+# ceil(c) + RADIAL_QUADRATURE_MARGIN) nodes: the samples also feed the monotone
+# cubic interpolant arrays._radial_interpolator runs through the nodes, which
+# scripts/truncation_study.py does not measure.
+RADIAL_QUADRATURE_MARGIN = 40
+RADIAL_QUADRATURE_FLOOR = 64
 
-# Smallest default quadrature order of a solve that keeps radial samples. The
-# eigenvalues need no floor; the floor serves the monotone cubic interpolant
-# that arrays._radial_interpolator runs through the samples at the nodes.
-QUADRATURE_FLOOR = 64
-
-# The largest c whose default quadrature order fits in QUAD_MAX_ORDER.
-C_PARAM_MAX = float(QUAD_MAX_ORDER - QUADRATURE_MARGIN)
+# The largest c whose radial-sample quadrature order fits in QUAD_MAX_ORDER.
+C_PARAM_MAX = float(QUAD_MAX_ORDER - RADIAL_QUADRATURE_MARGIN)
 
 # Modes with nu_sq below EPS times the top one are dropped, and the angular
 # walk stops at the first order whose top mode is below it.
@@ -82,7 +79,7 @@ class TruncationWarning(UserWarning):
 
 
 class QuadratureWarning(TruncationWarning):
-    """An explicit quadrature order is below ceil(c) + QUADRATURE_WARN_MARGIN at this c."""
+    """An explicit quadrature order is below converged_quadrature(c) at this c."""
 
     def __init__(self, message: str, c: float):
         super().__init__(message)
@@ -112,7 +109,7 @@ class DiscGeometry:
                 raise ValidationError(f"{name} must be positive and finite, got {value!r}")
         if not (0.0 < self.loss_L <= 1.0):
             raise ValidationError(f"loss_L must lie in (0, 1], got {self.loss_L!r}")
-        max_area = AREA_RATIO_MAX * math.pi * self.range_d**2
+        max_area = AREA_RATIO_MAX * math.pi * (self.range_d * self.range_d)  # inf, not OverflowError
         if self.area_S > max_area:
             raise ValidationError(
                 f"disc area {self.area_S:.6g} exceeds {AREA_RATIO_MAX:g} * pi * d^2 "
@@ -174,7 +171,22 @@ class OperatorSpectrum:
         return float(np.add.accumulate(self.nu_sq)[-1])
 
 
-def default_truncation(c_param: float) -> tuple[int, int]:
+def converged_quadrature(c_param: float) -> int:
+    """ceil(c/2 + 4 c^(1/3)): the fewest Gauss-Legendre nodes that resolve the kernel.
+
+    On [0, 1] the kernel J_N(c r r') and its eigenfunctions each oscillate
+    at most c radians per unit radius, so the Nystrom integrand is
+    band-limited at 2c, and Gauss-Legendre resolves it with about c/2
+    nodes plus a transition layer of order c^(1/3) (Trefethen, SIAM Review
+    50, 2008), the layer N_hi also carries. At this order the modes are off
+    a much larger one by up to a few 1e-12 of the top mode at c = 16 and
+    128, and by about 5e-9 a few nodes below it; QUADRATURE_MARGIN more
+    nodes reach the larger order's accuracy (scripts/truncation_study.py).
+    """
+    return int(math.ceil(c_param / 2.0 + 4.0 * c_param ** (1.0 / 3.0)))
+
+
+def default_truncation(c_param: float, keep_radial: bool = False) -> tuple[int, int]:
     """(angular order bound N_hi, quadrature order Q) for a given c.
 
     N_hi is a limit, not the kept count: assemble_spectrum walks the
@@ -184,16 +196,20 @@ def default_truncation(c_param: float) -> tuple[int, int]:
     and the walk stops within about 6.5 c^(1/3) + 2 orders of c
     (scripts/truncation_study.py). N_hi = ceil(c + 8 c^(1/3)) + 8 bounds
     that with room to spare, or 2 ceil(c) + 10 where that is smaller (c
-    below about 20), and the Bessel table is built up to N_hi. Q is
-    ceil(c) + 40: the study finds that 24 or more nodes past c already
-    reproduce every kept mode of a much larger Q to a few 1e-14 of the top
-    one, and that 16 nodes suffice for c up to 9. This Q serves
-    eigenvalue-only solves; assemble_spectrum raises it to QUADRATURE_FLOOR
-    when it keeps radial samples.
+    below about 20), and the Bessel table is built up to N_hi.
+
+    An eigenvalue-only solve takes Q = converged_quadrature(c) +
+    QUADRATURE_MARGIN, at least QUADRATURE_MIN: the study finds it
+    reproduces every kept mode of a reference order ceil(c) + 120 (at most
+    QUAD_MAX_ORDER) as closely as ceil(c) + 40 nodes do, to a few 1e-14 of
+    the top one, for every c up to C_PARAM_MAX. With keep_radial, Q is
+    max(RADIAL_QUADRATURE_FLOOR, ceil(c) + RADIAL_QUADRATURE_MARGIN).
     """
     c_ceil = int(math.ceil(c_param))
     angular = min(2 * c_ceil + 10, int(math.ceil(c_param + 8.0 * c_param ** (1.0 / 3.0))) + 8)
-    return angular, c_ceil + QUADRATURE_MARGIN
+    if keep_radial:
+        return angular, max(RADIAL_QUADRATURE_FLOOR, c_ceil + RADIAL_QUADRATURE_MARGIN)
+    return angular, max(QUADRATURE_MIN, converged_quadrature(c_param) + QUADRATURE_MARGIN)
 
 
 def _order_solves(
@@ -295,12 +311,12 @@ def assemble_spectrum(
     the radial modes at or above that cut are kept. max_angular_N and
     max_radial_m are ceilings on the walk and on the radial index (None
     takes default_truncation's bound N_hi and Q - 1); quadrature_order is
-    used as given, and None takes default_truncation's Q, raised to
-    QUADRATURE_FLOOR when keep_radial. Reaching N_hi without the cut
+    used as given, and None takes default_truncation's Q, which is larger
+    when keep_radial. Reaching N_hi without the cut
     stopping the walk issues a TruncationWarning, and so does capturing
     less than 99.9% of the theoretical mass L |S|^2 / (lambda d)^2, and so
-    does a quadrature order below ceil(c) + QUADRATURE_WARN_MARGIN, which
-    the sum rule cannot see. A disc whose theoretical mass is below the
+    does a quadrature order below converged_quadrature(c), which the sum
+    rule cannot see. A disc whose theoretical mass is below the
     smallest normal double is refused: its modes underflow.
     The spectrum's truncation is what was kept: the largest |N| and m among
     its modes, and Q.
@@ -340,22 +356,28 @@ def assemble_spectrum(
             f"L |S|^2 / (lambda d)^2 = {total:.6g} is below the smallest normal double "
             f"{sys.float_info.min:.6g}, so its modes underflow"
         )
-    bound_N, default_q = default_truncation(c)
+    lam_d = geometry.wavelength_lambda * geometry.range_d
+    if not 0.0 < lam_d * lam_d < math.inf:
+        raise ValidationError(
+            f"lambda d = {lam_d:.6g} m^2: its square, which scales every mode by "
+            f"L / (lambda d)^2, is not a positive finite double"
+        )
+    bound_N, default_q = default_truncation(c, keep_radial)
     if quadrature_order is None:
-        quadrature_order = max(QUADRATURE_FLOOR, default_q) if keep_radial else default_q
+        quadrature_order = default_q
     if any(limit is not None and limit < 0 for limit in (max_angular_N, max_radial_m)):
         raise ValidationError("truncation orders must be nonnegative")
     if quadrature_order < QUADRATURE_MIN:
         raise ValidationError(
             f"quadrature order {quadrature_order} below minimum {QUADRATURE_MIN}"
         )
-    enough_q = math.ceil(c) + QUADRATURE_WARN_MARGIN
+    enough_q = converged_quadrature(c)
     if quadrature_order < enough_q:
         warnings.warn(
             QuadratureWarning(
-                f"quadrature order {quadrature_order} is below ceil(c) + "
-                f"{QUADRATURE_WARN_MARGIN} = {enough_q} at c = {c:.6g}; the modes are not "
-                f"converged, and the sum rule cannot show it",
+                f"quadrature order {quadrature_order} is below ceil(c/2 + 4 c^(1/3)) = "
+                f"{enough_q} at c = {c:.6g}; the modes are not converged, and the sum rule "
+                f"cannot show it",
                 c,
             ),
             stacklevel=2,

@@ -245,7 +245,7 @@ class TestBoundsReport:
 
     @pytest.mark.parametrize("power", [1.0e7, 1.0e8, 1.0e10])
     def test_floor_free_quadrature_keeps_the_bounds(self, power):
-        # the CLI's default link, solved at the default Q = ceil(c) + 40 and at
+        # the CLI's default link, solved at the default Q = ceil(c/2 + 4 c^(1/3)) + 12 and at
         # Q = 64 on every disc the optimizer evaluates
         link = LinkBudget(power, 1.0, 1.0, 0.1, 1.0e6, 1.0, 100.0, 100.0)
         floor = bounds_report(link, truncation=(None, None, 64))
@@ -367,6 +367,6 @@ class TestWaterStop:
 
     def test_undersized_quadrature_warns(self):
         link = LinkBudget(1.0e12, 1.0, 1.0, 0.1, 1.0e6, 1.0, 100.0, 100.0)
-        message = r"quadrature order 16 is below ceil\(c\) \+ 7 = 71 at c = 64"
+        message = r"quadrature order 16 is below ceil\(c/2 \+ 4 c\^\(1/3\)\) = 48 at c = 64"
         with pytest.warns(TruncationWarning, match=message):
             beta_at_area(3.2e6, link, (None, None, 16))

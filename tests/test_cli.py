@@ -220,12 +220,12 @@ class TestBoundsCommand:
         assert starved.stdout == silenced.stdout
 
     def test_undersized_quadrature_warns_once_for_the_largest_c(self):
-        # every disc the optimizer tries past c = 9 is undersized at Q = 16
+        # every disc the optimizer tries past c = 13 is undersized at Q = 16
         proc = run_cli("bounds", "--quadrature-order", "16", "--power", "1e12")
         assert proc.returncode == 0
         assert proc.stderr.splitlines() == [
-            "apcap: warning: quadrature order 16 is below ceil(c) + 7 = 97 at c = 89.8867; "
-            "the modes are not converged, and the sum rule cannot show it"
+            "apcap: warning: quadrature order 16 is below ceil(c/2 + 4 c^(1/3)) = 63 at "
+            "c = 89.8867; the modes are not converged, and the sum rule cannot show it"
         ]
 
     def test_warning_repeats_in_one_process(self, capsys):
@@ -273,6 +273,47 @@ def test_non_finite_received_snr_refused(args):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("apcap: error: received SNR gamma*g ")
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (
+            ("spectrum", "--range", "1e200", "--area", "1"),
+            "disc area 1 is too small: its spectral mass L |S|^2 / (lambda d)^2 = 0 ",
+        ),
+        (
+            ("spectrum", "--range", "1e200", "--area", "1e195"),
+            "lambda d = 1e+199 m^2: its square, which scales every mode by L / (lambda d)^2, "
+            "is not a positive finite double",
+        ),
+        (
+            ("spectrum", "--wavelength", "1e-200", "--range", "1", "--area", "1e-250"),
+            "lambda d = 1e-200 m^2: its square, which scales every mode by L / (lambda d)^2, "
+            "is not a positive finite double",
+        ),
+        (
+            ("sweep", "--loss", "5e-324", "--area", "2e5"),
+            "received SNR gamma*g underflows to 0, so no transmit power rescales the link "
+            "to a sweep grid value",
+        ),
+        (
+            ("link", "--wavelength", "1e-200", "--range", "1e-200"),
+            "far-field admissibility violated: sqrt(A_T*A_R)/(lambda*d) = inf exceeds 0.01",
+        ),
+    ],
+    ids=["d^2-overflows", "(lambda d)^2-overflows", "(lambda d)^2-underflows",
+         "gamma*g-underflows", "lambda*d-underflows"],
+)
+def test_float_range_edges_refused_in_one_line(args, error):
+    # once an OverflowError in the disc's area check, an OverflowError and a
+    # ZeroDivisionError forming L / (lambda d)^2, and ZeroDivisionErrors rescaling
+    # the sweep's power and forming the far-field ratio
+    proc = run_cli(*args)
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"apcap: error: {error}")
 
 
 class TestReceivedSnrRange:

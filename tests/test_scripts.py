@@ -35,13 +35,16 @@ def test_script_runs(script, args, header):
 
 
 def test_truncation_study_columns():
-    # the fixed small orders sit beside the margins, and the default Q has no floor
+    # the fixed small orders sit beside the earlier default ceil(c) + 40, the
+    # default Q is the floor of 16, and the reference ceil(c) + 120 does not move
+    # with the default
     header, row = run_script("truncation_study.py", "--c", "0.05")[:2]
     assert header.split()[6:] == [
-        "Q", "16", "Q", "24", "Q", "32", "margin", "24", "margin", "32", "default",
-        "kept", "block", "MB", "s",
+        "Q", "16", "Q", "24", "Q", "32", "ceil(c)+40", "default",
+        "kept", "block", "MB", "s", "gate",
     ]
-    assert row.split()[:6] == ["0.05", "11", "4", "10.72", "41", "121"]
+    assert row.split()[:6] == ["0.05", "11", "4", "10.72", "16", "121"]
+    assert row.split()[-1] == "ok"
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))

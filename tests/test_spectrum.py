@@ -15,11 +15,14 @@ from apcap.numerics import QUAD_MAX_ORDER, bessel_j_table, gauss_quadrature
 from apcap.spectrum import (
     C_PARAM_MAX,
     EPS,
-    QUADRATURE_FLOOR,
     QUADRATURE_MARGIN,
+    QUADRATURE_MIN,
+    RADIAL_QUADRATURE_FLOOR,
     DiscGeometry,
+    QuadratureWarning,
     TruncationWarning,
     assemble_spectrum,
+    converged_quadrature,
     default_truncation,
     effective_rank,
     spectrum_report,
@@ -152,9 +155,11 @@ class TestRadialEigensolve:
             assemble_spectrum(geometry_for_c(1.0), quadrature_order=8)
 
     def test_c_bounds(self):
-        # the default quadrature order of the largest c fits the quadrature limit
-        assert default_truncation(C_PARAM_MAX)[1] == QUAD_MAX_ORDER
-        assert default_truncation(C_PARAM_MAX + 1.0)[1] > QUAD_MAX_ORDER
+        # the radial-sample quadrature order of the largest c fits the quadrature
+        # limit; an eigenvalue-only solve there takes 280 nodes
+        assert default_truncation(C_PARAM_MAX, keep_radial=True)[1] == QUAD_MAX_ORDER
+        assert default_truncation(C_PARAM_MAX + 1.0, keep_radial=True)[1] > QUAD_MAX_ORDER
+        assert default_truncation(C_PARAM_MAX)[1] == 280
         # c = 2 |S| / (lambda d): 480 and 2000 at |S| = 2.4e7 and 1e8, lambda = 0.1, d = 1e6
         for area in (2.4e7, 1.0e8):
             with pytest.raises(ValidationError, match=r"c_param .* \(0, 472\]"):
@@ -298,28 +303,50 @@ class TestAssembleSpectrum:
         n1, q1 = default_truncation(1.0)
         n2, q2 = default_truncation(30.0)
         assert n2 > n1 and q2 > q1
-        # eigenvalue-only solves take Q = ceil(c) + 40, with no floor
-        assert (q1, q2, default_truncation(0.05)[1]) == (41, 70, 41)
+        # eigenvalue-only solves take Q = ceil(c/2 + 4 c^(1/3)) + 12, at least 16
+        assert (q1, q2, default_truncation(0.05)[1]) == (17, 40, QUADRATURE_MIN)
+        assert default_truncation(64.0)[1] == converged_quadrature(64.0) + QUADRATURE_MARGIN == 60
 
-    @pytest.mark.parametrize("c", [0.05, 1.0, 4.0, 9.0, 16.0])
+    @pytest.mark.parametrize("c", [0.05, 1.0, 4.0, 9.0, 16.0, 44.0, 64.0, 128.0])
     def test_default_quadrature_matches_large_quadrature(self, c):
-        # the floor-free default reproduces a Q = 160 solve on every shared mode
+        # the default reproduces a Q = ceil(c) + 120 solve on every mode, matched
+        # by (N, m) since near-tied rows may reorder; scripts/truncation_study.py
+        # reads at most 9.3e-15 of the top mode here, and the old default
+        # Q = ceil(c) + 40 itself 1.3e-14 at c = 44
         geo = geometry_for_c(c)
         default = assemble_spectrum(geo, keep_radial=False)
-        reference = assemble_spectrum(geo, quadrature_order=160, keep_radial=False)
-        assert default.truncation[2] == math.ceil(geo.c_param) + QUADRATURE_MARGIN
-        shared = min(default.nu_sq.size, reference.nu_sq.size)
-        assert modes_of(default)[:shared] == modes_of(reference)[:shared]
+        reference = assemble_spectrum(
+            geo, quadrature_order=math.ceil(geo.c_param) + 120, keep_radial=False
+        )
+        assert default.truncation[2] == max(
+            QUADRATURE_MIN, converged_quadrature(geo.c_param) + QUADRATURE_MARGIN
+        )
+        ours = dict(zip(modes_of(default), default.nu_sq.tolist()))
+        theirs = dict(zip(modes_of(reference), reference.nu_sq.tolist()))
+        assert ours.keys() == theirs.keys()
         top = float(reference.nu_sq[0])
-        assert np.max(np.abs(default.nu_sq[:shared] - reference.nu_sq[:shared])) <= 1e-14 * top
+        assert max(abs(ours[key] - theirs[key]) for key in ours) <= 2e-14 * top
+
+    @pytest.mark.parametrize("c, q, warns", [(16.0, 16, True), (16.0, 24, False),
+                                             (128.0, 80, True), (128.0, 88, False)])
+    def test_undersized_quadrature_warning_edge(self, c, q, warns):
+        # below ceil(c/2 + 4 c^(1/3)) = 19 and 85 the modes are off a Q = ceil(c) + 120
+        # solve by 4.7e-9 and 7.2e-9 of the top one; Q = 24 and 88 by 2.4e-15 and 2.3e-14
+        geo = geometry_for_c(c)
+        assert converged_quadrature(geo.c_param) == (19 if c == 16.0 else 85)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assemble_spectrum(geo, quadrature_order=q, keep_radial=False)
+        undersized = [w for w in caught if issubclass(w.category, QuadratureWarning)]
+        assert len(undersized) == warns
 
     def test_radial_samples_keep_quadrature_floor(self):
         # the array path interpolates through the nodes and keeps Q >= 64
         geo = geometry_for_c(4.0)
         with_samples = assemble_spectrum(geo)
-        assert with_samples.truncation[2] == QUADRATURE_FLOOR == 64
+        assert with_samples.truncation[2] == RADIAL_QUADRATURE_FLOOR == 64
         assert with_samples.radial_samples[0].shape[0] == 64
-        assert assemble_spectrum(geo, keep_radial=False).truncation[2] == 44
+        assert assemble_spectrum(geo, keep_radial=False).truncation[2] == 21
 
 
 class TestAdaptiveTruncation:
@@ -350,7 +377,7 @@ class TestAdaptiveTruncation:
         report = spectrum_report(free)["truncation"]
         assert report["max_angular_N"] == free.angular_N.max()
         assert report["max_radial_m"] == free.radial_m.max()
-        assert report["quadrature_order"] == 56  # ceil(16) + QUADRATURE_MARGIN
+        assert report["quadrature_order"] == 31  # ceil(16/2 + 4 16^(1/3)) + 12
         assert report["angular_orders_solved"] == report["max_angular_N"] + 2
         with pytest.warns(TruncationWarning, match="capture"):
             low = assemble_spectrum(geo, 3, 2, 48, keep_radial=False)
@@ -385,7 +412,7 @@ class TestAdaptiveTruncation:
 
     @pytest.mark.parametrize("keep_radial", [False, True])
     def test_each_block_released_before_the_next(self, monkeypatch, keep_radial):
-        q = 64 if keep_radial else 56
+        q = 64 if keep_radial else 31
         monkeypatch.setattr(spectrum_module, "BESSEL_BLOCK_BYTES", block_bytes(q, 2))
         tables = []
         original = spectrum_module.bessel_j_table
@@ -407,7 +434,7 @@ class TestAdaptiveTruncation:
     @pytest.mark.parametrize("keep_radial", [False, True])
     def test_fresh_walk_independent_of_block_size(self, monkeypatch, keep_radial):
         geo = geometry_for_c(16.0)
-        q = 64 if keep_radial else 56
+        q = 64 if keep_radial else 31
         spectrum_module._memo_entry.cache_clear()
         default = assemble_spectrum(geo, keep_radial=keep_radial)
         for orders in (1, 2):
@@ -428,7 +455,7 @@ class TestAdaptiveTruncation:
     def test_walk_reaching_bound_warns(self, monkeypatch):
         # a bound below the cut must not truncate silently
         geo = geometry_for_c(4.0)
-        monkeypatch.setattr(spectrum_module, "default_truncation", lambda c: (5, 64))
+        monkeypatch.setattr(spectrum_module, "default_truncation", lambda c, keep_radial: (5, 64))
         with pytest.warns(TruncationWarning, match="bound 5"):
             spectrum = assemble_spectrum(geo, keep_radial=False)
         assert spectrum.angular_orders_solved == 6
