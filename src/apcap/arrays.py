@@ -363,11 +363,17 @@ def achieved_efficiency(design: ArrayDesign) -> float:
     return float(np.sum(np.log1p(snr)) / math.log(2.0))
 
 
-# The json.dumps(indent=2) layout of one element, one [re, im] weight pair
-# and one mode index in the design record; %r writes the float repr json does.
-_ELEMENT = '    {\n      "x": %r,\n      "y": %r,\n      "area": %r\n    }'
-_PAIR = "      [\n        %r,\n        %r\n      ]"
+# The json.dumps(indent=2) layout of one element and one mode index in the
+# design record; %r writes the float repr json does. The area is the same for
+# every element, so it is filled in first, past the escaped x and y slots.
+_ELEMENT = '    {\n      "x": %%r,\n      "y": %%r,\n      "area": %r\n    }'
 _MODE = "    [\n      %d,\n      %d\n    ]"
+# one weight row: the text between and around its [re, im] pairs
+_ROW_OPEN = "    [\n      [\n        "
+_PAIR_MID = ",\n        "
+_PAIR_NEXT = "\n      ],\n      [\n        "
+_ROW_CLOSE = "\n      ]\n    ]"
+_SIGN_BIT = np.uint64(1 << 63)
 
 
 def _json_list(items: list[str]) -> list[str]:
@@ -377,15 +383,65 @@ def _json_list(items: list[str]) -> list[str]:
     return ["[\n", *pieces, "\n  ]"]
 
 
+def _float_reprs(values: np.ndarray) -> list[str]:
+    """repr of each value, each distinct bit pattern formatted once when most repeat a neighbour."""
+    bits = values.view(np.uint64)
+    if 2 * np.count_nonzero(bits[1:] == bits[:-1]) < bits.size:
+        return list(map(repr, values.tolist()))
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    return text[inverse].tolist()
+
+
+def _weight_rows(table: np.ndarray) -> list[str]:
+    """The text of each K x N weight row, as a list of N [re, im] pairs."""
+    k, n = table.shape
+    re, im = table.real, table.imag
+    re_bits, im_bits = re.view(np.uint64), im.view(np.uint64)
+    layout = [_ROW_OPEN] + [None, _PAIR_MID, None, _PAIR_NEXT] * n
+    layout[-1] = _ROW_CLOSE
+    rows = []
+    for i in range(k):
+        if (
+            i > 0
+            and np.array_equal(re_bits[i], re_bits[i - 1])
+            and np.array_equal(im_bits[i], im_bits[i - 1] ^ _SIGN_BIT)
+        ):
+            # the conjugate of the row above: repr(-x) is "-" + repr(x) for every finite x
+            im_text = [s[1:] if s[0] == "-" else "-" + s for s in im_text]
+        else:
+            text = _float_reprs(np.concatenate((re[i], im[i])))
+            re_text, im_text = text[:n], text[n:]
+        pieces = layout.copy()
+        pieces[1::4] = re_text
+        pieces[3::4] = im_text
+        rows.append("".join(pieces))
+    return rows
+
+
 def design_json(design: ArrayDesign) -> list[str]:
     """The design record as pieces that join to json.dumps(record, indent=2) + "\n".
 
     The record is {schema_version: 1, N, K, elements, weights, powers,
     elements_rx, weights_rx, modes}: transmit side first, the receive side
     under the _rx suffix. No piece is larger than one element or one weight
-    row, so the text is never held as one string. Each row goes through one
-    repeated %r template, not the pure-Python indenting encoder. The two
-    sides share the element positions; each is normalized under its own
+    row, so the text is never held as one string. Nothing goes through the
+    pure-Python indenting encoder, and each float's text is its repr, as
+    json writes it. A weight row formats only what its bits need:
+
+    - a row whose real part is bit-identical to the row above's, and whose
+      imaginary part is the row above's with every sign bit flipped, is
+      that row's conjugate, as the (-N, m) stream is the (N, m) one's. It
+      reuses the row above's strings, each imaginary one with its leading
+      "-" toggled, which is exact since repr(-x) is "-" + repr(x) for every
+      finite double, -0.0 and subnormals included;
+    - any other row most of whose values repeat their neighbour, as an
+      N = 0 stream's do (one value per ring, a zero imaginary part),
+      formats each distinct bit pattern once;
+    - every other row maps repr over its values once.
+
+    The reuse compares bits and assumes no mode structure. The two sides
+    share the element positions; each is normalized under its own
     sub-aperture measure, so the receive weights are the transmit weights
     times sqrt(A_T/A_R). When A_T/N = A_R/N, elements_rx reuses the
     transmit element strings, and when the two weight tables are
@@ -403,19 +459,15 @@ def design_json(design: ArrayDesign) -> list[str]:
         if not np.isfinite(table).all():
             raise ValidationError(f"array design field {name!r} holds a non-finite value")
     k, n = design.stream_weights_tx.shape
-    row = "    [\n" + ",\n".join([_PAIR] * n) + "\n    ]"
     xy = design.positions.tolist()
 
     def elements(area: float) -> list[str]:
-        return _json_list([_ELEMENT % (x, y, area) for x, y in xy])
-
-    def weight_rows(table: np.ndarray) -> list[str]:
-        pairs = np.stack((table.real, table.imag), axis=-1).reshape(k, 2 * n)
-        return [row % tuple(values.tolist()) for values in pairs]
+        element = _ELEMENT % area
+        return _json_list([element % (x, y) for x, y in xy])
 
     tx_area, rx_area = design.sub_areas
     elements_tx = elements(tx_area)
-    rows_tx = weight_rows(design.stream_weights_tx)
+    rows_tx = _weight_rows(design.stream_weights_tx)
     rx = design.stream_weights_rx
     # compare the bits: 0.0 == -0.0, but their reprs differ
     same_rows = np.array_equal(design.stream_weights_tx.view(np.int64), rx.view(np.int64))
@@ -427,7 +479,7 @@ def design_json(design: ArrayDesign) -> list[str]:
         ("weights", _json_list(rows_tx)),
         ("powers", _json_list(["    %r" % p for p in design.stream_powers.tolist()])),
         ("elements_rx", elements_tx if rx_area == tx_area else elements(rx_area)),
-        ("weights_rx", _json_list(rows_tx if same_rows else weight_rows(rx))),
+        ("weights_rx", _json_list(rows_tx if same_rows else _weight_rows(rx))),
         ("modes", _json_list([_MODE % mode for mode in design.mode_indices])),
     )
     pieces = ["{\n"]

@@ -31,12 +31,11 @@ import numpy as np
 
 from .arrays import achieved_efficiency, finite_array_gram, lemma1_check, synthesize_array
 from .bounds import EPS0, beta_at_area, default_area_grid, optimize_disc_area, upper_bound
+from .cli import DEFAULT_SEED
 from .link import LinkBudget, ValidationError, siso_efficiency
 from .numerics import solve_eps0
 from .spectrum import DiscGeometry, assemble_spectrum, effective_rank
 from .waterfill import PowerAllocation, waterfill
-
-DEFAULT_SEED = 20260822
 
 # common geometry for the study links: 10 cm wavelength at 1000 km range
 STUDY_WAVELENGTH = 0.1

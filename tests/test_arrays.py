@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
@@ -21,6 +21,7 @@ from apcap.arrays import (
 )
 from apcap.bounds import beta_at_area, upper_bound
 from apcap.link import LinkBudget, ValidationError, siso_efficiency
+from apcap.spectrum import DiscGeometry, assemble_spectrum
 from apcap.verification import area_for_m0
 
 STUDY_AREA = area_for_m0(4.0)
@@ -346,6 +347,68 @@ class TestDesignSerialization:
         for design in designs:
             expected = json.dumps(design_to_dict(design), indent=2) + "\n"
             assert "".join(design_json(design)) == expected
+
+    @settings(max_examples=40)
+    @given(
+        data=st.data(),
+        cells=st.integers(1, 512),
+        area=st.sampled_from((2.0e4, 5.0e4, 2.0e5)),
+        aperture_tx=st.sampled_from((10.0, 100.0, 400.0)),
+        aperture_rx=st.sampled_from((10.0, 100.0, 400.0)),
+        loss=st.sampled_from((1.0, 0.5, 0.1)),
+    )
+    def test_bytes_match_json_dumps_for_buildable_designs(
+        self, data, cells, area, aperture_tx, aperture_rx, loss
+    ):
+        link = dataclasses.replace(
+            WIDE_LINK, aperture_tx_AT=aperture_tx, aperture_rx_AR=aperture_rx, loss_L=loss
+        )
+        modes = assemble_spectrum(DiscGeometry(area, 0.1, 1.0e6, loss)).nu_sq.size
+        streams = data.draw(st.integers(1, min(cells, modes)), label="streams")
+        try:
+            design = synthesize_array(link, area, streams, cells)
+        except ValidationError:
+            reject()  # a design `array` refuses has no output to compare
+        # a bool, not the texts: pytest diffing two large texts at each shrink step takes minutes
+        matches = "".join(design_json(design)) == json.dumps(design_to_dict(design), indent=2) + "\n"
+        assert matches
+
+    @pytest.mark.parametrize("change", ["zero_sign", "ulp"])
+    def test_row_no_longer_conjugate_is_written_from_its_own_values(self, monkeypatch, change):
+        design = synthesize_array(WIDE_LINK, WIDE_AREA, 21, 1024)
+        row = design.mode_indices.index((-1, 0))
+        assert design.mode_indices[row - 1] == (1, 0)
+        # a zero imaginary part that keeps the two rows conjugate: -0.0 above, +0.0 below
+        table = design.stream_weights_tx.copy()
+        table.imag[row - 1, 5], table.imag[row, 5] = -0.0, 0.0
+        changed = table.copy()
+        if change == "zero_sign":
+            changed.imag[row, 5] = -0.0
+        else:
+            changed.real[row, 7] = np.nextafter(changed.real[row, 7], np.inf)
+        formatted = []
+        original = arrays_module._float_reprs
+
+        def recording(values):
+            formatted.append(values.copy())
+            return original(values)
+
+        monkeypatch.setattr(arrays_module, "_float_reprs", recording)
+        for weights, own in ((table, False), (changed, True)):
+            formatted.clear()
+            case = dataclasses.replace(design, stream_weights_tx=weights, stream_weights_rx=weights)
+            matches = "".join(design_json(case)) == json.dumps(design_to_dict(case), indent=2) + "\n"
+            assert matches
+            values = np.concatenate((weights[row].real, weights[row].imag))
+            assert any(same_bits(values, v) for v in formatted) == own
+
+    def test_repeating_row_formats_each_distinct_value_once(self):
+        design = synthesize_array(WIDE_LINK, WIDE_AREA, 21, 1024)
+        row = design.stream_weights_tx[design.mode_indices.index((0, 0))]
+        values = np.concatenate((row.real, row.imag))
+        text = arrays_module._float_reprs(values)
+        assert text == list(map(repr, values.tolist()))
+        assert len({id(s) for s in text}) == np.unique(values.view(np.int64)).size < 100
 
     def test_receive_rows_reused_only_when_bit_identical(self):
         # the weight rows and the elements: the receive text is the transmit text

@@ -1,6 +1,9 @@
 """End-to-end checks of the command-line interface via subprocesses."""
 
+import argparse
+import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -376,6 +379,29 @@ class TestArrayCommand:
         assert run_cli(*args, "--out", str(target)).returncode == 0
         assert target.read_text() == run_cli(*args).stdout
 
+    def test_stdout_written_in_blocks(self, monkeypatch):
+        from apcap.arrays import design_json, synthesize_array
+        from apcap.cli import _emit
+        from apcap.link import LinkBudget
+
+        class CountingStream(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        link = LinkBudget(1.0e9, 1.0, 1.0, 0.1, 1.0e6, 1.0, 100.0, 100.0)
+        pieces = design_json(synthesize_array(link, 4.0e5, 21, 4096))
+        stream = CountingStream()
+        monkeypatch.setattr(sys, "stdout", stream)
+        _emit(argparse.Namespace(out_path=None), *pieces)
+        text = "".join(pieces)
+        assert stream.getvalue() == text
+        # 64 KiB blocks, and a piece past that size on its own: one write per piece was 16580
+        large = sum(len(piece) > 64 * 1024 for piece in pieces)
+        assert stream.writes <= math.ceil(len(text) / (64 * 1024)) + large
+
     def test_csv_refused(self):
         proc = run_cli("array", "--area", "2e5", "--format", "csv")
         assert proc.returncode == 1
@@ -586,6 +612,19 @@ class TestColdStart:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+
+    def test_checks_imported_only_by_verify(self):
+        probe = "import apcap.cli, sys; print('apcap.verification' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 # refusals, the bounds path and its cached solves, an array's radial solve, and a
