@@ -424,10 +424,14 @@ def design_json(design: ArrayDesign) -> list[str]:
 
     The record is {schema_version: 1, N, K, elements, weights, powers,
     elements_rx, weights_rx, modes}: transmit side first, the receive side
-    under the _rx suffix. No piece is larger than one element or one weight
-    row, so the text is never held as one string. Nothing goes through the
-    pure-Python indenting encoder, and each float's text is its repr, as
-    json writes it. A weight row formats only what its bits need:
+    under the _rx suffix. The pieces follow the record: each weight row is
+    one piece, each other field's value is one piece, and each key and
+    separator is one more, so their count depends on K alone and the text
+    is never held as one string. A caller writes them as they are: a
+    weight row or an element list is the bulk of a large design, so the
+    writes stay few. Nothing goes through the pure-Python indenting
+    encoder, and each float's text is its repr, as json writes it. A
+    weight row formats only what its bits need:
 
     - a row whose real part is bit-identical to the row above's, and whose
       imaginary part is the row above's with every sign bit flipped, is
@@ -444,8 +448,8 @@ def design_json(design: ArrayDesign) -> list[str]:
     share the element positions; each is normalized under its own
     sub-aperture measure, so the receive weights are the transmit weights
     times sqrt(A_T/A_R). When A_T/N = A_R/N, elements_rx reuses the
-    transmit element strings, and when the two weight tables are
-    bit-identical, weights_rx the transmit row strings likewise. JSON has
+    elements piece, and when the two weight tables are bit-identical,
+    weights_rx reuses the transmit row pieces likewise. JSON has
     no non-finite numbers, so one raises ValidationError naming its field
     before any piece is formatted.
     """
@@ -461,9 +465,9 @@ def design_json(design: ArrayDesign) -> list[str]:
     k, n = design.stream_weights_tx.shape
     xy = design.positions.tolist()
 
-    def elements(area: float) -> list[str]:
+    def elements(area: float) -> str:
         element = _ELEMENT % area
-        return _json_list([element % (x, y) for x, y in xy])
+        return "".join(_json_list([element % (x, y) for x, y in xy]))
 
     tx_area, rx_area = design.sub_areas
     elements_tx = elements(tx_area)
@@ -475,12 +479,12 @@ def design_json(design: ArrayDesign) -> list[str]:
         ("schema_version", ["1"]),
         ("N", [repr(n)]),
         ("K", [repr(k)]),
-        ("elements", elements_tx),
+        ("elements", [elements_tx]),
         ("weights", _json_list(rows_tx)),
-        ("powers", _json_list(["    %r" % p for p in design.stream_powers.tolist()])),
-        ("elements_rx", elements_tx if rx_area == tx_area else elements(rx_area)),
+        ("powers", ["".join(_json_list(["    %r" % p for p in design.stream_powers.tolist()]))]),
+        ("elements_rx", [elements_tx if rx_area == tx_area else elements(rx_area)]),
         ("weights_rx", _json_list(rows_tx if same_rows else _weight_rows(rx))),
-        ("modes", _json_list([_MODE % mode for mode in design.mode_indices])),
+        ("modes", ["".join(_json_list([_MODE % mode for mode in design.mode_indices]))]),
     )
     pieces = ["{\n"]
     for key, items in fields:

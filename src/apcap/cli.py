@@ -7,7 +7,10 @@ synthesis), verify (the named verification checks).
 
 Exit codes: 0 success, 1 validation error (bad flags or physical
 parameters, an unwritable --out path), 2 verification failure. Output is
-deterministic: identical flags produce byte-identical output.
+deterministic: identical flags produce byte-identical output. It is
+written in the pieces its command builds, with no joining here: a report
+is one piece, and an array design one piece per weight row or record
+field, as arrays.design_json cuts it.
 """
 
 from __future__ import annotations
@@ -36,10 +39,6 @@ SCHEMA_VERSION = 1
 # drawn with it. It lives here, not in verification, so that only verify pays
 # for importing the checks
 DEFAULT_SEED = 20260822
-
-# _emit joins small pieces into blocks of this size: on an unbuffered stdout
-# (PYTHONUNBUFFERED=1) each write is a syscall
-_BLOCK_CHARS = 64 * 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -174,37 +173,14 @@ def _truncation(args: argparse.Namespace) -> Truncation:
     return (args.max_angular, args.max_radial, args.quadrature_order)
 
 
-def _blocks(pieces: tuple[str, ...]):
-    """The pieces in order, runs of small ones joined into blocks of at least _BLOCK_CHARS.
-
-    A piece that size or larger is a block on its own.
-    """
-    run: list[str] = []
-    size = 0
-    for piece in pieces:
-        if len(piece) >= _BLOCK_CHARS:
-            if run:
-                yield "".join(run)
-                run, size = [], 0
-            yield piece
-            continue
-        run.append(piece)
-        size += len(piece)
-        if size >= _BLOCK_CHARS:
-            yield "".join(run)
-            run, size = [], 0
-    if run:
-        yield "".join(run)
-
-
 def _emit(args: argparse.Namespace, *pieces: str) -> None:
-    """Write the pieces of a command's output, in order, to stdout or to --out, in blocks."""
+    """Write the pieces of a command's output, in order and as they are, to stdout or to --out."""
     if args.out_path is None:
-        sys.stdout.writelines(_blocks(pieces))
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(args.out_path, "w", newline="") as fh:
-            fh.writelines(_blocks(pieces))
+            fh.writelines(pieces)
     except OSError as exc:
         raise ValidationError(f"cannot write --out {args.out_path!r}: {exc.strerror}") from None
 

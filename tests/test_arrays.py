@@ -71,11 +71,37 @@ def design_to_dict(design):
     }
 
 
-def field_items(pieces, field, count):
-    """The transmit and receive item pieces (weight rows or elements) of design_json's output."""
-    tx = pieces.index(f'  "{field}": ') + 2  # past the opening "[\n"
-    rx = pieces.index(f'  "{field}_rx": ') + 2
-    return pieces[tx : tx + 2 * count : 2], pieces[rx : rx + 2 * count : 2]
+def field_items(pieces, field):
+    """The transmit and receive pieces of a design_json field: its weight rows, or its one piece."""
+
+    def items(key):
+        start = pieces.index(f'  "{key}": ') + 1
+        if pieces[start] != "[\n":
+            return pieces[start : start + 1]
+        return pieces[start + 1 : pieces.index("\n  ]", start) : 2]
+
+    return items(field), items(f"{field}_rx")
+
+
+def assert_json_dumps_text(pieces, design):
+    """The pieces join to json.dumps's text of the design, byte for byte.
+
+    A mismatch is reported by its first differing offset, not by pytest's
+    diff of the two texts, which takes minutes on a design of a few MB.
+    """
+    text = "".join(pieces)
+    expected = json.dumps(design_to_dict(design), indent=2) + "\n"
+    if text != expected:
+        at = next(
+            (i for i, (a, b) in enumerate(zip(text, expected)) if a != b),
+            min(len(text), len(expected)),
+        )
+        near = slice(max(at - 40, 0), at + 40)
+        pytest.fail(
+            f"design text ({len(text)} chars) differs from json.dumps ({len(expected)} chars) "
+            f"first at offset {at}: {text[near]!r} != {expected[near]!r}",
+            pytrace=False,
+        )
 
 
 def same_bits(a, b):
@@ -345,8 +371,7 @@ class TestDesignSerialization:
             synthesize_array(asymmetric, WIDE_AREA, 21, 1024),
         )
         for design in designs:
-            expected = json.dumps(design_to_dict(design), indent=2) + "\n"
-            assert "".join(design_json(design)) == expected
+            assert_json_dumps_text(design_json(design), design)
 
     @settings(max_examples=40)
     @given(
@@ -369,9 +394,7 @@ class TestDesignSerialization:
             design = synthesize_array(link, area, streams, cells)
         except ValidationError:
             reject()  # a design `array` refuses has no output to compare
-        # a bool, not the texts: pytest diffing two large texts at each shrink step takes minutes
-        matches = "".join(design_json(design)) == json.dumps(design_to_dict(design), indent=2) + "\n"
-        assert matches
+        assert_json_dumps_text(design_json(design), design)
 
     @pytest.mark.parametrize("change", ["zero_sign", "ulp"])
     def test_row_no_longer_conjugate_is_written_from_its_own_values(self, monkeypatch, change):
@@ -397,8 +420,7 @@ class TestDesignSerialization:
         for weights, own in ((table, False), (changed, True)):
             formatted.clear()
             case = dataclasses.replace(design, stream_weights_tx=weights, stream_weights_rx=weights)
-            matches = "".join(design_json(case)) == json.dumps(design_to_dict(case), indent=2) + "\n"
-            assert matches
+            assert_json_dumps_text(design_json(case), case)
             values = np.concatenate((weights[row].real, weights[row].imag))
             assert any(same_bits(values, v) for v in formatted) == own
 
@@ -411,16 +433,18 @@ class TestDesignSerialization:
         assert len({id(s) for s in text}) == np.unique(values.view(np.int64)).size < 100
 
     def test_receive_rows_reused_only_when_bit_identical(self):
-        # the weight rows and the elements: the receive text is the transmit text
-        # under A_T = A_R, and formatted on its own when the areas differ
+        # each weight row and the one elements piece: the receive piece is the
+        # transmit piece under A_T = A_R, and formatted on its own when the areas differ
         design = synthesize_array(WIDE_LINK, WIDE_AREA, 21, 1024)
         symmetric = design_json(design)
         asymmetric = dataclasses.replace(WIDE_LINK, aperture_rx_AR=4.0 * WIDE_LINK.aperture_tx_AT)
         pieces = design_json(synthesize_array(asymmetric, WIDE_AREA, 21, 1024))
-        for field, count in (("weights", 21), ("elements", 1024)):
-            items_tx, items_rx = field_items(symmetric, field, count)
+        for field, count in (("weights", 21), ("elements", 1)):
+            items_tx, items_rx = field_items(symmetric, field)
+            assert len(items_tx) == len(items_rx) == count
             assert all(tx is rx for tx, rx in zip(items_tx, items_rx))
-            items_tx, items_rx = field_items(pieces, field, count)
+            items_tx, items_rx = field_items(pieces, field)
+            assert len(items_tx) == len(items_rx) == count
             assert not any(tx is rx for tx, rx in zip(items_tx, items_rx))
 
         # 0.0 == -0.0, so only a comparison of the bits tells the two tables apart
@@ -430,15 +454,22 @@ class TestDesignSerialization:
         flipped = dataclasses.replace(design, stream_weights_rx=table)
         assert np.array_equal(flipped.stream_weights_rx, flipped.stream_weights_tx)
         pieces = design_json(flipped)
-        assert "".join(pieces) == json.dumps(design_to_dict(flipped), indent=2) + "\n"
-        rows_tx, rows_rx = field_items(pieces, "weights", 21)
+        assert_json_dumps_text(pieces, flipped)
+        rows_tx, rows_rx = field_items(pieces, "weights")
         assert not any(tx is rx for tx, rx in zip(rows_tx, rows_rx))
         assert "".join(rows_rx).count("-0.0\n") == "".join(rows_tx).count("-0.0\n") + 1
 
-    def test_no_piece_exceeds_one_weight_row(self):
-        pieces = design_json(synthesize_array(WIDE_LINK, WIDE_AREA, 21, 1024))
-        rows_tx, _ = field_items(pieces, "weights", 21)
-        assert max(map(len, pieces)) == max(map(len, rows_tx))
+    def test_pieces_are_rows_or_fields(self):
+        # the largest piece is one weight row or one element list, never the record,
+        # and the piece count follows K alone: a larger N makes larger pieces, not more
+        counts = set()
+        for cells in (64, 1024):
+            pieces = design_json(synthesize_array(WIDE_LINK, WIDE_AREA, 21, cells))
+            rows_tx, _ = field_items(pieces, "weights")
+            (elements_tx,), _ = field_items(pieces, "elements")
+            assert max(map(len, pieces)) == max(len(elements_tx), *map(len, rows_tx))
+            counts.add(len(pieces))
+        assert len(counts) == 1
 
     @pytest.mark.parametrize(
         "field, attribute, value",

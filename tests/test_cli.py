@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface via subprocesses."""
 
 import argparse
+import contextlib
 import io
 import json
 import math
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apcap.verification import GOLDEN_TOLERANCES, run_checks
 
@@ -374,10 +377,14 @@ class TestArrayCommand:
         assert not target.exists()
 
     def test_out_file_matches_stdout(self, tmp_path):
-        args = ("array", "--area", "2e5", "--streams", "3", "--cells", "64")
         target = tmp_path / "d.json"
-        assert run_cli(*args, "--out", str(target)).returncode == 0
-        assert target.read_text() == run_cli(*args).stdout
+        for args in (
+            ("array", "--area", "2e5", "--streams", "3", "--cells", "64"),
+            # A_T != A_R: the receive elements and weight rows are formatted on their own
+            ("array", "--area", "2e5", "--streams", "3", "--cells", "64", "--aperture-rx", "400"),
+        ):
+            assert run_cli(*args, "--out", str(target)).returncode == 0
+            assert target.read_text() == run_cli(*args).stdout
 
     def test_stdout_written_in_blocks(self, monkeypatch):
         from apcap.arrays import design_json, synthesize_array
@@ -398,7 +405,8 @@ class TestArrayCommand:
         _emit(argparse.Namespace(out_path=None), *pieces)
         text = "".join(pieces)
         assert stream.getvalue() == text
-        # 64 KiB blocks, and a piece past that size on its own: one write per piece was 16580
+        # one write per piece, and design_json's pieces are its weight rows and fields, so
+        # the writes are no more than 64 KiB blocks and the pieces past that size would make
         large = sum(len(piece) > 64 * 1024 for piece in pieces)
         assert stream.writes <= math.ceil(len(text) / (64 * 1024)) + large
 
@@ -654,3 +662,56 @@ class TestEarlierCalls:
             out, err = capsys.readouterr()
             proc = fresh[args]
             assert (out, err, code) == (proc.stdout, proc.stderr, proc.returncode), args
+
+
+def main_output(*args):
+    """stdout, stderr and exit code of one in-process apcap.cli.main call."""
+    from apcap.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(args))
+    return out.getvalue(), err.getvalue(), code
+
+
+class TestWavelengthRangeProduct:
+    """Metamorphic: lambda and d enter the physics only as lambda*d.
+
+    Scaling lambda by 2^k and d by 2^-k is exact in floating point, and so is
+    each product and quotient built from them, so every output that does not
+    echo lambda or d is bit-identical. The one gate on d alone, the small-disc
+    area gate |S| <= 1e-4 pi d^2, is not invariant; every drawn disc lies far
+    inside it on both sides.
+    """
+
+    @settings(max_examples=25)
+    @given(
+        wavelength=st.sampled_from((0.05, 0.1, 0.3)),
+        range_d=st.sampled_from((2.5e5, 1.0e6, 3.0e6)),
+        k=st.sampled_from((-2, -1, 1, 2)),
+        # |S| / (lambda d): c = 2 |S| / (lambda d) stays at most 16, so no draw starts a large-c walk
+        area_ratio=st.floats(0.25, 8.0),
+    )
+    def test_outputs_depend_on_lambda_d_only(self, wavelength, range_d, k, area_ratio):
+        area = repr(area_ratio * wavelength * range_d)
+        paths = [
+            ("--wavelength", repr(wavelength), "--range", repr(range_d)),
+            ("--wavelength", repr(wavelength * 2.0**k), "--range", repr(range_d / 2.0**k)),
+        ]
+        commands = (
+            ("link", "--area", area),
+            ("bounds", "--area", area),
+            ("array", "--area", area, "--streams", "1", "--cells", "16"),
+            ("spectrum", "--area", area),
+        )
+        for command in commands:
+            results = [main_output(*command, *path) for path in paths]
+            if command[0] != "spectrum":
+                assert results[0] == results[1], command
+                continue
+            # the spectrum's geometry header echoes lambda and d; nothing else may move
+            reports = [json.loads(out) for out, _, _ in results]
+            for report in reports:
+                del report["geometry"]["wavelength_lambda"], report["geometry"]["range_d"]
+            assert reports[0] == reports[1]
+            assert results[0][1:] == results[1][1:]
