@@ -77,7 +77,7 @@ def check_area_floor(area_S: float, link: LinkBudget) -> None:
     min_area = max(link.aperture_tx_AT, link.aperture_rx_AR)
     if area_S < min_area * (1.0 - 1.0e-12):
         raise ValidationError(
-            f"synthesis area {area_S:.6g} is below max(A_T, A_R) = {min_area:.6g}"
+            f"synthesis area {area_S:.15g} is below max(A_T, A_R) = {min_area:.15g}"
         )
 
 

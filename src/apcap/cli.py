@@ -16,16 +16,14 @@ field, as arrays.design_json cuts it.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import math
 import sys
 import warnings
 
+from . import DEFAULT_SEED
 from .bounds import EPS0, bounds_report, corollary_approx
-from .arrays import design_json, synthesize_array
 from .link import LinkBudget, ValidationError, siso_efficiency
 from .spectrum import DiscGeometry, QuadratureWarning, Truncation, assemble_spectrum, spectrum_report
 
@@ -34,11 +32,6 @@ EXIT_VALIDATION = 1
 EXIT_VERIFY = 2
 
 SCHEMA_VERSION = 1
-
-# the seed of verify's randomized checks; golden.json's lemma1_gap_sequence was
-# drawn with it. It lives here, not in verification, so that only verify pays
-# for importing the checks
-DEFAULT_SEED = 20260822
 
 
 class _Parser(argparse.ArgumentParser):
@@ -187,6 +180,9 @@ def _emit(args: argparse.Namespace, *pieces: str) -> None:
 
 def _csv_text(rows: list[dict]) -> str:
     """Header from the first record's keys, then one line per record."""
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(rows[0])
@@ -272,6 +268,8 @@ def run_bounds(args: argparse.Namespace) -> int:
 
 
 def run_array(args: argparse.Namespace) -> int:
+    from .arrays import design_json, synthesize_array
+
     link = _link(args)
     if args.out_format != "json":
         raise ValidationError("array designs export as JSON only")

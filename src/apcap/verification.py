@@ -29,9 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import DEFAULT_SEED
 from .arrays import achieved_efficiency, finite_array_gram, lemma1_check, synthesize_array
 from .bounds import EPS0, beta_at_area, default_area_grid, optimize_disc_area, upper_bound
-from .cli import DEFAULT_SEED
 from .link import LinkBudget, ValidationError, siso_efficiency
 from .numerics import solve_eps0
 from .spectrum import DiscGeometry, assemble_spectrum, effective_rank

@@ -14,6 +14,7 @@ from apcap.bounds import (
     EPS0,
     beta_at_area,
     bounds_report,
+    check_area_floor,
     corollary_approx,
     default_area_grid,
     effective_gains,
@@ -156,6 +157,16 @@ class TestLowerBound:
             beta_at_area(50.0, snr10_link)
         # refused before the solve
         assert solved_orders == [] and not spectrum_module._memo_entry.cache_info().currsize
+
+    def test_area_floor_edge(self, snr10_link):
+        # max(A_T, A_R) = 100 with a relative slack of 1e-12: the largest refused area
+        # reads apart from the floor, and an area inside the slack is accepted
+        assert max(snr10_link.aperture_tx_AT, snr10_link.aperture_rx_AR) == 100.0
+        refused = math.nextafter(100.0 * (1.0 - 1.0e-12), 0.0)
+        with pytest.raises(ValidationError) as exc:
+            check_area_floor(refused, snr10_link)
+        assert str(exc.value) == "synthesis area 99.9999999999 is below max(A_T, A_R) = 100"
+        check_area_floor(99.99999999995, snr10_link)
 
     def test_far_field_gate(self, snr10_link, solved_orders):
         # a disc DiscGeometry accepts, on a link the far-field gate refuses

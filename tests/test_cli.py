@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -207,10 +208,21 @@ class TestBoundsCommand:
         assert payload["lower"] == pytest.approx(2.317, abs=2e-3)
 
     def test_truncation_override_applies_when_optimizing(self):
-        default = run_cli("bounds")
-        starved = run_cli(*STARVED)
+        # at gamma*g = 1e3 the best disc carries 17 streams; the starved truncation
+        # keeps one mode per disc, so the optimizer settles on the smallest grid area
+        default = run_cli("bounds", "--power", "1e9")
+        starved = run_cli(*STARVED, "--power", "1e9")
         assert default.returncode == 0 and starved.returncode == 0
-        assert starved.stdout != default.stdout
+        default, starved = json.loads(default.stdout), json.loads(starved.stdout)
+        assert (default["K"], starved["K"]) == (17, 1)
+        assert default["best_area"] == pytest.approx(358707.6307253363, rel=1e-9)
+        assert starved["best_area"] == 100.0
+
+    def test_area_floor_refusal_names_both_sides(self):
+        # 1e-7 below max(A_T, A_R) = 100, past the 1e-12 slack: the two numbers must differ
+        out, err, code = main_output("bounds", "--area", "99.9999999")
+        assert (out, code) == ("", 1)
+        assert err == "apcap: error: synthesis area 99.9999999 is below max(A_T, A_R) = 100\n"
 
     def test_truncation_warning_is_one_line_per_message(self):
         # every disc the optimizer tries loses mass to the starved truncation
@@ -611,28 +623,36 @@ class TestParserBehavior:
 class TestColdStart:
     def test_import_needs_no_scipy(self):
         probe = "import apcap.cli, sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-        proc = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env=dict(os.environ, PYTHONPATH=str(SRC)),
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
-
+        assert probe_python(probe) == "[]"
 
     def test_checks_imported_only_by_verify(self):
-        probe = "import apcap.cli, sys; print('apcap.verification' in sys.modules)"
-        proc = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env=dict(os.environ, PYTHONPATH=str(SRC)),
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        # and the array synthesis only by array, the CSV writer only by --format csv
+        modules = ("apcap.verification", "apcap.arrays", "csv")
+        probe = f"import apcap.cli, sys; print([m for m in {modules} if m in sys.modules])"
+        assert probe_python(probe) == "[]"
+
+    def test_checks_leave_the_cli_out(self):
+        # the checks read DEFAULT_SEED from the package root, not from the CLI
+        assert probe_python("import apcap.verification, sys; print('apcap.cli' in sys.modules)") == "False"
+
+    def test_submodule_is_not_shadowed(self):
+        # the package root re-exports no function under its module's name
+        import apcap.waterfill as m
+
+        assert isinstance(m, types.ModuleType)
+
+
+def probe_python(probe):
+    """stdout, stripped, of a fresh interpreter running probe with the package on its path."""
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 # refusals, the bounds path and its cached solves, an array's radial solve, and a
