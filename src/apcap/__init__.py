@@ -10,6 +10,6 @@ Each name is imported from its own module (apcap.bounds, apcap.arrays,
 
 __version__ = "0.1.0"
 
-# the seed of verify's randomized checks; golden.json's lemma1_gap_sequence was
+# the seed of verify's randomized checks; golden.json's lemma 1 gaps were
 # drawn with it. The CLI and the checks both read it here, so neither imports the other
 DEFAULT_SEED = 20260822

@@ -296,8 +296,7 @@ def run_verify(args: argparse.Namespace) -> int:
         status = "PASS" if result.passed else "FAIL"
         print(f"[{i:2d}/{len(results)}] {status}  {result.name:<{width}}  ({result.seconds:.2f} s)")
         print(f"         measured: {result.measured}")
-        if result.limit:
-            print(f"         limit:    {result.limit}")
+        print(f"         limit:    {result.limit}")
     failed = [r.name for r in results if not r.passed]
     print(f"{len(results) - len(failed)} passed, {len(failed)} failed out of {len(results)} checks")
     if failed:

@@ -17,25 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apcap.verification import GOLDEN_TOLERANCES, run_checks
+from apcap import DEFAULT_SEED
+from apcap.verification import GOLDEN_KEYS, run_checks
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN = SRC / "apcap" / "golden.json"
 STARVED = ("bounds", "--max-angular", "0", "--max-radial", "0", "--quadrature-order", "16")
-# the verify check that reads each golden key
-GOLDEN_CHECKS = {
-    "eps0": "eps0_constant",
-    "corollary_coefficient": "corollary_coefficient",
-    "hand_allocation_efficiency": "waterfill_hand_check",
-    "dense_oracle_gain_fractions_c1": "spectrum_vs_dense_oracle",
-    "dense_oracle_gain_fractions_c2": "spectrum_vs_dense_oracle",
-    "dense_oracle_gain_fractions_c4": "spectrum_vs_dense_oracle",
-    "maximizer_area_ratio_snr100": "optimal_area_location",
-    "asymptotic_ratio_sequence": "asymptotic_ratio_trend",
-    "lemma1_gap_sequence": "far_field_reduction_gap",
-    "gram_offdiag_frobenius": "array_gram_convergence",
-}
-
 
 def run_cli(*args, timeout=180, python_flags=()):
     return subprocess.run(
@@ -540,28 +527,37 @@ class TestVerifyCommand:
         assert proc.returncode == 2
         assert "FAIL  spectrum_vs_dense_oracle" in proc.stdout
 
-    @pytest.mark.parametrize(
-        "key, check",
-        [
-            ("eps0", "eps0_constant"),
-            ("gram_offdiag_frobenius", "array_gram_convergence"),
-            ("dense_oracle_gain_fractions_c2", "spectrum_vs_dense_oracle"),
-        ],
-    )
+    @pytest.mark.parametrize("key, check", [(key, row[0]) for key, row in GOLDEN_KEYS.items()])
     def test_missing_golden_key_fails(self, tmp_path, key, check):
         golden = json.loads(GOLDEN.read_text())
         del golden[key]
         bad = tmp_path / "golden.json"
         bad.write_text(json.dumps(golden))
-        proc = run_cli("verify", check, "--golden", str(bad))
-        assert proc.returncode == 2
-        assert f"golden file missing key {key!r}" in proc.stdout
+        (result,) = run_checks([check], golden_path=str(bad))
+        assert not result.passed
+        assert result.measured == f"raised LookupError: golden file missing key {key!r}"
+        assert result.limit  # a crashed check still states its window
 
     def test_golden_keys(self):
         # every key a check reads is shipped; the rest are refresh-only records
         keys = set(json.loads(GOLDEN.read_text()))
-        assert set(GOLDEN_TOLERANCES) <= keys
-        assert keys - set(GOLDEN_TOLERANCES) == {"array_study_lower_bound", "maximizer_beta_snr100"}
+        assert set(GOLDEN_KEYS) <= keys
+        assert keys - set(GOLDEN_KEYS) == {"array_study_lower_bound", "maximizer_beta_snr100"}
+
+    def test_non_default_seed_skips_the_lemma1_golden(self, tmp_path):
+        # the frozen gaps are those of DEFAULT_SEED's layout; another seed draws another
+        golden = json.loads(GOLDEN.read_text())
+        golden["lemma1_gap_sequence"][0] *= 2.0
+        bad = tmp_path / "golden.json"
+        bad.write_text(json.dumps(golden))
+        (seeded,) = run_checks(["far_field_reduction_gap"], seed=7, golden_path=str(bad))
+        assert seeded.passed
+        assert seeded.measured.endswith("]; golden skipped (non-default seed)")
+        (default,) = run_checks(
+            ["far_field_reduction_gap"], seed=DEFAULT_SEED, golden_path=str(bad)
+        )
+        assert not default.passed
+        assert default.measured.endswith("; golden rel err 5.00e-01")
 
     def test_small_golden_drift_fails(self, tmp_path):
         # the smallest off-diagonal mass is below 1e-9, so only a purely
@@ -574,22 +570,19 @@ class TestVerifyCommand:
         assert proc.returncode == 2
         assert "FAIL" in proc.stdout
 
-    @pytest.mark.parametrize("key", list(GOLDEN_TOLERANCES))
+    @pytest.mark.parametrize("key", list(GOLDEN_KEYS))
     def test_drift_of_ten_tolerances_is_caught(self, tmp_path, key):
         golden = json.loads(GOLDEN.read_text())
-        rtol, atol = GOLDEN_TOLERANCES[key]
+        check, rtol, atol = GOLDEN_KEYS[key]
         values = np.atleast_1d(golden[key])
         moved = [value * (1.0 + 10.0 * rtol) + 10.0 * atol for value in values]
         golden[key] = moved if isinstance(golden[key], list) else moved[0]
         bad = tmp_path / "golden.json"
         bad.write_text(json.dumps(golden))
-        (result,) = run_checks([GOLDEN_CHECKS[key]], golden_path=str(bad))
+        (result,) = run_checks([check], golden_path=str(bad))
         assert not result.passed
-        # the two checks that fail by design show the drift in what they measured
-        if result.name == "optimal_area_location":
-            assert float(result.measured.rsplit("golden rel err ", 1)[1]) > rtol
-        elif result.name == "asymptotic_ratio_trend":
-            assert result.measured.endswith("golden match False")
+        # the drift shows in what the check measured, also behind a window that fails by design
+        assert float(result.measured.rsplit("; golden rel err ", 1)[1]) > rtol
 
 
 class TestParserBehavior:

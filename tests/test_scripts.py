@@ -2,17 +2,22 @@
 
 refresh_golden.py runs with --help only, since its dense 2-D oracle takes
 minutes; argparse exits after the script's imports, so a renamed or
-deleted name it imports still fails here. Every script's Usage: line must
-also run as written, from the root of the checkout: its --help runs with
-the line's own environment assignments and no other PYTHONPATH.
+deleted name it imports still fails here. Its --check verdict, check(), is
+tested in process on edited copies of the packaged golden values. Every
+script's Usage: line must also run as written, from the root of the
+checkout: its --help runs with the line's own environment assignments and
+no other PYTHONPATH.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from apcap.verification import GOLDEN_KEYS, load_golden
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -45,6 +50,51 @@ def test_truncation_study_columns():
     ]
     assert row.split()[:6] == ["0.05", "11", "4", "10.72", "16", "121"]
     assert row.split()[-1] == "ok"
+
+
+@pytest.fixture(scope="module")
+def refresh_golden():
+    """scripts/refresh_golden.py as a module; importing it computes nothing."""
+    path = ROOT / "scripts" / "refresh_golden.py"
+    spec = importlib.util.spec_from_file_location("refresh_golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def golden_check(refresh_golden, capsys, fresh, committed):
+    """check()'s verdict, and its printed line for each key."""
+    ok = refresh_golden.check(fresh, committed)
+    lines = capsys.readouterr().out.splitlines()[1:]
+    return ok, {line.split()[0]: line for line in lines}
+
+
+def test_golden_check_flags_a_key_moved_past_its_tolerance(refresh_golden, capsys):
+    committed = load_golden()
+    fresh = dict(committed, eps0=committed["eps0"] * (1.0 + 1.0e-9))
+    ok, lines = golden_check(refresh_golden, capsys, fresh, committed)
+    assert not ok
+    assert lines.keys() == GOLDEN_KEYS.keys()
+    assert lines.pop("eps0").endswith("1.000e-09  (1e-12, 0)  MOVED PAST")
+    assert all(line.endswith(")  ok") for line in lines.values())
+
+
+def test_golden_check_ignores_a_key_no_check_reads(refresh_golden, capsys):
+    committed = load_golden()
+    fresh = dict(committed, maximizer_beta_snr100=0.0)
+    del committed["array_study_lower_bound"]
+    ok, lines = golden_check(refresh_golden, capsys, fresh, committed)
+    assert ok
+    assert lines.keys() == GOLDEN_KEYS.keys()
+
+
+def test_golden_check_flags_a_missing_key(refresh_golden, capsys):
+    fresh = load_golden()
+    committed = dict(fresh)
+    del committed["lemma1_gap_sequence"]
+    ok, lines = golden_check(refresh_golden, capsys, fresh, committed)
+    assert not ok
+    assert lines["lemma1_gap_sequence"].endswith("golden file missing key 'lemma1_gap_sequence'")
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))

@@ -27,13 +27,8 @@ from apcap.spectrum import (
     effective_rank,
     spectrum_report,
 )
-from apcap.verification import STUDY_RANGE, STUDY_WAVELENGTH, area_for_m0
+from apcap.verification import STUDY_RANGE, STUDY_WAVELENGTH, area_for_m0, study_disc
 from oracles import dense_disc_gain_fractions, integrate
-
-
-def geometry_for_c(c):
-    area = c * STUDY_WAVELENGTH * STUDY_RANGE / 2.0
-    return DiscGeometry(area, STUDY_WAVELENGTH, STUDY_RANGE, 1.0)
 
 
 def block_bytes(q, orders):
@@ -52,7 +47,7 @@ def fixed_truncation_nu_sq(c, max_angular_N, max_radial_m, quadrature_order):
     The Nystrom discretization of assemble_spectrum solved for every order
     up to max_angular_N and kept to max_radial_m, as the fixed rule
     (2c + 10, c + 10, 4c) did. Rows are fetched 96 orders at a time to
-    bound memory (about 100 MB at Q = 512). geometry_for_c has L = 1, so nu_sq = (c beta)^2.
+    bound memory (about 100 MB at Q = 512). study_disc has L = 1, so nu_sq = (c beta)^2.
     """
     rule = gauss_quadrature(quadrature_order)
     upper = np.triu_indices(quadrature_order)
@@ -106,18 +101,18 @@ class TestDiscGeometry:
 class TestRadialEigensolve:
     def test_eigenvalue_sum_rule_across_orders(self):
         # sum over all N (+-N both entered) and m of beta^2 equals 1/4
-        spectrum = assemble_spectrum(geometry_for_c(4.0), 39, 63, 64, keep_radial=False)
+        spectrum = assemble_spectrum(study_disc(4.0), 39, 63, 64, keep_radial=False)
         total = sum(beta**2 for beta in spectrum.beta.tolist())
         assert total == pytest.approx(0.25, rel=1e-10)
 
     def test_negative_order_matches_positive(self):
-        spectrum = assemble_spectrum(geometry_for_c(2.0), quadrature_order=48)
+        spectrum = assemble_spectrum(study_disc(2.0), quadrature_order=48)
         betas = dict(zip(modes_of(spectrum), spectrum.beta.tolist()))
         for (n, m), beta in betas.items():
             assert betas[(-n, m)] == pytest.approx(beta, rel=1e-14)
 
     def test_samples_shape_and_norm(self):
-        spectrum = assemble_spectrum(geometry_for_c(4.0), quadrature_order=64)
+        spectrum = assemble_spectrum(study_disc(4.0), quadrature_order=64)
         betas = spectrum.beta[spectrum.angular_N == 0]
         assert abs(betas[0]) > abs(betas[-1])
         rule = spectrum.quadrature
@@ -133,7 +128,7 @@ class TestRadialEigensolve:
     def test_betas_match_full_symmetric_matrix(self, c):
         # assembly forms only the lower triangle; eigvalsh of the full matrix,
         # built with the same products, must give the same bits
-        geo = geometry_for_c(c)
+        geo = study_disc(c)
         c = geo.c_param
         spectrum = assemble_spectrum(geo, keep_radial=False)
         q = spectrum.truncation[2]
@@ -152,7 +147,7 @@ class TestRadialEigensolve:
 
     def test_quadrature_floor(self):
         with pytest.raises(ValidationError):
-            assemble_spectrum(geometry_for_c(1.0), quadrature_order=8)
+            assemble_spectrum(study_disc(1.0), quadrature_order=8)
 
     def test_c_bounds(self):
         # the radial-sample quadrature order of the largest c fits the quadrature
@@ -257,7 +252,7 @@ class TestAssembleSpectrum:
     @pytest.mark.parametrize("c", [0.5, 4.0, 16.0, 64.0])
     def test_captured_mass_sums_left_to_right(self, c):
         # a plain loop, as the builtin sum rounded before Python 3.12 compensated it
-        spectrum = assemble_spectrum(geometry_for_c(c), keep_radial=False)
+        spectrum = assemble_spectrum(study_disc(c), keep_radial=False)
         mass = 0.0
         for value in spectrum.nu_sq.tolist():
             mass += value
@@ -287,12 +282,12 @@ class TestAssembleSpectrum:
             assert beta_a == pytest.approx(beta_b, rel=1e-12)
 
     def test_truncation_warning_when_starved(self):
-        geo = geometry_for_c(4.0)
+        geo = study_disc(4.0)
         with pytest.warns(TruncationWarning):
             assemble_spectrum(geo, max_angular_N=1, max_radial_m=1, keep_radial=False)
 
     def test_radial_samples_toggle(self):
-        geo = geometry_for_c(1.0)
+        geo = study_disc(1.0)
         with_samples = assemble_spectrum(geo)
         without = assemble_spectrum(geo, keep_radial=False)
         assert without.radial_samples is None
@@ -313,7 +308,7 @@ class TestAssembleSpectrum:
         # by (N, m) since near-tied rows may reorder; scripts/truncation_study.py
         # reads at most 9.3e-15 of the top mode here, and the old default
         # Q = ceil(c) + 40 itself 1.3e-14 at c = 44
-        geo = geometry_for_c(c)
+        geo = study_disc(c)
         default = assemble_spectrum(geo, keep_radial=False)
         reference = assemble_spectrum(
             geo, quadrature_order=math.ceil(geo.c_param) + 120, keep_radial=False
@@ -332,7 +327,7 @@ class TestAssembleSpectrum:
     def test_undersized_quadrature_warning_edge(self, c, q, warns):
         # below ceil(c/2 + 4 c^(1/3)) = 19 and 85 the modes are off a Q = ceil(c) + 120
         # solve by 4.7e-9 and 7.2e-9 of the top one; Q = 24 and 88 by 2.4e-15 and 2.3e-14
-        geo = geometry_for_c(c)
+        geo = study_disc(c)
         assert converged_quadrature(geo.c_param) == (19 if c == 16.0 else 85)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -342,7 +337,7 @@ class TestAssembleSpectrum:
 
     def test_radial_samples_keep_quadrature_floor(self):
         # the array path interpolates through the nodes and keeps Q >= 64
-        geo = geometry_for_c(4.0)
+        geo = study_disc(4.0)
         with_samples = assemble_spectrum(geo)
         assert with_samples.truncation[2] == RADIAL_QUADRATURE_FLOOR == 64
         assert with_samples.radial_samples[0].shape[0] == 64
@@ -355,7 +350,7 @@ class TestAdaptiveTruncation:
     def test_matches_fixed_truncation(self, c):
         c_ceil = math.ceil(c)
         old = fixed_truncation_nu_sq(c, 2 * c_ceil + 10, c_ceil + 10, max(64, 4 * c_ceil))
-        new = assemble_spectrum(geometry_for_c(c), keep_radial=False)
+        new = assemble_spectrum(study_disc(c), keep_radial=False)
         top = old.max()
         kept = np.zeros(old.shape, dtype=bool)
         for (N, m), nu_sq in zip(modes_of(new), new.nu_sq.tolist()):
@@ -368,7 +363,7 @@ class TestAdaptiveTruncation:
         assert new.angular_orders_solved - 1 < default_truncation(c)[0]
 
     def test_ceilings_and_report(self):
-        geo = geometry_for_c(16.0)
+        geo = study_disc(16.0)
         free = assemble_spectrum(geo, keep_radial=False)
         capped = assemble_spectrum(geo, 500, 500, keep_radial=False)
         # a ceiling above the cut changes nothing
@@ -426,14 +421,14 @@ class TestAdaptiveTruncation:
         monkeypatch.setattr(spectrum_module, "bessel_j_table", recording)
         # an eigenvalue-only walk solves every order afresh
         spectrum_module._memo_entry.cache_clear()
-        spectrum = assemble_spectrum(geometry_for_c(16.0), keep_radial=keep_radial)
+        spectrum = assemble_spectrum(study_disc(16.0), keep_radial=keep_radial)
         assert spectrum.truncation[2] == q
         assert len(tables) == (spectrum.angular_orders_solved + 1) // 2
         assert all(table() is None for table in tables)
 
     @pytest.mark.parametrize("keep_radial", [False, True])
     def test_fresh_walk_independent_of_block_size(self, monkeypatch, keep_radial):
-        geo = geometry_for_c(16.0)
+        geo = study_disc(16.0)
         q = 64 if keep_radial else 31
         spectrum_module._memo_entry.cache_clear()
         default = assemble_spectrum(geo, keep_radial=keep_radial)
@@ -454,7 +449,7 @@ class TestAdaptiveTruncation:
 
     def test_walk_reaching_bound_warns(self, monkeypatch):
         # a bound below the cut must not truncate silently
-        geo = geometry_for_c(4.0)
+        geo = study_disc(4.0)
         monkeypatch.setattr(spectrum_module, "default_truncation", lambda c, keep_radial: (5, 64))
         with pytest.warns(TruncationWarning, match="bound 5"):
             spectrum = assemble_spectrum(geo, keep_radial=False)
@@ -486,14 +481,14 @@ class TestEffectiveRank:
         )
 
 
-_CACHED_C2 = assemble_spectrum(geometry_for_c(2.0), keep_radial=False)
+_CACHED_C2 = assemble_spectrum(study_disc(2.0), keep_radial=False)
 
 
 class TestAgainstDenseOracle:
     def test_top_modes_match_small_dense_grid(self):
         # modest 32 x 32 polar grid is plenty at c = 1 for the top three
         oracle = dense_disc_gain_fractions(1.0, 3, radial_points=32, angular_points=32)
-        spectrum = assemble_spectrum(geometry_for_c(1.0), keep_radial=False)
+        spectrum = assemble_spectrum(study_disc(1.0), keep_radial=False)
         mine = np.array([4.0 * beta**2 for beta in spectrum.beta[:3].tolist()])
         assert np.max(np.abs(mine - oracle) / oracle) < 1e-8
 
